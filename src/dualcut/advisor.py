@@ -17,6 +17,8 @@ from typing import Sequence
 class Advisor:
     """Base advisor: always picks the first candidate."""
 
+    fallbacks = 0  # choices that fell back to index 0; see ScriptedAdvisor
+
     def choose(self, label: str, candidates: Sequence, partition=None):
         if not candidates:
             raise ValueError(f"choice '{label}' offered no candidates")

@@ -9,7 +9,6 @@ original instance only — never against algorithm internals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
 
 from .instances import SSCInstance, TwoECSInstance
 
@@ -39,17 +38,32 @@ class DualCertificate:
             raise ValueError(f"unknown problem kind {self.problem!r}")
         object.__setattr__(self, "cuts", tuple(self.cuts))
 
+    @property
+    def objective(self) -> int:
+        """Dual objective: one per cut for stars, two per cut for edges
+        (a 2-edge-connected subgraph crosses every cut at least twice)."""
+        return len(self.cuts) if self.problem == SSC else 2 * len(self.cuts)
 
-class LowerBounds(NamedTuple):
-    dual_objective: int
-    n_bound: int
-    best: int
+
+def lower_bounds(n: int, dual_objective: int) -> tuple[int, int]:
+    """The vertex-count bound on the optimum and the best lower bound.
+
+    The vertex-count bound holds because (with >= 2 vertices) every vertex
+    needs an out-arc from a selected star (star instances) or two incident
+    edges (edge instances). A 1-vertex instance needs nothing, so its bound
+    is 0. The best bound is the larger of it and the objective of a
+    feasible certificate.
+    """
+    n_bound = n if n >= 2 else 0
+    return n_bound, max(n_bound, dual_objective)
 
 
 def _check_cut(side: frozenset[int], n: int) -> None:
     for v in side:
-        if not (1 <= v <= n):
-            raise ValueError(f"cut vertex {v} out of range 1..{n}")
+        # bool is an int subclass; a float such as 1.5 would compare in range
+        # yet name no vertex, so only exact ints are vertex ids.
+        if type(v) is not int or not 1 <= v <= n:
+            raise ValueError(f"cut vertex {v!r} is not a vertex id in 1..{n}")
     if len(side) >= n:
         raise ValueError("cut side must be a proper subset of the vertices")
 
@@ -83,19 +97,16 @@ def verify_certificate(
 
     Returns (feasible, objective, violations); each violation is
     (star id or edge id, indices of the cuts it crosses). Feasible means no
-    item crosses more than one cut. Objective: number of cuts for star
-    instances, twice the number of cuts for edge instances.
+    item crosses more than one cut. The objective is `cert.objective`.
     """
     if isinstance(instance, SSCInstance):
         if cert.problem != SSC:
             raise ValueError(f"certificate kind {cert.problem!r} does not match instance")
         crossers = [crossing_stars(instance, cut) for cut in cert.cuts]
-        objective = len(cert.cuts)
     elif isinstance(instance, TwoECSInstance):
         if cert.problem != TWOECS:
             raise ValueError(f"certificate kind {cert.problem!r} does not match instance")
         crossers = [crossing_edges(instance, cut) for cut in cert.cuts]
-        objective = 2 * len(cert.cuts)
     else:
         raise TypeError(f"cannot verify certificate against {type(instance).__name__}")
     hit: dict[int, list[int]] = {}
@@ -107,23 +118,5 @@ def verify_certificate(
         for item, cut_indices in sorted(hit.items())
         if len(cut_indices) >= 2
     ]
-    return (not violations, objective, violations)
+    return (not violations, cert.objective, violations)
 
-
-def lower_bounds(instance, cert: DualCertificate) -> LowerBounds:
-    """Combine the certificate's dual objective with the vertex-count bound.
-
-    The vertex-count bound holds because (with >= 2 vertices) every vertex
-    needs an out-arc from a selected star (star instances) or two incident
-    edges (edge instances). A 1-vertex instance needs nothing, so its bound
-    is 0.
-    """
-    feasible, objective, violations = verify_certificate(instance, cert)
-    if not feasible:
-        raise ValueError(f"certificate is infeasible: {violations}")
-    if isinstance(instance, SSCInstance):
-        n = instance.vertex_count
-    else:
-        n = instance.graph.vertex_count
-    n_bound = n if n >= 2 else 0
-    return LowerBounds(objective, n_bound, max(objective, n_bound))

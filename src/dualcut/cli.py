@@ -45,7 +45,7 @@ from .io import (
     write_instance,
 )
 from .oracles import certify_exact_by_bound, exact_2ecs, exact_dpa, exact_ssc
-from .report import report_from_json, report_to_json, verify_run
+from .report import RunCheckError, report_from_json, report_to_json, verify_run
 from .ssc import approx_ssc
 from .twoecs import approx_2ecs
 
@@ -131,6 +131,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except InfeasibleInstanceError as exc:
         print(f"infeasible instance: {exc}", file=sys.stderr)
+        return 1
+    except RunCheckError as exc:
+        # The run's own report failed verify_run: no result is printed.
+        for problem in exc.problems:
+            print(f"FAIL: {problem}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

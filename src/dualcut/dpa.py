@@ -14,10 +14,7 @@ from .advisor import Advisor
 from .certificates import SSC, Cut, DualCertificate
 from .instances import (
     DPAInstance,
-    PowerSolution,
     SSCInstance,
-    StarSolution,
-    check_feasible,
     dpa_to_ssc,
 )
 from .perfect import (
@@ -282,7 +279,7 @@ def approx_dpa(instance, advisor: Advisor | None = None) -> RunReport:
     while li.current_count > 1:
         q, (side1, side2) = find_perfect_two_cuts(li, advisor)
         lifted = (Cut(li.lift(side1)), Cut(li.lift(side2)))
-        li, _record = contract_perfect(li, q, lifted)
+        li = contract_perfect(li, q)
         selected |= q
         cuts.extend(lifted)
         iterations.append(
@@ -292,31 +289,25 @@ def approx_dpa(instance, advisor: Advisor | None = None) -> RunReport:
 
     certificate = DualCertificate(SSC, tuple(cuts))
     star_selection = tuple(sorted(selected))
-    assert check_feasible(derived, StarSolution(frozenset(star_selection)))
-    fallbacks = getattr(advisor, "fallbacks", 0)
     if star_to_vertex is None:
         return build_report(
             problem="dpa",
-            cert_instance=derived,
-            digest_instance=derived,
+            instance=derived,
             n=derived.vertex_count,
             iterations=tuple(iterations),
             selected=star_selection,
             selection_kind="stars",
             certificate=certificate,
-            advisor_fallbacks=fallbacks,
+            advisor_fallbacks=advisor.fallbacks,
         )
-    power = tuple(sorted(star_to_vertex[sid] for sid in star_selection))
-    assert check_feasible(instance, PowerSolution(frozenset(power)))
     return build_report(
         problem="dpa",
-        cert_instance=derived,
-        digest_instance=instance,
+        instance=instance,
         n=derived.vertex_count,
         iterations=tuple(iterations),
-        selected=power,
+        selected=tuple(sorted(star_to_vertex[sid] for sid in star_selection)),
         selection_kind="power",
         certificate=certificate,
-        advisor_fallbacks=fallbacks,
+        advisor_fallbacks=advisor.fallbacks,
         selected_stars=star_selection,
     )

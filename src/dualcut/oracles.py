@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .certificates import Cut, verify_certificate
+from .certificates import Cut, lower_bounds, verify_certificate
 from .graphs import Multigraph, is_strongly_connected, is_two_edge_connected
 from .instances import (
     DPAInstance,
@@ -26,7 +26,6 @@ from .instances import (
 from .perfect import LiveInstance, is_internal_cut
 
 SEARCH = "search"
-HAM_CERT = "certified-by-bound"
 
 
 @dataclass(frozen=True)
@@ -172,10 +171,9 @@ def certify_exact_by_bound(instance, witness, certificate=None) -> bool:
         n = bound_instance.vertex_count
     else:
         n = bound_instance.graph.vertex_count
-    bound = n if n >= 2 else 0
+    objective = 0
     if certificate is not None:
         feasible, objective, _ = verify_certificate(bound_instance, certificate)
         if not feasible:
             raise ValueError("certificate is not feasible")
-        bound = max(bound, objective)
-    return witness.cost == bound
+    return witness.cost == lower_bounds(n, objective)[1]

@@ -8,10 +8,7 @@ during a run always refer to the input instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .advisor import Advisor
-from .certificates import Cut
 from .graphs import (
     Digraph,
     VertexPartition,
@@ -113,19 +110,6 @@ class LiveInstance:
             f"LiveInstance(current={self.current_count}, "
             f"live_stars={len(self.live)})"
         )
-
-
-@dataclass(frozen=True)
-class PerfectSetRecord:
-    """One contraction step: which stars were taken and the cuts they carry
-    (cuts stored over original vertex ids)."""
-
-    star_ids: frozenset[int]
-    internal_cuts: tuple[Cut, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.star_ids)
 
 
 def is_quasiperfect(li: LiveInstance, star_ids) -> bool:
@@ -248,15 +232,11 @@ def _dfs_path_to(g: Digraph, start: int, targets: set[int], advisor: Advisor, pa
         path.append(nxt)
 
 
-def contract_perfect(
-    li: LiveInstance, star_ids, lifted_cuts: tuple[Cut, ...] = ()
-) -> tuple[LiveInstance, PerfectSetRecord]:
+def contract_perfect(li: LiveInstance, star_ids) -> LiveInstance:
     """Contract the sources of a perfect set into one supervertex.
 
     Every chosen star dies (its sinks all lie inside the merged block), live
-    stars shrink, and strong connectivity is preserved. The record keeps the
-    chosen ids and any cuts the caller attached (already lifted to original
-    ids)."""
+    stars shrink, and strong connectivity is preserved."""
     if not is_perfect(li, star_ids):
         raise ValueError("contract_perfect requires a perfect star set")
     chosen = frozenset(star_ids)
@@ -264,4 +244,4 @@ def contract_perfect(
     shrunk = li.contract(srcs)
     assert all(sid not in shrunk.live for sid in chosen)
     assert is_strongly_connected(shrunk.digraph())
-    return shrunk, PerfectSetRecord(chosen, tuple(lifted_cuts))
+    return shrunk

@@ -3,13 +3,16 @@
 A report carries the selection, the per-iteration records, the dual
 certificate with its lower bounds, and enough redundancy (histogram,
 identities, instance digest) that `verify_run` can re-check a run from the
-report plus the original instance text alone. Ratios are kept as exact
-fractions; no guarantee is ever checked in floating point.
+report plus the original instance text alone. `build_report` runs that
+same check on every report it assembles, so `verify_run` is the one checker
+of a finished run. Ratios are kept as exact fractions; no guarantee is ever
+checked in floating point.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,7 +34,7 @@ from .instances import (
     check_feasible,
     dpa_to_ssc,
 )
-from .io import instance_digest
+from .io import instance_digest, natural_kind
 
 
 @dataclass(frozen=True)
@@ -87,11 +90,30 @@ def convex_bound_for(problem: str, n: int, k: int, dual_objective: int) -> Fract
     return Fraction(3, 4) * (n - 1) + Fraction(1, 4) * dual_objective
 
 
+class RunCheckError(Exception):
+    """A finished run failed `verify_run`; `problems` lists its findings."""
+
+    def __init__(self, problems: list[str]):
+        super().__init__("run failed verification: " + "; ".join(problems))
+        self.problems = tuple(problems)
+
+
+def _histogram(iterations) -> dict[int, int]:
+    """A_i: the number of iterations that selected i items."""
+    hist: dict[int, int] = {}
+    for rec in iterations:
+        hist[len(rec.selected)] = hist.get(len(rec.selected), 0) + 1
+    return hist
+
+
+def _ratio(cost: int, best: int) -> Fraction:
+    return Fraction(cost, best) if best > 0 else Fraction(1)
+
+
 def build_report(
     *,
     problem: str,
-    cert_instance,
-    digest_instance,
+    instance,
     n: int,
     iterations: tuple[IterationRecord, ...],
     selected: tuple[int, ...],
@@ -100,49 +122,43 @@ def build_report(
     advisor_fallbacks: int,
     selected_stars: tuple[int, ...] | None = None,
 ) -> RunReport:
-    """Assemble a report and assert every identity the run must satisfy."""
-    k = len(iterations)
-    histogram: dict[int, int] = {}
-    for rec in iterations:
-        histogram[len(rec.selected)] = histogram.get(len(rec.selected), 0) + 1
-    cost = len(selected)
-    assert sum(i * a for i, a in histogram.items()) == cost
-    assert sum((i - 1) * a for i, a in histogram.items()) == n - 1
-    assert cost == n + k - 1
+    """Assemble the report of a finished run, then check it with `verify_run`.
 
-    feasible, objective, violations = verify_certificate(cert_instance, certificate)
-    assert feasible, f"certificate violations: {violations}"
-    bounds_raw = lower_bounds(cert_instance, certificate)
-    assert bounds_raw.dual_objective == objective
-    bounds = Bounds(
-        dual_objective=objective,
-        n_bound=bounds_raw.n_bound,
-        best=bounds_raw.best,
-        convex_bound=convex_bound_for(problem, n, k, objective),
-    )
-    if problem in ("2ecs", "dpa"):
-        assert 2 * cost < 3 * max(n, objective) or n <= 1
-    else:
-        assert 5 * cost <= 6 * (n - 1) + 2 * objective
-    ratio = Fraction(cost, bounds.best) if bounds.best > 0 else Fraction(1)
-    return RunReport(
+    `instance` is the instance the run was given (a power instance for power
+    runs, not its star form). Raises RunCheckError listing every finding;
+    the check does not rest on `assert`, so it also runs under `python -O`.
+    """
+    k = len(iterations)
+    cost = len(selected)
+    objective = certificate.objective
+    n_bound, best = lower_bounds(n, objective)
+    report = RunReport(
         problem=problem,
         n=n,
         k=k,
         cost=cost,
         selection_kind=selection_kind,
         selected=tuple(sorted(selected)),
-        histogram=histogram,
+        histogram=_histogram(iterations),
         iterations=iterations,
         certificate=certificate,
-        bounds=bounds,
-        ratio_vs_best=ratio,
+        bounds=Bounds(
+            dual_objective=objective,
+            n_bound=n_bound,
+            best=best,
+            convex_bound=convex_bound_for(problem, n, k, objective),
+        ),
+        ratio_vs_best=_ratio(cost, best),
         advisor_fallbacks=advisor_fallbacks,
-        instance_digest=instance_digest(digest_instance),
+        instance_digest=instance_digest(instance),
         selected_stars=(
             tuple(sorted(selected_stars)) if selected_stars is not None else None
         ),
     )
+    problems = verify_run(natural_kind(instance), instance, report)
+    if problems:
+        raise RunCheckError(problems)
+    return report
 
 
 def _fraction_str(f: Fraction) -> str:
@@ -150,7 +166,26 @@ def _fraction_str(f: Fraction) -> str:
 
 
 def _fraction_from(s: str) -> Fraction:
-    return Fraction(s)
+    if not isinstance(s, str):
+        raise ValueError(f"a ratio must be a string 'p/q', not {s!r}")
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"ratio {s!r} has a zero denominator") from None
+
+
+def _int(value, field: str) -> int:
+    # bool is an int subclass, but never a count or an id.
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, not {value!r}")
+    return value
+
+
+def _ints(values, field: str) -> tuple[int, ...]:
+    values = tuple(values)
+    if not set(map(type, values)) <= {int}:
+        raise ValueError(f"{field} must hold integers only")
+    return values
 
 
 def report_to_dict(report: RunReport) -> dict:
@@ -197,11 +232,14 @@ def report_to_json(report: RunReport) -> str:
 
 
 def report_from_dict(data: dict) -> RunReport:
+    """Decode a report; raises ValueError (or KeyError/TypeError) when a
+    field is missing or an integer field or id list holds a non-integer.
+    Cut vertices are left to the certificate check."""
     iterations = tuple(
         IterationRecord(
-            index=rec["index"],
+            index=_int(rec["index"], "iteration index"),
             kind=rec["kind"],
-            selected=tuple(rec["selected"]),
+            selected=_ints(rec["selected"], "iteration selection"),
             cuts=tuple(Cut(frozenset(side)) for side in rec["cuts"]),
         )
         for rec in data["iterations"]
@@ -212,28 +250,32 @@ def report_from_dict(data: dict) -> RunReport:
     )
     b = data["bounds"]
     bounds = Bounds(
-        dual_objective=b["dual_objective"],
-        n_bound=b["n_bound"],
-        best=b["best"],
+        dual_objective=_int(b["dual_objective"], "dual_objective"),
+        n_bound=_int(b["n_bound"], "n_bound"),
+        best=_int(b["best"], "best"),
         convex_bound=_fraction_from(b["convex_bound"]),
     )
     selected_stars = data.get("selected_stars")
     return RunReport(
         problem=data["problem"],
-        n=data["n"],
-        k=data["k"],
-        cost=data["cost"],
+        n=_int(data["n"], "n"),
+        k=_int(data["k"], "k"),
+        cost=_int(data["cost"], "cost"),
         selection_kind=data["selection_kind"],
-        selected=tuple(data["selected"]),
-        histogram={int(i): a for i, a in data["histogram"].items()},
+        selected=_ints(data["selected"], "selected"),
+        histogram={
+            int(i): _int(a, "histogram count") for i, a in data["histogram"].items()
+        },
         iterations=iterations,
         certificate=cert,
         bounds=bounds,
         ratio_vs_best=_fraction_from(data["ratio_vs_best"]),
-        advisor_fallbacks=data["advisor_fallbacks"],
+        advisor_fallbacks=_int(data["advisor_fallbacks"], "advisor_fallbacks"),
         instance_digest=data["instance_digest"],
         selected_stars=(
-            tuple(selected_stars) if selected_stars is not None else None
+            _ints(selected_stars, "selected_stars")
+            if selected_stars is not None
+            else None
         ),
     )
 
@@ -324,9 +366,7 @@ def verify_run(kind: str, instance, report: RunReport) -> list[str]:
         need(n == real_n, "vertex count differs from instance")
     need(k == len(report.iterations), "iteration count differs from k")
 
-    hist: dict[int, int] = {}
-    for rec in report.iterations:
-        hist[len(rec.selected)] = hist.get(len(rec.selected), 0) + 1
+    hist = _histogram(report.iterations)
     need(hist == report.histogram, "histogram differs from iteration records")
     need(
         sum((i - 1) * a for i, a in hist.items()) == n - 1,
@@ -335,11 +375,11 @@ def verify_run(kind: str, instance, report: RunReport) -> list[str]:
     need(sum(i * a for i, a in hist.items()) == cost, "histogram cost identity fails")
     need(cost == n + k - 1, "cost identity n+k-1 fails")
 
-    from_iters: list[frozenset[int]] = []
+    from_iters: Counter[frozenset[int]] = Counter()
     picked: set[int] = set()
     for rec in report.iterations:
         picked.update(rec.selected)
-        from_iters.extend(c.side for c in rec.cuts)
+        from_iters.update(c.side for c in rec.cuts)
         if report.problem == "2ecs":
             need(len(rec.cuts) == 1, f"iteration {rec.index}: expected one cut")
         elif report.problem == "dpa":
@@ -348,9 +388,10 @@ def verify_run(kind: str, instance, report: RunReport) -> list[str]:
             need(len(rec.cuts) in (1, 2), f"iteration {rec.index}: bad cut count")
             if rec.kind == TWO_CUTS:
                 need(len(rec.cuts) == 2, f"iteration {rec.index}: two-cuts needs 2")
+    # Compared as multisets of sides: sorting would raise on a hostile
+    # side that mixes types.
     need(
-        sorted(from_iters, key=sorted) ==
-        sorted((c.side for c in report.certificate.cuts), key=sorted),
+        from_iters == Counter(c.side for c in report.certificate.cuts),
         "certificate cuts differ from iteration cuts",
     )
     expected_selected = (
@@ -366,23 +407,16 @@ def verify_run(kind: str, instance, report: RunReport) -> list[str]:
     else:
         need(5 * cost <= 6 * (n - 1) + 2 * D, "guarantee 5*cost <= 6(n-1)+2D fails")
 
-    need(
-        report.bounds.n_bound == (n if n >= 2 else 0),
-        "vertex-count bound is wrong",
-    )
-    need(
-        report.bounds.best == max(report.bounds.n_bound, D),
-        "best bound is not the max of the two",
-    )
+    n_bound, best = lower_bounds(n, D)
+    need(report.bounds.n_bound == n_bound, "vertex-count bound is wrong")
+    need(report.bounds.best == best, "best bound is not the max of the two")
     need(
         report.bounds.convex_bound
         == convex_bound_for(report.problem, n, k, D),
         "convex bound formula mismatch",
     )
-    expected_ratio = (
-        Fraction(cost, report.bounds.best)
-        if report.bounds.best > 0
-        else Fraction(1)
+    need(
+        report.ratio_vs_best == _ratio(cost, report.bounds.best),
+        "ratio differs from cost/best",
     )
-    need(report.ratio_vs_best == expected_ratio, "ratio differs from cost/best")
     return problems

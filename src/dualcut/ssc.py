@@ -18,7 +18,7 @@ from .graphs import (
     find_path_internally_avoiding,
     reachable_avoiding,
 )
-from .instances import SSCInstance, StarSolution, check_feasible
+from .instances import SSCInstance
 from .perfect import (
     LiveInstance,
     are_star_disjoint,
@@ -277,22 +277,18 @@ def approx_ssc(instance: SSCInstance, advisor: Advisor | None = None) -> RunRepo
     while li.current_count > 1:
         q, sides, kind = find_perfect_set(li, advisor)
         lifted = tuple(Cut(li.lift(side)) for side in sides)
-        li, _record = contract_perfect(li, q, lifted)
+        li = contract_perfect(li, q)
         selected |= q
         cuts.extend(lifted)
         iterations.append(IterationRecord(index, kind, tuple(sorted(q)), lifted))
         index += 1
-    certificate = DualCertificate(SSC, tuple(cuts))
-    selection = tuple(sorted(selected))
-    assert check_feasible(instance, StarSolution(frozenset(selection)))
     return build_report(
         problem="ssc",
-        cert_instance=instance,
-        digest_instance=instance,
+        instance=instance,
         n=instance.vertex_count,
         iterations=tuple(iterations),
-        selected=selection,
+        selected=tuple(sorted(selected)),
         selection_kind="stars",
-        certificate=certificate,
-        advisor_fallbacks=getattr(advisor, "fallbacks", 0),
+        certificate=DualCertificate(SSC, tuple(cuts)),
+        advisor_fallbacks=advisor.fallbacks,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .advisor import Advisor
 from .certificates import TWOECS, Cut, DualCertificate
 from .graphs import Multigraph, VertexPartition, contract_multigraph
-from .instances import EdgeSolution, TwoECSInstance, check_feasible
+from .instances import TwoECSInstance
 from .report import IterationRecord, RunReport, build_report
 
 
@@ -99,19 +99,16 @@ def approx_2ecs(instance: TwoECSInstance, advisor: Advisor | None = None) -> Run
         origin = [origin[e] for e in edge_origin]
         index += 1
 
-    certificate = DualCertificate(TWOECS, tuple(cuts))
-    assert check_feasible(instance, EdgeSolution(frozenset(selected)))
     # The recorded cuts must be pairwise edge-disjoint for the doubled dual
-    # to be feasible; build_report re-verifies that via the certificate.
-    fallbacks = getattr(advisor, "fallbacks", 0)
+    # to be feasible; build_report checks that, and the selection, through
+    # verify_run.
     return build_report(
         problem="2ecs",
-        cert_instance=instance,
-        digest_instance=instance,
+        instance=instance,
         n=n0,
         iterations=tuple(iterations),
         selected=tuple(sorted(selected)),
         selection_kind="edges",
-        certificate=certificate,
-        advisor_fallbacks=fallbacks,
+        certificate=DualCertificate(TWOECS, tuple(cuts)),
+        advisor_fallbacks=advisor.fallbacks,
     )

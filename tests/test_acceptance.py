@@ -243,7 +243,7 @@ def test_criterion_7_round_construction_contracts():
                 sides = {c.side for c in enumerate_internal_cuts(li, q)}
                 assert s1 in sides and s2 in sides
             two_cut_calls += 1
-            li, _ = contract_perfect(li, q)
+            li = contract_perfect(li, q)
         i += 1
 
     general_calls = 0
@@ -267,7 +267,7 @@ def test_criterion_7_round_construction_contracts():
                 sides = {c.side for c in enumerate_internal_cuts(li, q)}
                 assert all(s in sides for s in cut_sides)
             general_calls += 1
-            li, _ = contract_perfect(li, q)
+            li = contract_perfect(li, q)
         i += 1
 
     assert two_cut_calls >= 500 and general_calls >= 500

@@ -6,17 +6,20 @@ from dualcut import (
     Cut,
     Digraph,
     DualCertificate,
+    IterationRecord,
     Multigraph,
+    RunCheckError,
     SSCInstance,
     Star,
     TwoECSInstance,
+    build_report,
     crossing_edges,
     crossing_stars,
-    lower_bounds,
     mscs_to_ssc,
     verify_certificate,
 )
-from dualcut.certificates import SSC, TWOECS
+from dualcut.certificates import SSC, TWOECS, lower_bounds
+from dualcut.report import TWO_CUTS
 
 
 def test_cut_must_be_nonempty():
@@ -41,8 +44,11 @@ def test_crossing_stars():
     assert crossing_stars(s, Cut(frozenset({2, 3}))) == frozenset({2})
     with pytest.raises(ValueError):
         crossing_stars(s, Cut(frozenset({1, 2, 3})))  # not proper
-    with pytest.raises(ValueError):
-        crossing_stars(s, Cut(frozenset({9})))
+    # Only int vertex ids in 1..n: a float or bool would pass a range check
+    # yet name no vertex, so no star would cross it.
+    for alien in (9, 1.5, True):
+        with pytest.raises(ValueError):
+            crossing_stars(s, Cut(frozenset({alien})))
 
 
 def test_crossing_edges():
@@ -84,10 +90,24 @@ def test_verify_certificate_kind_mismatch():
 
 
 def test_lower_bounds_combines_objective_and_vertex_count():
+    assert lower_bounds(4, 2) == (4, 4)
+    assert lower_bounds(1, 0) == (0, 0)
     s = mscs_to_ssc(Digraph(4, [(1, 2), (2, 3), (3, 4), (4, 1)]))
-    cert = DualCertificate(SSC, (Cut(frozenset({1})), Cut(frozenset({3}))))
-    lb = lower_bounds(s, cert)
-    assert (lb.dual_objective, lb.n_bound, lb.best) == (2, 4, 4)
-    infeasible = DualCertificate(SSC, (Cut(frozenset({1})), Cut(frozenset({1, 3}))))
-    with pytest.raises(ValueError):
-        lower_bounds(s, infeasible)
+
+    def bounds(*sides):
+        cuts = tuple(Cut(frozenset(side)) for side in sides)
+        return build_report(
+            problem="ssc",
+            instance=s,
+            n=4,
+            iterations=(IterationRecord(0, TWO_CUTS, (0, 1, 2, 3), cuts),),
+            selected=(0, 1, 2, 3),
+            selection_kind="stars",
+            certificate=DualCertificate(SSC, cuts),
+            advisor_fallbacks=0,
+        ).bounds
+
+    b = bounds({1}, {3})
+    assert (b.dual_objective, b.n_bound, b.best) == (2, 4, 4)
+    with pytest.raises(RunCheckError, match="certificate infeasible"):
+        bounds({1}, {1, 3})

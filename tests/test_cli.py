@@ -1,9 +1,12 @@
 """End-to-end tests of the command-line interface (exit codes and output)."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+import dualcut.ssc as ssc_module
+from dualcut.certificates import DualCertificate
 from dualcut.cli import main
 
 
@@ -208,3 +211,81 @@ def test_exact_limit_exits_two(tmp_path, capsys):
         "exact", "--problem", "ssc", "--input", str(path), "--limit", "5",
     )
     assert code == 2 and "limit" in err
+
+
+def _solved(capsys, family, k, tmp_path):
+    """Generate a tight instance, solve it with its advice; return paths."""
+    inst, report = tmp_path / f"{family}{k}.txt", tmp_path / f"{family}{k}.json"
+    run(capsys, "gen", family, "--k", str(k), "--out", str(inst))
+    code, _, _ = run(
+        capsys, "solve", "--problem", "ssc", "--input", str(inst),
+        "--advice", str(inst) + ".advice", "--out", str(report),
+    )
+    assert code == 0
+    return inst, report
+
+
+def _verify_fails(capsys, inst, report_path, data):
+    report_path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "verify", "--input", str(inst), "--report", str(report_path))
+    assert code == 1
+    assert out.splitlines() and all(line.startswith("FAIL:") for line in out.splitlines())
+
+
+def test_verify_rejects_fractional_cut_vertices(tmp_path, capsys):
+    # No star crosses a cut {1.5}, so each such cut would add 1 to the dual
+    # objective for free: here a best bound of 20 against an optimum of 17.
+    inst, report_path = _solved(capsys, "tk", 3, tmp_path)
+    data = json.loads(report_path.read_text())
+    big = [rec for rec in data["iterations"] if rec["kind"] == "big-one-cut"]
+    for rec, alien in zip(big, ([1.5], [2.5], [3.5]), strict=False):
+        rec["cuts"].append(alien)
+        data["certificate"]["cuts"].append(alien)
+    assert len(big) >= 3
+    n, dual = data["n"], len(data["certificate"]["cuts"])
+    best = max(n, dual)
+    data["bounds"] = {
+        "dual_objective": dual,
+        "n_bound": n,
+        "best": best,
+        "convex_bound": str(Fraction(3, 4) * (n - 1) + Fraction(dual, 4)),
+    }
+    data["ratio_vs_best"] = f"{data['cost']}/{best}"
+    assert best == 20 and "# opt-witness:" in inst.read_text()
+    _verify_fails(capsys, inst, report_path, data)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d["selected"].__setitem__(0, str(d["selected"][0])),
+        lambda d: d.__setitem__("n", str(d["n"])),
+        lambda d: d.__setitem__("cost", str(d["cost"])),
+        lambda d: d["bounds"].__setitem__("dual_objective", str(d["bounds"]["dual_objective"])),
+        lambda d: d.__setitem__("ratio_vs_best", "1/0"),
+    ],
+    ids=["string-star-id", "string-n", "string-cost", "string-dual-objective", "zero-denominator"],
+)
+def test_verify_fails_cleanly_on_type_confused_reports(gk1, tmp_path, capsys, mutate):
+    report_path = tmp_path / "r.json"
+    run(
+        capsys,
+        "solve", "--problem", "ssc", "--input", str(gk1),
+        "--advice", str(gk1) + ".advice", "--out", str(report_path),
+    )
+    data = json.loads(report_path.read_text())
+    mutate(data)
+    _verify_fails(capsys, gk1, report_path, data)
+
+
+def test_solve_exits_one_when_its_report_fails_verification(gk1, capsys, monkeypatch):
+    # Stand-in for a faulty algorithm: every cut reaches the certificate
+    # twice, so some star crosses two of its cuts.
+    monkeypatch.setattr(
+        ssc_module,
+        "DualCertificate",
+        lambda problem, cuts: DualCertificate(problem, tuple(cuts) * 2),
+    )
+    code, out, err = run(capsys, "solve", "--problem", "ssc", "--input", str(gk1))
+    assert code == 1 and out == ""
+    assert any(line.startswith("FAIL: certificate infeasible") for line in err.splitlines())

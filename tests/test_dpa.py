@@ -5,7 +5,6 @@ import random
 import pytest
 
 from dualcut import (
-    Cut,
     DPAInstance,
     LiveInstance,
     PowerSolution,
@@ -151,6 +150,4 @@ def test_round_outputs_satisfy_contracts():
             assert is_perfect(li, q)
             assert is_internal_cut(li, q, s1) and is_internal_cut(li, q, s2)
             assert are_star_disjoint(li, s1, s2)
-            li, _rec = contract_perfect(
-                li, q, (Cut(li.lift(s1)), Cut(li.lift(s2)))
-            )
+            li = contract_perfect(li, q)

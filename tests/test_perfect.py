@@ -3,7 +3,6 @@
 import pytest
 
 from dualcut import (
-    Cut,
     Digraph,
     LiveInstance,
     SSCInstance,
@@ -135,13 +134,9 @@ def test_augment_walks_long_detours():
     assert {0, 1, 2, 3} <= set(q)
 
 
-def test_contract_perfect_returns_record_and_shrinks():
+def test_contract_perfect_shrinks_and_rejects_imperfect_sets():
     li = live_cycle(4)
-    q = frozenset({0, 1, 2, 3})
-    cuts = (Cut(frozenset({1})), Cut(frozenset({3})))
-    shrunk, record = contract_perfect(li, q, cuts)
+    shrunk = contract_perfect(li, frozenset({0, 1, 2, 3}))
     assert shrunk.current_count == 1
-    assert record.star_ids == q and record.size == 4
-    assert record.internal_cuts == cuts
     with pytest.raises(ValueError):
         contract_perfect(live_cycle(3), frozenset({0}))

@@ -2,13 +2,20 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import dualcut
 from dualcut import (
     Cut,
     DualCertificate,
+    RunCheckError,
     approx_2ecs,
     approx_dpa,
     approx_ssc,
@@ -142,38 +149,66 @@ def test_verify_catches_duplicated_cut(runs):
     assert any("certificate infeasible" in p or "dual objective" in p for p in problems)
 
 
-def test_build_report_rejects_broken_identities():
+def _three_cycle_report_args(breakage):
+    """build_report arguments for a 3-cycle run, broken by `breakage`."""
     inst = mscs_to_ssc(Digraph(3, [(1, 2), (2, 3), (3, 1)]))
     good = approx_ssc(inst)
-    with pytest.raises(AssertionError):
-        build_report(
-            problem="ssc",
-            cert_instance=inst,
-            digest_instance=inst,
-            n=inst.vertex_count,
-            iterations=good.iterations,
-            selected=good.selected[:-1],  # drops a star: identities break
-            selection_kind="stars",
-            certificate=good.certificate,
-            advisor_fallbacks=0,
-        )
+    args = dict(
+        problem="ssc",
+        instance=inst,
+        n=inst.vertex_count,
+        iterations=good.iterations,
+        selected=good.selected,
+        selection_kind="stars",
+        certificate=good.certificate,
+        advisor_fallbacks=0,
+    )
+    args.update(breakage(good))
+    return args
+
+
+def _dropped_star(good):
+    return {"selected": good.selected[:-1]}  # identities break, infeasible
+
+
+def _doubled_certificate(good):
+    cert = good.certificate
+    return {"certificate": DualCertificate(cert.problem, cert.cuts * 2)}
+
+
+def test_build_report_rejects_broken_identities():
+    with pytest.raises(RunCheckError) as info:
+        build_report(**_three_cycle_report_args(_dropped_star))
+    assert "cost identity n+k-1 fails" in info.value.problems
+    assert "selection is not feasible" in info.value.problems
 
 
 def test_build_report_rejects_infeasible_certificate():
-    inst = mscs_to_ssc(Digraph(3, [(1, 2), (2, 3), (3, 1)]))
-    good = approx_ssc(inst)
-    doubled = DualCertificate(
-        good.certificate.problem, good.certificate.cuts * 2
+    with pytest.raises(RunCheckError, match="certificate infeasible"):
+        build_report(**_three_cycle_report_args(_doubled_certificate))
+
+
+@pytest.mark.parametrize("breakage", ["_dropped_star", "_doubled_certificate"])
+def test_build_report_check_survives_python_O(breakage):
+    # `python -O` strips assert statements; the report check must not be one.
+    script = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {str(Path(__file__).parent)!r})
+        from test_report import _three_cycle_report_args, {breakage}
+        from dualcut import RunCheckError, build_report
+        assert False, "assert statements must be stripped here"
+        try:
+            build_report(**_three_cycle_report_args({breakage}))
+        except RunCheckError as exc:
+            print("rejected:", len(exc.problems))
+        else:
+            print("accepted")
+    """)
+    src = Path(dualcut.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
     )
-    with pytest.raises(AssertionError):
-        build_report(
-            problem="ssc",
-            cert_instance=inst,
-            digest_instance=inst,
-            n=inst.vertex_count,
-            iterations=good.iterations,
-            selected=good.selected,
-            selection_kind="stars",
-            certificate=doubled,
-            advisor_fallbacks=0,
-        )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("rejected:"), out.stdout

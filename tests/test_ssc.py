@@ -5,7 +5,6 @@ import random
 import pytest
 
 from dualcut import (
-    Cut,
     LiveInstance,
     SSCInstance,
     ScriptedAdvisor,
@@ -111,9 +110,7 @@ def test_round_outputs_satisfy_contracts():
                 assert are_star_disjoint(li, *cut_sides)
             else:
                 assert len(cut_sides) == 1
-            li, _rec = contract_perfect(
-                li, q, tuple(Cut(li.lift(s)) for s in cut_sides)
-            )
+            li = contract_perfect(li, q)
 
 
 def test_accounting_and_ratio_against_exact():
