@@ -59,11 +59,15 @@ def lower_bounds(n: int, dual_objective: int) -> tuple[int, int]:
 
 
 def _check_cut(side: frozenset[int], n: int) -> None:
-    for v in side:
-        # bool is an int subclass; a float such as 1.5 would compare in range
-        # yet name no vertex, so only exact ints are vertex ids.
-        if type(v) is not int or not 1 <= v <= n:
-            raise ValueError(f"cut vertex {v!r} is not a vertex id in 1..{n}")
+    # bool is an int subclass; a float such as 1.5 would compare in range
+    # yet name no vertex, so only exact ints are vertex ids. The set-level
+    # test decides; the loop only names the offending vertex.
+    if not set(map(type, side)) <= {int} or (
+        side and not (1 <= min(side) and max(side) <= n)
+    ):
+        for v in side:
+            if type(v) is not int or not 1 <= v <= n:
+                raise ValueError(f"cut vertex {v!r} is not a vertex id in 1..{n}")
     if len(side) >= n:
         raise ValueError("cut side must be a proper subset of the vertices")
 
@@ -72,21 +76,22 @@ def crossing_stars(s: SSCInstance, cut: Cut) -> frozenset[int]:
     """Stars with source inside the cut and at least one sink outside."""
     _check_cut(cut.side, s.vertex_count)
     side = cut.side
+    by_source = s.stars_by_source()
     return frozenset(
         st.id
-        for st in s.stars
-        if st.source in side and any(t not in side for t in st.sinks)
+        for v in side
+        for st in by_source.get(v, ())
+        if not st.sinks <= side
     )
 
 
 def crossing_edges(t: TwoECSInstance, cut: Cut) -> frozenset[int]:
     """Edge ids with exactly one endpoint inside the cut."""
-    _check_cut(cut.side, t.graph.vertex_count)
+    g = t.graph
+    _check_cut(cut.side, g.vertex_count)
     side = cut.side
     return frozenset(
-        eid
-        for eid, (u, v) in enumerate(t.graph.edges)
-        if (u in side) != (v in side)
+        eid for v in side for eid, w in g.incident(v) if w not in side
     )
 
 

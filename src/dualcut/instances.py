@@ -46,7 +46,7 @@ class SSCInstance:
     """Star strong connectivity: pick fewest stars whose arcs span strong
     connectivity over all vertices."""
 
-    __slots__ = ("vertex_count", "stars", "_digraph")
+    __slots__ = ("vertex_count", "stars", "_digraph", "_by_source")
 
     def __init__(self, vertex_count: int, stars: Sequence[Star]):
         if vertex_count < 1:
@@ -68,10 +68,20 @@ class SSCInstance:
                 "union of all stars is not strongly connected"
             )
         self._digraph = g
+        self._by_source: dict[int, tuple[Star, ...]] | None = None
 
     def digraph(self) -> Digraph:
         """Digraph over the union of all stars' arcs (duplicates merged)."""
         return self._digraph
+
+    def stars_by_source(self) -> dict[int, tuple[Star, ...]]:
+        """Source vertex -> the stars it sources, in id order (built once)."""
+        if self._by_source is None:
+            index: dict[int, list[Star]] = {}
+            for st in self.stars:
+                index.setdefault(st.source, []).append(st)
+            self._by_source = {v: tuple(group) for v, group in index.items()}
+        return self._by_source
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SSCInstance(n={self.vertex_count}, stars={len(self.stars)})"

@@ -21,7 +21,7 @@ from .instances import SSCInstance
 class LiveInstance:
     """Current contracted state: base instance + partition + live stars."""
 
-    __slots__ = ("base", "partition", "live", "_digraph")
+    __slots__ = ("base", "partition", "live", "_digraph", "_by_source")
 
     def __init__(
         self,
@@ -33,6 +33,7 @@ class LiveInstance:
         self.partition = partition
         self.live = dict(live)
         self._digraph: Digraph | None = None
+        self._by_source: dict[int, tuple[int, ...]] | None = None
 
     @staticmethod
     def from_instance(base: SSCInstance) -> "LiveInstance":
@@ -56,6 +57,15 @@ class LiveInstance:
             self._digraph = Digraph(self.current_count, arcs)
         return self._digraph
 
+    def _stars_by_source(self) -> dict[int, tuple[int, ...]]:
+        """Current source -> its live star ids, ascending (built once)."""
+        if self._by_source is None:
+            index: dict[int, list[int]] = {}
+            for sid in sorted(self.live):
+                index.setdefault(self.live[sid][0], []).append(sid)
+            self._by_source = {v: tuple(ids) for v, ids in index.items()}
+        return self._by_source
+
     def live_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self.live))
 
@@ -73,16 +83,13 @@ class LiveInstance:
 
     def stars_at(self, v: int) -> tuple[int, ...]:
         """Live star ids with current source v, ascending."""
-        return tuple(
-            sid for sid in sorted(self.live) if self.live[sid][0] == v
-        )
+        return self._stars_by_source().get(v, ())
 
     def stars_with_arc(self, u: int, v: int) -> tuple[int, ...]:
         """Live star ids whose current arcs include u->v, ascending."""
+        live = self.live
         return tuple(
-            sid
-            for sid in sorted(self.live)
-            if self.live[sid][0] == u and v in self.live[sid][1]
+            sid for sid in self._stars_by_source().get(u, ()) if v in live[sid][1]
         )
 
     def sources(self, star_ids) -> frozenset[int]:
@@ -143,10 +150,12 @@ def is_perfect(li: LiveInstance, star_ids) -> bool:
 def live_crossing_stars(li: LiveInstance, side) -> frozenset[int]:
     """Live stars with source inside `side` and some sink outside."""
     side_set = frozenset(side)
+    by_source = li._stars_by_source()
     return frozenset(
         sid
-        for sid, (src, sinks) in li.live.items()
-        if src in side_set and not sinks <= side_set
+        for v in side_set
+        for sid in by_source.get(v, ())
+        if not li.live[sid][1] <= side_set
     )
 
 
@@ -189,19 +198,21 @@ def augment_to_perfect(li: LiveInstance, star_ids, advisor: Advisor | None = Non
     if not is_quasiperfect(li, result):
         raise ValueError("augment_to_perfect requires a quasiperfect star set")
     g = li.digraph()
-    while True:
-        srcs = {li.source_of(sid) for sid in result}
-        external = sorted(
-            {t for sid in result for t in li.sinks_of(sid)} - srcs
-        )
-        if not external:
-            break
-        u = external[0]
+    # Sources and sinks outside them, kept up to date as stars are added.
+    srcs = {li.source_of(sid) for sid in result}
+    external = {t for sid in result for t in li.sinks_of(sid)} - srcs
+    while external:
+        u = min(external)
         path = _dfs_path_to(g, u, srcs, advisor, li.partition)
-        for a, b in zip(path, path[1:]):
-            candidates = li.stars_with_arc(a, b)
-            star = advisor.choose("aug-star", candidates, li.partition)
-            result.add(star)
+        added = [
+            advisor.choose("aug-star", li.stars_with_arc(a, b), li.partition)
+            for a, b in zip(path, path[1:])
+        ]
+        result.update(added)
+        srcs.update(li.source_of(sid) for sid in added)
+        external -= srcs
+        for sid in added:
+            external |= li.sinks_of(sid) - srcs
     assert is_perfect(li, result)
     return frozenset(result)
 
@@ -212,14 +223,12 @@ def _dfs_path_to(g: Digraph, start: int, targets: set[int], advisor: Advisor, pa
     visited = {start}
     path = [start]
     while True:
-        v = path[-1]
-        finish = sorted(t for t in g.out_neighbors(v) if t in targets)
-        if finish:
-            path.append(finish[0])
+        nbrs = g.out_neighbors(path[-1])  # ascending
+        finish = next((t for t in nbrs if t in targets), None)
+        if finish is not None:
+            path.append(finish)
             return path
-        candidates = sorted(
-            t for t in g.out_neighbors(v) if t not in visited
-        )
+        candidates = [t for t in nbrs if t not in visited]
         if not candidates:
             path.pop()
             if not path:

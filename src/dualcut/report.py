@@ -82,6 +82,15 @@ class RunReport:
 BIG_ONE_CUT = "big-one-cut"
 TWO_CUTS = "two-cuts"
 
+# Report problem tag -> its iteration kinds -> the cuts each iteration adds.
+ITERATION_CUTS = {
+    "2ecs": {"cycle": 1},
+    "dpa": {"perfect": 2},
+    "ssc": {BIG_ONE_CUT: 1, TWO_CUTS: 2},
+}
+ITERATION_KINDS = frozenset(k for kinds in ITERATION_CUTS.values() for k in kinds)
+SELECTION_KINDS = frozenset(("edges", "stars", "power"))
+
 
 def convex_bound_for(problem: str, n: int, k: int, dual_objective: int) -> Fraction:
     """Blend of the two lower bounds matching each guarantee's tight mix."""
@@ -131,6 +140,7 @@ def build_report(
     k = len(iterations)
     cost = len(selected)
     objective = certificate.objective
+    digest = instance_digest(instance)
     n_bound, best = lower_bounds(n, objective)
     report = RunReport(
         problem=problem,
@@ -150,12 +160,12 @@ def build_report(
         ),
         ratio_vs_best=_ratio(cost, best),
         advisor_fallbacks=advisor_fallbacks,
-        instance_digest=instance_digest(instance),
+        instance_digest=digest,
         selected_stars=(
             tuple(sorted(selected_stars)) if selected_stars is not None else None
         ),
     )
-    problems = verify_run(natural_kind(instance), instance, report)
+    problems = _check_run(natural_kind(instance), instance, report, digest)
     if problems:
         raise RunCheckError(problems)
     return report
@@ -182,10 +192,44 @@ def _int(value, field: str) -> int:
 
 
 def _ints(values, field: str) -> tuple[int, ...]:
-    values = tuple(values)
+    values = tuple(_list(values, field))
     if not set(map(type, values)) <= {int}:
         raise ValueError(f"{field} must hold integers only")
     return values
+
+
+def _list(value, field: str) -> list:
+    if type(value) is not list:
+        raise ValueError(f"{field} must be a list, not {type(value).__name__}")
+    return value
+
+
+def _dict(value, field: str) -> dict:
+    if type(value) is not dict:
+        raise ValueError(f"{field} must be an object, not {type(value).__name__}")
+    return value
+
+
+def _string(value, field: str) -> str:
+    if type(value) is not str:
+        raise ValueError(f"{field} must be a string, not {value!r}")
+    return value
+
+
+def _label(value, field: str, known) -> str:
+    if type(value) is not str or value not in known:
+        raise ValueError(f"{field} must be one of {sorted(known)}, not {value!r}")
+    return value
+
+
+def _cuts(sides, field: str) -> tuple[Cut, ...]:
+    """Cut sides as decoded; their vertices are left to the certificate check."""
+    if not set(map(type, _list(sides, field))) <= {list}:
+        raise ValueError(f"{field} must be a list of lists")
+    try:
+        return tuple(Cut(frozenset(side)) for side in sides)
+    except TypeError:
+        raise ValueError(f"{field} holds an unhashable vertex") from None
 
 
 def report_to_dict(report: RunReport) -> dict:
@@ -231,24 +275,32 @@ def report_to_json(report: RunReport) -> str:
     return json.dumps(report_to_dict(report), indent=2) + "\n"
 
 
+def _iteration_from(rec) -> IterationRecord:
+    rec = _dict(rec, "iteration")
+    return IterationRecord(
+        index=_int(rec["index"], "iteration index"),
+        kind=_label(rec["kind"], "iteration kind", ITERATION_KINDS),
+        selected=_ints(rec["selected"], "iteration selection"),
+        cuts=_cuts(rec["cuts"], "iteration cuts"),
+    )
+
+
 def report_from_dict(data: dict) -> RunReport:
-    """Decode a report; raises ValueError (or KeyError/TypeError) when a
-    field is missing or an integer field or id list holds a non-integer.
-    Cut vertices are left to the certificate check."""
+    """Decode a report; raises KeyError when a field is missing and
+    ValueError when a field has the wrong shape: a container that is not a
+    list or object, a non-integer in an integer field or id list, or a
+    label that is not a string the package emits. Cut vertices are left to
+    the certificate check."""
+    _dict(data, "report")
     iterations = tuple(
-        IterationRecord(
-            index=_int(rec["index"], "iteration index"),
-            kind=rec["kind"],
-            selected=_ints(rec["selected"], "iteration selection"),
-            cuts=tuple(Cut(frozenset(side)) for side in rec["cuts"]),
-        )
-        for rec in data["iterations"]
+        map(_iteration_from, _list(data["iterations"], "iterations"))
     )
+    c = _dict(data["certificate"], "certificate")
     cert = DualCertificate(
-        data["certificate"]["problem"],
-        tuple(Cut(frozenset(side)) for side in data["certificate"]["cuts"]),
+        _label(c["problem"], "certificate problem", (SSC, TWOECS)),
+        _cuts(c["cuts"], "certificate cuts"),
     )
-    b = data["bounds"]
+    b = _dict(data["bounds"], "bounds")
     bounds = Bounds(
         dual_objective=_int(b["dual_objective"], "dual_objective"),
         n_bound=_int(b["n_bound"], "n_bound"),
@@ -257,21 +309,22 @@ def report_from_dict(data: dict) -> RunReport:
     )
     selected_stars = data.get("selected_stars")
     return RunReport(
-        problem=data["problem"],
+        problem=_label(data["problem"], "problem", ITERATION_CUTS),
         n=_int(data["n"], "n"),
         k=_int(data["k"], "k"),
         cost=_int(data["cost"], "cost"),
-        selection_kind=data["selection_kind"],
+        selection_kind=_label(data["selection_kind"], "selection_kind", SELECTION_KINDS),
         selected=_ints(data["selected"], "selected"),
         histogram={
-            int(i): _int(a, "histogram count") for i, a in data["histogram"].items()
+            int(i): _int(a, "histogram count")
+            for i, a in _dict(data["histogram"], "histogram").items()
         },
         iterations=iterations,
         certificate=cert,
         bounds=bounds,
         ratio_vs_best=_fraction_from(data["ratio_vs_best"]),
         advisor_fallbacks=_int(data["advisor_fallbacks"], "advisor_fallbacks"),
-        instance_digest=data["instance_digest"],
+        instance_digest=_string(data["instance_digest"], "instance_digest"),
         selected_stars=(
             _ints(selected_stars, "selected_stars")
             if selected_stars is not None
@@ -286,6 +339,12 @@ def report_from_json(text: str) -> RunReport:
 
 def verify_run(kind: str, instance, report: RunReport) -> list[str]:
     """Re-check a report against its instance; returns found problems."""
+    return _check_run(kind, instance, report, instance_digest(instance))
+
+
+def _check_run(kind: str, instance, report: RunReport, digest: str) -> list[str]:
+    """`verify_run` given the instance's digest, so that `build_report`,
+    which has just computed it, need not compute it again."""
     problems: list[str] = []
 
     def need(ok: bool, msg: str) -> None:
@@ -293,7 +352,7 @@ def verify_run(kind: str, instance, report: RunReport) -> list[str]:
             problems.append(msg)
 
     need(
-        report.instance_digest == instance_digest(instance),
+        report.instance_digest == digest,
         "instance digest does not match the report",
     )
     compatible = {"2ecs": {"2ecs"}, "ssc": {"ssc", "mscs"}, "dpa": {"dpa", "ssc", "mscs"}}
@@ -336,6 +395,17 @@ def verify_run(kind: str, instance, report: RunReport) -> list[str]:
         except ValueError as exc:
             need(False, f"selection invalid: {exc}")
     need(len(report.selected) == report.cost, "cost differs from selection size")
+    if report.problem == "2ecs":
+        selection_kind = "edges"
+    elif report.problem == "dpa" and isinstance(instance, DPAInstance):
+        selection_kind = "power"
+    else:
+        selection_kind = "stars"
+    need(
+        report.selection_kind == selection_kind,
+        f"selection kind {report.selection_kind!r} does not fit "
+        f"a {report.problem} run on a {kind} instance",
+    )
 
     expected_problem = TWOECS if report.problem == "2ecs" else SSC
     if report.certificate.problem != expected_problem:
@@ -377,17 +447,17 @@ def verify_run(kind: str, instance, report: RunReport) -> list[str]:
 
     from_iters: Counter[frozenset[int]] = Counter()
     picked: set[int] = set()
+    kinds = ITERATION_CUTS.get(report.problem, {})
     for rec in report.iterations:
         picked.update(rec.selected)
         from_iters.update(c.side for c in rec.cuts)
-        if report.problem == "2ecs":
-            need(len(rec.cuts) == 1, f"iteration {rec.index}: expected one cut")
-        elif report.problem == "dpa":
-            need(len(rec.cuts) == 2, f"iteration {rec.index}: expected two cuts")
+        if rec.kind not in kinds:
+            need(False, f"iteration {rec.index}: no {report.problem} run has kind {rec.kind!r}")
         else:
-            need(len(rec.cuts) in (1, 2), f"iteration {rec.index}: bad cut count")
-            if rec.kind == TWO_CUTS:
-                need(len(rec.cuts) == 2, f"iteration {rec.index}: two-cuts needs 2")
+            need(
+                len(rec.cuts) == kinds[rec.kind],
+                f"iteration {rec.index}: {rec.kind} needs {kinds[rec.kind]} cut(s)",
+            )
     # Compared as multisets of sides: sorting would raise on a hostile
     # side that mixes types.
     need(

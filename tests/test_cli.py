@@ -230,6 +230,7 @@ def _verify_fails(capsys, inst, report_path, data):
     code, out, _ = run(capsys, "verify", "--input", str(inst), "--report", str(report_path))
     assert code == 1
     assert out.splitlines() and all(line.startswith("FAIL:") for line in out.splitlines())
+    return out
 
 
 def test_verify_rejects_fractional_cut_vertices(tmp_path, capsys):
@@ -263,8 +264,20 @@ def test_verify_rejects_fractional_cut_vertices(tmp_path, capsys):
         lambda d: d.__setitem__("cost", str(d["cost"])),
         lambda d: d["bounds"].__setitem__("dual_objective", str(d["bounds"]["dual_objective"])),
         lambda d: d.__setitem__("ratio_vs_best", "1/0"),
+        lambda d: d.__setitem__("histogram", list(d["histogram"].values())),
+        lambda d: d.__setitem__("problem", [d["problem"]]),
+        lambda d: d["certificate"]["cuts"][0].append([1]),
     ],
-    ids=["string-star-id", "string-n", "string-cost", "string-dual-objective", "zero-denominator"],
+    ids=[
+        "string-star-id",
+        "string-n",
+        "string-cost",
+        "string-dual-objective",
+        "zero-denominator",
+        "list-histogram",
+        "list-problem",
+        "list-cut-vertex",
+    ],
 )
 def test_verify_fails_cleanly_on_type_confused_reports(gk1, tmp_path, capsys, mutate):
     report_path = tmp_path / "r.json"
@@ -289,3 +302,30 @@ def test_solve_exits_one_when_its_report_fails_verification(gk1, capsys, monkeyp
     code, out, err = run(capsys, "solve", "--problem", "ssc", "--input", str(gk1))
     assert code == 1 and out == ""
     assert any(line.startswith("FAIL: certificate infeasible") for line in err.splitlines())
+
+
+@pytest.mark.parametrize(
+    "field, value, finding",
+    [
+        ("kind", [1], "malformed report: iteration kind"),
+        ("selection_kind", [], "malformed report: selection_kind"),
+        ("kind", "cycle", "no ssc run has kind 'cycle'"),
+        ("kind", "perfect", "no ssc run has kind 'perfect'"),
+        ("selection_kind", "power", "selection kind 'power' does not fit"),
+        ("selection_kind", "edges", "selection kind 'edges' does not fit"),
+    ],
+    ids=["list-kind", "list-selection-kind", "cycle-kind", "perfect-kind", "power-selection", "edges-selection"],
+)
+def test_verify_rejects_labels_foreign_to_the_run(gk1, tmp_path, capsys, field, value, finding):
+    report_path = tmp_path / "r.json"
+    run(
+        capsys,
+        "solve", "--problem", "ssc", "--input", str(gk1),
+        "--advice", str(gk1) + ".advice", "--out", str(report_path),
+    )
+    data = json.loads(report_path.read_text())
+    if field == "kind":
+        data["iterations"][0]["kind"] = value
+    else:
+        data[field] = value
+    assert finding in _verify_fails(capsys, gk1, report_path, data)

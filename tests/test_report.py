@@ -149,6 +149,23 @@ def test_verify_catches_duplicated_cut(runs):
     assert any("certificate infeasible" in p or "dual objective" in p for p in problems)
 
 
+def test_build_report_digests_the_instance_once(monkeypatch):
+    # build_report hands its digest to the run check instead of recomputing
+    # it; verify_run on its own still digests the instance itself.
+    import dualcut.report as report_module
+
+    calls = []
+    real = report_module.instance_digest
+    monkeypatch.setattr(
+        report_module, "instance_digest", lambda inst: calls.append(inst) or real(inst)
+    )
+    inst = gen_random_ssc(6, 1.0, 2, seed=4).instance
+    report = approx_ssc(inst)
+    assert len(calls) == 1
+    assert verify_run("ssc", inst, report) == []
+    assert len(calls) == 2
+
+
 def _three_cycle_report_args(breakage):
     """build_report arguments for a 3-cycle run, broken by `breakage`."""
     inst = mscs_to_ssc(Digraph(3, [(1, 2), (2, 3), (3, 1)]))

@@ -1,0 +1,123 @@
+"""Indexed star and edge lookups against brute-force scans.
+
+The certificate check and the live contracted view answer "which stars leave
+this vertex" and "which stars or edges cross this cut" from per-source
+indexes and incidence lists. The scans below are the plain definitions; the
+indexed answers must equal them, in the same ascending order where the
+answer is a candidate list offered to an advisor.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dualcut import (
+    Cut,
+    LiveInstance,
+    crossing_edges,
+    crossing_stars,
+    gen_random_2ecs,
+    gen_random_ssc,
+)
+
+
+def brute_crossing_stars(s, cut):
+    side = cut.side
+    return frozenset(
+        st.id
+        for st in s.stars
+        if st.source in side and any(t not in side for t in st.sinks)
+    )
+
+
+def brute_crossing_edges(t, cut):
+    side = cut.side
+    return frozenset(
+        eid
+        for eid, (u, v) in enumerate(t.graph.edges)
+        if (u in side) != (v in side)
+    )
+
+
+def brute_stars_at(li, v):
+    return tuple(sid for sid in sorted(li.live) if li.live[sid][0] == v)
+
+
+def brute_stars_with_arc(li, u, v):
+    return tuple(
+        sid
+        for sid in sorted(li.live)
+        if li.live[sid][0] == u and v in li.live[sid][1]
+    )
+
+
+def proper_sides(n):
+    """Strategy: a nonempty proper subset of 1..n."""
+    return st.sets(st.integers(1, n), min_size=1, max_size=n - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    fan=st.integers(1, 4),
+    seed=st.integers(0, 10_000),
+    data=st.data(),
+)
+def test_crossing_stars_matches_brute_force(n, fan, seed, data):
+    s = gen_random_ssc(n, 1.5, fan, seed).instance
+    for _ in range(5):
+        cut = Cut(frozenset(data.draw(proper_sides(n))))
+        assert crossing_stars(s, cut) == brute_crossing_stars(s, cut)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 40), seed=st.integers(0, 10_000), data=st.data())
+def test_crossing_edges_matches_brute_force(n, seed, data):
+    t = gen_random_2ecs(n, 1.0, seed).instance
+    for _ in range(5):
+        cut = Cut(frozenset(data.draw(proper_sides(n))))
+        assert crossing_edges(t, cut) == brute_crossing_edges(t, cut)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 25),
+    fan=st.integers(1, 3),
+    seed=st.integers(0, 10_000),
+    data=st.data(),
+)
+def test_live_lookups_match_scans_after_contractions(n, fan, seed, data):
+    li = LiveInstance.from_instance(gen_random_ssc(n, 1.5, fan, seed).instance)
+    while True:
+        m = li.current_count
+        for u in range(1, m + 1):
+            assert li.stars_at(u) == brute_stars_at(li, u)
+            for v in range(1, m + 1):
+                assert li.stars_with_arc(u, v) == brute_stars_with_arc(li, u, v)
+        if m == 1:
+            break
+        block = data.draw(st.sets(st.integers(1, m), min_size=2, max_size=m))
+        li = li.contract(block)
+    assert li.live == {}
+
+
+@pytest.mark.parametrize(
+    "bad, named",
+    [(True, "True"), (1.5, "1.5"), (0, "0"), (5, "5")],
+    ids=["bool", "float", "zero", "n-plus-one"],
+)
+def test_check_cut_rejects_and_names_the_vertex(bad, named):
+    s = gen_random_ssc(4, 1.0, 2, seed=1).instance
+    t = gen_random_2ecs(4, 1.0, seed=1).instance
+    cut = Cut(frozenset({2, bad}))
+    for check, instance in ((crossing_stars, s), (crossing_edges, t)):
+        with pytest.raises(ValueError, match=f"cut vertex {named} is not"):
+            check(instance, cut)
+
+
+def test_check_cut_rejects_a_full_side():
+    s = gen_random_ssc(4, 1.0, 2, seed=1).instance
+    t = gen_random_2ecs(4, 1.0, seed=1).instance
+    cut = Cut(frozenset({1, 2, 3, 4}))
+    for check, instance in ((crossing_stars, s), (crossing_edges, t)):
+        with pytest.raises(ValueError, match="proper subset"):
+            check(instance, cut)
