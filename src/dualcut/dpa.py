@@ -109,7 +109,7 @@ def _check_rotation_cycle(g, leaves, rc: RotationCycle) -> None:
 
 
 def _full_vertex_set(li: LiveInstance) -> frozenset[int]:
-    return frozenset(range(1, li.current_count + 1))
+    return frozenset(li.vertices())
 
 
 def _validated(li: LiveInstance, q, side1, side2):
@@ -134,11 +134,12 @@ def find_perfect_two_cuts(li: LiveInstance, advisor: Advisor | None = None):
     if n < 2:
         raise ValueError("need at least two current vertices")
     if n == 2:
+        u, v = li.vertices()
         q = {
-            advisor.choose("arc-star", li.stars_with_arc(1, 2), li.partition),
-            advisor.choose("arc-star", li.stars_with_arc(2, 1), li.partition),
+            advisor.choose("arc-star", li.stars_with_arc(u, v), li.partition),
+            advisor.choose("arc-star", li.stars_with_arc(v, u), li.partition),
         }
-        return _validated(li, q, {1}, {2})
+        return _validated(li, q, {u}, {v})
 
     leaves = _leaves_of(g)
     rc = build_rotation_cycle(li, advisor)

@@ -134,12 +134,6 @@ class VertexPartition:
             self.original_count, tuple(mapping[c] for c in self.assignment)
         )
 
-    def fiber(self, current: int) -> frozenset[int]:
-        """All original vertices currently merged into `current`."""
-        return frozenset(
-            i + 1 for i, c in enumerate(self.assignment) if c == current
-        )
-
     def lift(self, current_set: Iterable[int]) -> frozenset[int]:
         """Preimage of a set of current ids as original ids."""
         wanted = set(current_set)
@@ -173,20 +167,6 @@ def contraction_mapping(vertex_count: int, block: Iterable[int]) -> dict[int, in
     return mapping
 
 
-def contract_digraph(
-    g: Digraph, block: Iterable[int]
-) -> tuple[Digraph, dict[int, int]]:
-    """Merge `block`; self-loops dropped, duplicate arcs merged."""
-    mapping = contraction_mapping(g.vertex_count, block)
-    new_n = g.vertex_count - len(set(block)) + 1
-    arcs = [
-        (mapping[u], mapping[v])
-        for u, v in g.arcs
-        if mapping[u] != mapping[v]
-    ]
-    return Digraph(new_n, arcs), mapping
-
-
 def contract_multigraph(
     g: Multigraph, block: Iterable[int]
 ) -> tuple[Multigraph, dict[int, int], tuple[int, ...]]:
@@ -209,17 +189,22 @@ def contract_multigraph(
 
 
 def is_strongly_connected(g: Digraph) -> bool:
-    """True iff every ordered vertex pair has a directed path."""
+    """True iff every ordered vertex pair has a directed path.
+
+    Works on any graph with Digraph's queries whose `vertices()` ascend,
+    such as a live instance's view, whose vertices need not be dense."""
     n = g.vertex_count
     if n == 1:
         return True
-    if _reach_count(g.out_neighbors, 1, n) != n:
+    vertices = g.vertices()
+    start, largest = vertices[0], vertices[-1]
+    if _reach_count(g.out_neighbors, start, largest) != n:
         return False
-    return _reach_count(g.in_neighbors, 1, n) == n
+    return _reach_count(g.in_neighbors, start, largest) == n
 
 
-def _reach_count(step: Callable[[int], Sequence[int]], start: int, n: int) -> int:
-    seen = bytearray(n + 1)
+def _reach_count(step: Callable[[int], Sequence[int]], start: int, largest: int) -> int:
+    seen = bytearray(largest + 1)
     seen[start] = 1
     stack = [start]
     count = 1

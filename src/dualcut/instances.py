@@ -204,15 +204,16 @@ def dpa_to_ssc(d: DPAInstance) -> tuple[SSCInstance, dict[int, int]]:
     )
     comp = _scc_labels(zero)
     comp_count = max(comp.values())
+    # Each vertex's component-crossing targets, in one pass over the edges.
+    crossing: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
+    for a, b, _c in d.edges:
+        if comp[a] != comp[b]:
+            crossing[a].add(comp[b])
+            crossing[b].add(comp[a])
     stars: list[Star] = []
     mapping: dict[int, int] = {}
     for v in range(1, n + 1):
-        targets: set[int] = set()
-        for a, b, _c in d.edges:
-            if a == v and comp[b] != comp[v]:
-                targets.add(comp[b])
-            elif b == v and comp[a] != comp[v]:
-                targets.add(comp[a])
+        targets = crossing[v]
         if targets:
             mapping[v] = len(stars)
             stars.append(Star(len(stars), comp[v], frozenset(targets)))

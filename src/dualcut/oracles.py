@@ -144,12 +144,13 @@ def exact_dpa(instance: DPAInstance, limit: int = 22) -> ExactResult:
 
 def enumerate_internal_cuts(li: LiveInstance, star_ids, size_limit: int = 16) -> list[Cut]:
     """Every cut over current vertices that is internal to the star set."""
-    n = li.current_count
+    vertices = li.vertices()
+    n = len(vertices)
     if n > size_limit:
         raise ValueError(f"{n} current vertices exceeds the limit {size_limit}")
     found = []
     for mask in range(1, (1 << n) - 1):
-        side = frozenset(v + 1 for v in range(n) if mask >> v & 1)
+        side = frozenset(v for i, v in enumerate(vertices) if mask >> i & 1)
         if is_internal_cut(li, star_ids, side):
             found.append(Cut(side))
     return found

@@ -1,70 +1,213 @@
 """Live (contracted) star instances, perfect sets, internal cuts.
 
-A LiveInstance tracks the current contracted view of a base instance: a
-vertex partition plus the surviving stars with their shrunk sink sets. Stars
-keep their original ids throughout, so selections and certificates recorded
-during a run always refer to the input instance.
+A LiveInstance is the current contracted view of a base instance. Each
+current vertex is labelled by its smallest original vertex, so labels sort
+exactly as the dense ids of a fresh renumbering would, and every candidate
+list an advisor sees keeps its order. `contract` updates the view in place:
+it touches only the stars with a source or sink among the merged vertices
+other than the block's smallest, and keeps the star indexes and the arc
+multiplicities up to date, so no round rebuilds the instance or its digraph.
+Stars keep their original ids throughout, so selections and certificates
+recorded during a run always refer to the input instance.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .advisor import Advisor
-from .graphs import (
-    Digraph,
-    VertexPartition,
-    contraction_mapping,
-    is_strongly_connected,
-)
+from .graphs import is_strongly_connected
 from .instances import SSCInstance
 
 
+class Labels:
+    """Which current vertex each original vertex belongs to.
+
+    A current vertex is labelled by its smallest original member. Lookups go
+    through a union-find over original vertices; each label also keeps the
+    list of its original members, so `lift` costs the size of its output.
+    """
+
+    __slots__ = ("_parent", "_label", "members")
+
+    def __init__(self, n: int):
+        self._parent = list(range(n + 1))
+        self._label = list(range(n + 1))  # union-find root -> label
+        self.members: dict[int, list[int]] = {v: [v] for v in range(1, n + 1)}
+
+    def _root(self, v: int) -> int:
+        parent = self._parent
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def current_of(self, original: int) -> int:
+        return self._label[self._root(original)]
+
+    def lift(self, current_vertices) -> frozenset[int]:
+        """Original vertices behind a set of current vertices."""
+        members = self.members
+        return frozenset(chain.from_iterable(members[c] for c in current_vertices))
+
+    def merge(self, block: set[int], anchor: int) -> None:
+        """Merge the current vertices of `block` into one labelled `anchor`,
+        the block's smallest label; the largest class absorbs the others."""
+        members = self.members
+        big = max(block, key=lambda v: len(members[v]))
+        root = self._root(big)
+        merged = members.pop(big)
+        for v in block:
+            if v != big:
+                self._parent[self._root(v)] = root
+                merged += members.pop(v)
+        self._label[root] = anchor
+        members[anchor] = merged
+
+
+class LiveDigraph:
+    """Read-only digraph over the current vertices of a LiveInstance,
+    spanned by its live stars' arcs.
+
+    It answers the queries of `graphs.Digraph` from arc multiplicities that
+    `LiveInstance.contract` keeps up to date. Vertices are labels, not dense
+    ids. Sorted neighbour tuples are built on demand and kept until a
+    contraction changes that vertex's arcs.
+    """
+
+    __slots__ = ("_out", "_in", "_out_sorted", "_in_sorted", "_nbrs_sorted", "_vertices", "_arcs")
+
+    def __init__(self, n: int):
+        # Vertex -> neighbour -> number of live stars carrying that arc. Keys
+        # are every current vertex, in ascending order: the dicts are built
+        # in order and contraction only deletes keys.
+        self._out: dict[int, dict[int, int]] = {v: {} for v in range(1, n + 1)}
+        self._in: dict[int, dict[int, int]] = {v: {} for v in range(1, n + 1)}
+        self._out_sorted: dict[int, tuple[int, ...]] = {}
+        self._in_sorted: dict[int, tuple[int, ...]] = {}
+        self._nbrs_sorted: dict[int, tuple[int, ...]] = {}
+        self._vertices: tuple[int, ...] | None = None
+        self._arcs: tuple[tuple[int, int], ...] | None = None
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self._out)
+
+    def vertices(self) -> tuple[int, ...]:
+        """Current vertices, ascending."""
+        if self._vertices is None:
+            self._vertices = tuple(self._out)
+        return self._vertices
+
+    def out_neighbors(self, v: int) -> tuple[int, ...]:
+        found = self._out_sorted.get(v)
+        if found is None:
+            found = self._out_sorted[v] = tuple(sorted(self._out[v]))
+        return found
+
+    def in_neighbors(self, v: int) -> tuple[int, ...]:
+        found = self._in_sorted.get(v)
+        if found is None:
+            found = self._in_sorted[v] = tuple(sorted(self._in[v]))
+        return found
+
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        """Undirected neighbor set (union of in- and out-neighbors), sorted."""
+        found = self._nbrs_sorted.get(v)
+        if found is None:
+            found = self._nbrs_sorted[v] = tuple(
+                sorted(self._out[v].keys() | self._in[v].keys())
+            )
+        return found
+
+    def has_arc(self, u: int, v: int) -> bool:
+        heads = self._out.get(u)
+        return heads is not None and v in heads
+
+    @property
+    def arcs(self) -> tuple[tuple[int, int], ...]:
+        """Every arc once, ascending by (tail, head)."""
+        if self._arcs is None:
+            heads = self.out_neighbors
+            self._arcs = tuple([(u, v) for u in self.vertices() for v in heads(u)])
+        return self._arcs
+
+    def is_bidirected(self) -> bool:
+        inc = self._in
+        return all(heads.keys() == inc[v].keys() for v, heads in self._out.items())
+
+    def _add(self, u: int, heads) -> None:
+        out_u, inc = self._out[u], self._in
+        for v in heads:
+            out_u[v] = out_u.get(v, 0) + 1
+            tails = inc[v]
+            tails[u] = tails.get(u, 0) + 1
+
+    def _remove(self, u: int, heads) -> None:
+        out_u, inc = self._out[u], self._in
+        for v in heads:
+            for counts, key in ((out_u, v), (inc[v], u)):
+                if counts[key] == 1:
+                    del counts[key]
+                else:
+                    counts[key] -= 1
+
+    def _changed(self, tails, heads, gone) -> None:
+        """Forget what contraction made stale: the sorted out- and
+        in-neighbours of `tails` and `heads`, and the `gone` vertices."""
+        self._vertices = self._arcs = None
+        for v in gone:
+            del self._out[v], self._in[v]
+        for cache, vertices in (
+            (self._out_sorted, chain(tails, gone)),
+            (self._in_sorted, chain(heads, gone)),
+            (self._nbrs_sorted, chain(tails, heads, gone)),
+        ):
+            for v in vertices:
+                cache.pop(v, None)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"LiveDigraph(n={self.vertex_count})"
+
+
 class LiveInstance:
-    """Current contracted state: base instance + partition + live stars."""
+    """Current contracted state of a base instance: vertex labels, live
+    stars with their current source and sinks, and indexes over them."""
 
-    __slots__ = ("base", "partition", "live", "_digraph", "_by_source")
+    __slots__ = ("base", "partition", "live", "_by_source", "_by_sink", "_graph")
 
-    def __init__(
-        self,
-        base: SSCInstance,
-        partition: VertexPartition,
-        live: dict[int, tuple[int, frozenset[int]]],
-    ):
+    def __init__(self, base: SSCInstance):
+        n = base.vertex_count
         self.base = base
-        self.partition = partition
-        self.live = dict(live)
-        self._digraph: Digraph | None = None
-        self._by_source: dict[int, tuple[int, ...]] | None = None
+        self.partition = Labels(n)
+        self.live: dict[int, tuple[int, frozenset[int]]] = {}
+        # Source -> its live star ids, ascending; sink -> its live star ids.
+        self._by_source: dict[int, tuple[int, ...]] = {}
+        self._by_sink: dict[int, set[int]] = {}
+        self._graph = LiveDigraph(n)
+        for v, stars in base.stars_by_source().items():
+            self._by_source[v] = tuple(st.id for st in stars)
+        for st in base.stars:
+            self.live[st.id] = (st.source, st.sinks)
+            for t in st.sinks:
+                self._by_sink.setdefault(t, set()).add(st.id)
+            self._graph._add(st.source, st.sinks)
 
     @staticmethod
     def from_instance(base: SSCInstance) -> "LiveInstance":
-        part = VertexPartition.identity(base.vertex_count)
-        live = {st.id: (st.source, st.sinks) for st in base.stars}
-        return LiveInstance(base, part, live)
+        return LiveInstance(base)
 
     @property
     def current_count(self) -> int:
-        return self.partition.current_count
+        return self._graph.vertex_count
 
-    def digraph(self) -> Digraph:
+    def vertices(self) -> tuple[int, ...]:
+        """Current vertex labels, ascending."""
+        return self._graph.vertices()
+
+    def digraph(self) -> LiveDigraph:
         """Digraph over current vertices spanned by all live stars' arcs."""
-        if self._digraph is None:
-            arcs = [
-                (src, t)
-                for sid in sorted(self.live)
-                for src, sinks in (self.live[sid],)
-                for t in sorted(sinks)
-            ]
-            self._digraph = Digraph(self.current_count, arcs)
-        return self._digraph
-
-    def _stars_by_source(self) -> dict[int, tuple[int, ...]]:
-        """Current source -> its live star ids, ascending (built once)."""
-        if self._by_source is None:
-            index: dict[int, list[int]] = {}
-            for sid in sorted(self.live):
-                index.setdefault(self.live[sid][0], []).append(sid)
-            self._by_source = {v: tuple(ids) for v, ids in index.items()}
-        return self._by_source
+        return self._graph
 
     def live_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self.live))
@@ -83,14 +226,12 @@ class LiveInstance:
 
     def stars_at(self, v: int) -> tuple[int, ...]:
         """Live star ids with current source v, ascending."""
-        return self._stars_by_source().get(v, ())
+        return self._by_source.get(v, ())
 
     def stars_with_arc(self, u: int, v: int) -> tuple[int, ...]:
         """Live star ids whose current arcs include u->v, ascending."""
         live = self.live
-        return tuple(
-            sid for sid in self._stars_by_source().get(u, ()) if v in live[sid][1]
-        )
+        return tuple(sid for sid in self._by_source.get(u, ()) if v in live[sid][1])
 
     def sources(self, star_ids) -> frozenset[int]:
         return frozenset(self.source_of(sid) for sid in star_ids)
@@ -100,17 +241,66 @@ class LiveInstance:
         return self.partition.lift(current_vertices)
 
     def contract(self, block) -> "LiveInstance":
-        """Merge a block of current vertices; stars shrink, empty ones die."""
-        mapping = contraction_mapping(self.current_count, block)
-        new_part = self.partition.compose(mapping)
-        new_live: dict[int, tuple[int, frozenset[int]]] = {}
-        for sid in sorted(self.live):
-            src, sinks = self.live[sid]
-            new_src = mapping[src]
-            new_sinks = frozenset(mapping[t] for t in sinks) - {new_src}
-            if new_sinks:
-                new_live[sid] = (new_src, new_sinks)
-        return LiveInstance(self.base, new_part, new_live)
+        """Merge a block of current vertices, in place, into its smallest
+        label; stars shrink, empty ones die. Returns this instance.
+
+        Only stars with a source or a sink among the other block members
+        change; only stars sourced inside the block can die."""
+        block = set(block)
+        if not block:
+            raise ValueError("block must be nonempty")
+        members = self.partition.members
+        for v in block:
+            if v not in members:
+                raise ValueError(f"block vertex {v} is not a current vertex")
+        anchor = min(block)
+        gone = block - {anchor}
+        live, by_source, by_sink, g = self.live, self._by_source, self._by_sink, self._graph
+        touched: set[int] = set()
+        for v in gone:
+            touched.update(by_source.pop(v, ()))
+            touched.update(by_sink.pop(v, ()))
+        tails: set[int] = set()
+        heads: set[int] = set()
+        moved: list[int] = []
+        dead: set[int] = set()
+        for sid in touched:
+            src, sinks = live[sid]
+            new_src = anchor if src in block else src
+            new_sinks = frozenset(
+                [anchor if t in gone else t for t in sinks]
+            ) - {new_src}
+            if new_src == src:
+                g._remove(src, sinks - new_sinks)
+                g._add(src, new_sinks - sinks)
+                heads.update(sinks ^ new_sinks)
+            else:
+                g._remove(src, sinks)
+                g._add(new_src, new_sinks)
+                heads.update(sinks | new_sinks)
+            tails.update((src, new_src))
+            for t in sinks - new_sinks:
+                if t not in gone:
+                    by_sink[t].discard(sid)
+            for t in new_sinks - sinks:
+                by_sink.setdefault(t, set()).add(sid)
+            if not new_sinks:
+                del live[sid]
+                dead.add(sid)
+                continue
+            live[sid] = (new_src, new_sinks)
+            if new_src != src:
+                moved.append(sid)
+        if moved or dead:
+            kept = [sid for sid in by_source.get(anchor, ()) if sid not in dead]
+            ids = tuple(sorted(kept + moved))
+            if ids:
+                by_source[anchor] = ids
+            else:
+                by_source.pop(anchor, None)
+        g._changed(tails - gone, heads - gone, gone)
+        self.partition.merge(block, anchor)
+        return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -122,21 +312,32 @@ class LiveInstance:
 def is_quasiperfect(li: LiveInstance, star_ids) -> bool:
     """Distinct sources whose induced subgraph (arcs of the chosen stars with
     both endpoints among the sources) is strongly connected."""
-    ids = sorted(set(star_ids))
+    ids = set(star_ids)
     if not ids:
         return False
-    sources = [li.source_of(sid) for sid in ids]
-    if len(set(sources)) != len(ids):
+    sinks_at = {li.source_of(sid): li.sinks_of(sid) for sid in ids}
+    if len(sinks_at) != len(ids):
         return False
-    srcs = set(sources)
-    index = {v: i + 1 for i, v in enumerate(sorted(srcs))}
-    arcs = [
-        (index[li.source_of(sid)], index[t])
-        for sid in ids
-        for t in sorted(li.sinks_of(sid))
-        if t in srcs
-    ]
-    return is_strongly_connected(Digraph(len(srcs), arcs))
+    tails_at: dict[int, list[int]] = {v: [] for v in sinks_at}
+    for v, sinks in sinks_at.items():
+        for t in sinks:
+            if t in tails_at:
+                tails_at[t].append(v)
+    start = next(iter(sinks_at))
+    return _reaches_all(sinks_at, start) and _reaches_all(tails_at, start)
+
+
+def _reaches_all(step, start: int) -> bool:
+    """True when `start` reaches every key of `step` along `step`'s lists,
+    ignoring entries that are not keys."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in step[stack.pop()]:
+            if w in step and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(step)
 
 
 def is_perfect(li: LiveInstance, star_ids) -> bool:
@@ -150,7 +351,7 @@ def is_perfect(li: LiveInstance, star_ids) -> bool:
 def live_crossing_stars(li: LiveInstance, side) -> frozenset[int]:
     """Live stars with source inside `side` and some sink outside."""
     side_set = frozenset(side)
-    by_source = li._stars_by_source()
+    by_source = li._by_source
     return frozenset(
         sid
         for v in side_set
@@ -167,9 +368,10 @@ def is_internal_cut(li: LiveInstance, star_ids, side) -> bool:
     n = li.current_count
     if not side_set or len(side_set) >= n:
         raise ValueError("cut side must be a nonempty proper subset")
+    members = li.partition.members
     for v in side_set:
-        if not (1 <= v <= n):
-            raise ValueError(f"cut vertex {v} out of range 1..{n}")
+        if v not in members:
+            raise ValueError(f"cut vertex {v} is not a current vertex")
     srcs = li.sources(star_ids)
     return all(
         li.source_of(sid) in srcs and li.sinks_of(sid) <= srcs
@@ -217,7 +419,7 @@ def augment_to_perfect(li: LiveInstance, star_ids, advisor: Advisor | None = Non
     return frozenset(result)
 
 
-def _dfs_path_to(g: Digraph, start: int, targets: set[int], advisor: Advisor, partition) -> list[int]:
+def _dfs_path_to(g: LiveDigraph, start: int, targets: set[int], advisor: Advisor, partition) -> list[int]:
     """Depth-first path from start to any target, internal vertices avoiding
     targets; the final hop prefers the smallest reachable target."""
     visited = {start}

@@ -15,6 +15,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _ascii
 
 from .certificates import (
     SSC,
@@ -272,7 +273,33 @@ def report_to_dict(report: RunReport) -> dict:
 
 
 def report_to_json(report: RunReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    return _indented(report_to_dict(report), "") + "\n"
+
+
+def _indented(value, pad: str) -> str:
+    """`json.dumps(value, indent=2)` for JSON data with string keys, nested
+    `pad` deep, in one pass: with an indent, `json.dumps` never uses its C
+    encoder, and report lists of ints are long."""
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if type(value) is list:
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:
+            body = sep.join(map(str, value))
+        else:
+            body = sep.join([_indented(item, inner) for item in value])
+        return "[\n" + inner + body + "\n" + pad + "]"
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        body = sep.join(
+            [_ascii(key) + ": " + _indented(item, inner) for key, item in value.items()]
+        )
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if type(value) is str:
+        return _ascii(value)
+    return json.dumps(value)
 
 
 def _iteration_from(rec) -> IterationRecord:
@@ -345,7 +372,19 @@ def verify_run(kind: str, instance, report: RunReport) -> list[str]:
 def _check_run(kind: str, instance, report: RunReport, digest: str) -> list[str]:
     """`verify_run` given the instance's digest, so that `build_report`,
     which has just computed it, need not compute it again."""
-    problems: list[str] = []
+    # The labels are looked up in tables below; an in-process report may
+    # carry anything in them, even an unhashable list, so they come first.
+    problems = [
+        f"{field} {value!r} is not one the package emits"
+        for field, value, known in (
+            ("problem", report.problem, ITERATION_CUTS),
+            ("selection kind", report.selection_kind, SELECTION_KINDS),
+            *(("iteration kind", rec.kind, ITERATION_KINDS) for rec in report.iterations),
+        )
+        if type(value) is not str or value not in known
+    ]
+    if problems:
+        return problems
 
     def need(ok: bool, msg: str) -> None:
         if not ok:
@@ -357,7 +396,7 @@ def _check_run(kind: str, instance, report: RunReport, digest: str) -> list[str]
     )
     compatible = {"2ecs": {"2ecs"}, "ssc": {"ssc", "mscs"}, "dpa": {"dpa", "ssc", "mscs"}}
     need(
-        kind in compatible.get(report.problem, set()),
+        kind in compatible[report.problem],
         f"a {report.problem} report cannot belong to a {kind} instance",
     )
 
@@ -381,13 +420,10 @@ def _check_run(kind: str, instance, report: RunReport, digest: str) -> list[str]
                 and mapped == set(report.selected_stars),
                 "power selection and star selection disagree",
             )
-    elif report.problem in ("ssc", "dpa"):
-        if isinstance(instance, SSCInstance):
-            solution = StarSolution(frozenset(report.selected))
-        else:
-            need(False, "star report paired with a non-star instance")
+    elif isinstance(instance, SSCInstance):
+        solution = StarSolution(frozenset(report.selected))
     else:
-        need(False, f"unknown problem tag {report.problem!r}")
+        need(False, "star report paired with a non-star instance")
 
     if solution is not None:
         try:
@@ -447,7 +483,7 @@ def _check_run(kind: str, instance, report: RunReport, digest: str) -> list[str]
 
     from_iters: Counter[frozenset[int]] = Counter()
     picked: set[int] = set()
-    kinds = ITERATION_CUTS.get(report.problem, {})
+    kinds = ITERATION_CUTS[report.problem]
     for rec in report.iterations:
         picked.update(rec.selected)
         from_iters.update(c.side for c in rec.cuts)

@@ -235,7 +235,7 @@ def _two_cycle_case(li: LiveInstance, advisor: Advisor, cycle: list[int]):
     ]
     if not fat:
         q = _stars_along(li, advisor, [(end, first), (first, end)])
-        full = frozenset(range(1, li.current_count + 1))
+        full = frozenset(li.vertices())
         return _validated_two(li, q, {end}, full - {end})
     wide = advisor.choose("f1-star", fat, li.partition)
     partner = advisor.choose(

@@ -35,6 +35,7 @@ from dualcut import (
     report_to_json,
     write_instance,
 )
+from dualcut.report import report_to_dict
 
 FIXTURE = Path(__file__).with_name("golden_digests.json")
 
@@ -67,9 +68,13 @@ def _cases():
             yield f"{name}-n{n}-scripted", problem, text, script
 
 
-def _digest(problem: str, text: str, script) -> str:
+def _solve(problem: str, text: str, script):
     _kind, instance = parse_instance(text)
-    report = SOLVERS[problem](instance, ScriptedAdvisor(script))
+    return SOLVERS[problem](instance, ScriptedAdvisor(script))
+
+
+def _digest(problem: str, text: str, script) -> str:
+    report = _solve(problem, text, script)
     return hashlib.sha256(report_to_json(report).encode()).hexdigest()
 
 
@@ -86,6 +91,15 @@ def test_reports_match_golden_digests():
     assert sorted(actual) == sorted(expected)
     changed = [name for name in expected if actual[name] != expected[name]]
     assert not changed, f"report digests changed: {changed}"
+
+
+def test_reports_encode_as_json_dumps_would():
+    # `report_to_json` writes its indented text itself; json.dumps is the
+    # reference it must match byte for byte.
+    for name, problem, text, script in _cases():
+        report = _solve(problem, text, script)
+        expected = json.dumps(report_to_dict(report), indent=2) + "\n"
+        assert report_to_json(report) == expected, name
 
 
 if __name__ == "__main__":

@@ -2,16 +2,18 @@
 
 import itertools
 import random
+from collections import Counter
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualcut import LiveInstance, mscs_to_ssc
 from dualcut.graphs import (
     Digraph,
     Multigraph,
     VertexPartition,
-    contract_digraph,
     contract_multigraph,
     contraction_mapping,
     find_nontrivial_path,
@@ -52,20 +54,21 @@ def test_partition_compose_and_lift():
     # Block collapses onto its smallest member; ids stay dense.
     assert p2.current_count == 4
     assert p2.current_of(2) == p2.current_of(4) == 2
-    assert p2.fiber(2) == frozenset({2, 4})
     assert p2.lift({2}) == frozenset({2, 4})
     assert p2.lift({1, 2}) == frozenset({1, 2, 4})
     p3 = p2.compose(contraction_mapping(4, {1, 2}))
     assert p3.current_count == 3
-    assert p3.fiber(1) == frozenset({1, 2, 4})
+    assert p3.lift({1}) == frozenset({1, 2, 4})
 
 
 def test_contract_digraph_drops_internal_arcs():
     g = Digraph(4, [(1, 2), (2, 3), (3, 4), (4, 1), (2, 1)])
-    shrunk, mapping = contract_digraph(g, {1, 2})
-    assert shrunk.vertex_count == 3
-    assert mapping[1] == mapping[2] == 1
-    assert set(shrunk.arcs) == {(1, 2), (2, 3), (3, 1)}
+    li = LiveInstance.from_instance(mscs_to_ssc(g)).contract({1, 2})
+    shrunk = li.digraph()
+    # The merged vertex is labelled 1; the others keep their labels.
+    assert shrunk.vertex_count == 3 and shrunk.vertices() == (1, 3, 4)
+    assert li.partition.current_of(1) == li.partition.current_of(2) == 1
+    assert shrunk.arcs == ((1, 3), (3, 4), (4, 1))
 
 
 def test_contract_multigraph_keeps_parallels_and_origins():
@@ -112,6 +115,91 @@ def test_strong_connectivity_matches_brute_force():
     for _ in range(300):
         g = _random_digraph(rng, rng.randint(1, 7))
         assert is_strongly_connected(g) == _sc_brute(g)
+
+
+def _nx_digraph(vertices, arcs):
+    g = nx.DiGraph()
+    g.add_nodes_from(vertices)
+    g.add_edges_from(arcs)
+    return g
+
+
+class _Spread:
+    """A Digraph with every vertex v renamed 3v - 1: same order, not dense,
+    like the labels of a live instance."""
+
+    def __init__(self, g: Digraph):
+        self.g, self.vertex_count = g, g.vertex_count
+
+    def vertices(self):
+        return [3 * v - 1 for v in self.g.vertices()]
+
+    def out_neighbors(self, v):
+        return [3 * w - 1 for w in self.g.out_neighbors((v + 1) // 3)]
+
+    def in_neighbors(self, v):
+        return [3 * w - 1 for w in self.g.in_neighbors((v + 1) // 3)]
+
+
+def test_strong_connectivity_matches_networkx_on_large_graphs():
+    # Sparse enough that about half of the graphs are strongly connected.
+    rng = random.Random(4)
+    outcomes = set()
+    for trial in range(40):
+        n = rng.randint(150, 400)
+        arcs = {(rng.randint(1, n), rng.randint(1, n)) for _ in range(2 * n)}
+        if trial % 2:
+            arcs |= {(v, v % n + 1) for v in range(1, n + 1) if rng.random() < 0.995}
+        g = Digraph(n, sorted((u, v) for u, v in arcs if u != v))
+        expected = nx.is_strongly_connected(_nx_digraph(g.vertices(), g.arcs))
+        assert is_strongly_connected(g) == expected
+        assert is_strongly_connected(_Spread(g)) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_live_strong_connectivity_matches_networkx_after_contractions():
+    # Contraction keeps a feasible instance strongly connected, so this
+    # checks the label handling; `_Spread` above covers non-dense labels
+    # on graphs that are not strongly connected.
+    rng = random.Random(5)
+    for _trial in range(6):
+        n = rng.randint(150, 300)
+        arcs = {(v, v % n + 1) for v in range(1, n + 1)}
+        arcs |= {(rng.randint(1, n), rng.randint(1, n)) for _ in range(n)}
+        li = LiveInstance.from_instance(
+            mscs_to_ssc(Digraph(n, sorted((u, v) for u, v in arcs if u != v)))
+        )
+        while li.current_count > 1:
+            view = li.digraph()
+            assert is_strongly_connected(view) == nx.is_strongly_connected(
+                _nx_digraph(view.vertices(), view.arcs)
+            )
+            size = min(li.current_count, rng.randint(2, 12))
+            li.contract(rng.sample(view.vertices(), size))
+
+
+def test_two_edge_connectivity_matches_networkx_on_large_multigraphs():
+    # networkx finds bridges in simple graphs; an edge with a parallel copy
+    # is never a bridge, so only single edges can be.
+    rng = random.Random(6)
+    outcomes = set()
+    for trial in range(40):
+        n = rng.randint(150, 300)
+        edges = [(v, v % n + 1) for v in range(1, n + 1) if trial % 4 or rng.random() < 0.995]
+        edges += [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(n // (1 + trial % 3))]
+        edges += rng.sample(edges, n // 20)
+        g = Multigraph(n, edges)
+        simple = nx.Graph()
+        simple.add_nodes_from(g.vertices())
+        simple.add_edges_from(g.edges)
+        multiplicity = Counter(frozenset(e) for e in g.edges)
+        expected = nx.is_connected(simple) and not any(
+            multiplicity[frozenset(e)] == 1 for e in nx.bridges(simple)
+        )
+        assert is_two_edge_connected(g) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def _two_edge_connected_brute(g: Multigraph) -> bool:
@@ -210,10 +298,9 @@ def _sc_digraphs(draw):
 @settings(max_examples=60, deadline=None)
 def test_contraction_preserves_strong_connectivity(g, data):
     assert is_strongly_connected(g)
-    size = data.draw(st.integers(min_value=2, max_value=g.vertex_count))
-    block = data.draw(st.sets(
-        st.integers(min_value=1, max_value=g.vertex_count),
-        min_size=size, max_size=size,
-    ))
-    shrunk, _mapping = contract_digraph(g, block)
-    assert is_strongly_connected(shrunk)
+    li = LiveInstance.from_instance(mscs_to_ssc(g))
+    while li.current_count > 1:
+        block = data.draw(st.sets(
+            st.sampled_from(li.vertices()), min_size=2, max_size=li.current_count,
+        ))
+        assert is_strongly_connected(li.contract(block).digraph())

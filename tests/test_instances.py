@@ -17,9 +17,11 @@ from dualcut import (
     check_feasible,
     dpa_induced_graph,
     dpa_to_ssc,
+    gen_random_dpa,
     mscs_to_ssc,
     ssc_to_dpa,
 )
+from dualcut.instances import _scc_labels
 
 
 def star(i, src, *sinks):
@@ -84,6 +86,33 @@ def test_dpa_to_ssc_collapses_free_components():
     assert check_feasible(d, power)
     stars = StarSolution(frozenset(mapping[v] for v in power.selected))
     assert check_feasible(s, stars) and stars.cost == power.cost
+
+
+def _dpa_to_ssc_stars_by_scanning(d, comp):
+    """The stars dpa_to_ssc derives, by scanning every edge for every vertex."""
+    stars = []
+    for v in range(1, d.vertex_count + 1):
+        targets = set()
+        for a, b, _c in d.edges:
+            if a == v and comp[b] != comp[v]:
+                targets.add(comp[b])
+            elif b == v and comp[a] != comp[v]:
+                targets.add(comp[a])
+        if targets:
+            stars.append((v, comp[v], frozenset(targets)))
+    return stars
+
+
+def test_dpa_to_ssc_matches_the_per_vertex_scan():
+    for seed in range(60):
+        d = gen_random_dpa(3 + seed % 40, 0.2 + 0.1 * (seed % 6), seed=seed).instance
+        s, mapping = dpa_to_ssc(d)
+        comp = _scc_labels(Digraph(d.vertex_count, [
+            a for u, v, c in d.edges if c == 0 for a in ((u, v), (v, u))
+        ]))
+        expected = _dpa_to_ssc_stars_by_scanning(d, comp)
+        assert [(st.source, st.sinks) for st in s.stars] == [(c, t) for _v, c, t in expected]
+        assert mapping == {v: i for i, (v, _c, _t) in enumerate(expected)}
 
 
 def test_mscs_to_ssc_orders_stars_by_arc():

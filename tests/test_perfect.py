@@ -1,6 +1,10 @@
 """Tests for live instances, perfect star sets, internal cuts, augmentation."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualcut import (
     Digraph,
@@ -13,6 +17,8 @@ from dualcut import (
     is_internal_cut,
     is_perfect,
     is_quasiperfect,
+    gen_random_ssc,
+    is_strongly_connected,
     live_crossing_stars,
     mscs_to_ssc,
 )
@@ -57,8 +63,9 @@ def test_contract_remaps_and_drops_empty_stars():
     li = fat_instance()
     shrunk = li.contract({1, 2})
     assert shrunk.current_count == 2
-    # Star 0 now goes from merged vertex 1 to old 3 (renumbered 2).
-    assert shrunk.source_of(0) == 1 and shrunk.sinks_of(0) == frozenset({2})
+    # Star 0 now goes from merged vertex 1 to vertex 3, which keeps its label.
+    assert shrunk.vertices() == (1, 3)
+    assert shrunk.source_of(0) == 1 and shrunk.sinks_of(0) == frozenset({3})
     assert shrunk.lift({1}) == frozenset({1, 2})
     # Stars fully inside the block are gone.
     assert 1 not in shrunk.live_ids()
@@ -76,6 +83,39 @@ def test_quasiperfect_and_perfect():
     # Duplicate sources are rejected.
     fat = fat_instance()
     assert not is_quasiperfect(fat, {1, 3})
+
+
+def quasiperfect_by_digraph(li, star_ids):
+    """The definition on a dense Digraph over the chosen stars' sources."""
+    ids = sorted(set(star_ids))
+    if not ids:
+        return False
+    sources = [li.source_of(sid) for sid in ids]
+    if len(set(sources)) != len(ids):
+        return False
+    index = {v: i + 1 for i, v in enumerate(sorted(sources))}
+    arcs = [
+        (index[li.source_of(sid)], index[t])
+        for sid in ids
+        for t in sorted(li.sinks_of(sid))
+        if t in index
+    ]
+    return is_strongly_connected(Digraph(len(index), arcs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 10), fan=st.integers(1, 3), seed=st.integers(0, 10_000))
+def test_quasiperfect_matches_the_digraph_definition(n, fan, seed):
+    li = LiveInstance.from_instance(gen_random_ssc(n, 1.5, fan, seed).instance)
+    rng = random.Random(seed)
+    while True:
+        ids = li.live_ids()
+        for _ in range(20):
+            chosen = rng.sample(ids, rng.randint(0, min(len(ids), 5)))
+            assert is_quasiperfect(li, chosen) == quasiperfect_by_digraph(li, chosen)
+        if li.current_count == 2:
+            break
+        li.contract(rng.sample(li.vertices(), 2))
 
 
 def test_live_crossing_stars_and_internal_cuts():

@@ -10,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dualcut
 from dualcut import (
@@ -29,7 +31,7 @@ from dualcut import (
     verify_run,
 )
 from dualcut.graphs import Digraph
-from dualcut.report import report_to_dict
+from dualcut.report import _indented, report_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +52,30 @@ def test_json_roundtrip_is_lossless(runs):
         assert report_from_json(text) == report
         # Must be plain JSON all the way down.
         json.loads(text)
+
+
+# JSON data as reports hold it, plus the other scalars json.dumps accepts;
+# lists of ints alone come often, as in reports.
+_json_data = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (
+        st.lists(st.integers())
+        | st.lists(inner, max_size=5)
+        | st.dictionaries(st.text(), inner, max_size=5)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_data)
+def test_report_encoder_matches_json_dumps(value):
+    assert _indented(value, "") == json.dumps(value, indent=2)
+
+
+def test_report_encoder_matches_json_dumps_on_edge_shapes():
+    for value in ([], {}, [[]], {"": {}}, [True, 1], ["é", "\u2603", None], {"é": [1, -2]}):
+        assert _indented(value, "") == json.dumps(value, indent=2)
 
 
 def test_fractions_serialize_as_ratio_strings(runs):
@@ -104,6 +130,28 @@ def test_verify_catches_kind_incompatibility(runs):
     assert any(
         "cannot belong" in p for p in verify_run("ssc", ssc_inst, ecs_report)
     )
+
+
+def _foreign_iteration_kind(report):
+    first = dataclasses.replace(report.iterations[0], kind=["big-one-cut"])
+    return dataclasses.replace(report, iterations=(first,) + report.iterations[1:])
+
+
+@pytest.mark.parametrize(
+    "tamper, finding",
+    [
+        (lambda r: dataclasses.replace(r, problem=["ssc"]), "problem ['ssc']"),
+        (lambda r: dataclasses.replace(r, problem="mscs"), "problem 'mscs'"),
+        (lambda r: dataclasses.replace(r, selection_kind=["stars"]), "selection kind ['stars']"),
+        (lambda r: dataclasses.replace(r, selection_kind=None), "selection kind None"),
+        (_foreign_iteration_kind, "iteration kind ['big-one-cut']"),
+    ],
+    ids=["list-problem", "unknown-problem", "list-selection-kind", "none-selection-kind", "list-kind"],
+)
+def test_verify_run_reports_foreign_labels_instead_of_raising(runs, tamper, finding):
+    kind, inst, report = runs[0]
+    problems = verify_run(kind, inst, tamper(report))
+    assert problems == [f"{finding} is not one the package emits"]
 
 
 def test_verify_catches_missing_star_selection(runs):

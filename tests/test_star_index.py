@@ -78,6 +78,22 @@ def test_crossing_edges_matches_brute_force(n, seed, data):
         assert crossing_edges(t, cut) == brute_crossing_edges(t, cut)
 
 
+def brute_live(base, group_of):
+    """Live stars rebuilt from the base instance: each star mapped through
+    the current grouping, dropped when no sink survives."""
+    live = {}
+    for star in base.stars:
+        src = group_of[star.source]
+        sinks = frozenset(group_of[t] for t in star.sinks) - {src}
+        if sinks:
+            live[star.id] = (src, sinks)
+    return live
+
+
+def brute_neighbors(arcs, v, incoming=False):
+    return tuple(sorted(a if incoming else b for a, b in arcs if (b if incoming else a) == v))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(2, 25),
@@ -86,17 +102,39 @@ def test_crossing_edges_matches_brute_force(n, seed, data):
     data=st.data(),
 )
 def test_live_lookups_match_scans_after_contractions(n, fan, seed, data):
-    li = LiveInstance.from_instance(gen_random_ssc(n, 1.5, fan, seed).instance)
+    base = gen_random_ssc(n, 1.5, fan, seed).instance
+    li = LiveInstance.from_instance(base)
+    # Original vertex -> its current label, kept here independently.
+    group_of = {v: v for v in range(1, n + 1)}
     while True:
-        m = li.current_count
-        for u in range(1, m + 1):
+        labels = sorted(set(group_of.values()))
+        assert li.vertices() == tuple(labels) and li.current_count == len(labels)
+        assert li.live == brute_live(base, group_of)
+        for o in range(1, n + 1):
+            assert li.partition.current_of(o) == group_of[o]
+        for c in labels:
+            assert li.lift({c}) == {o for o, g in group_of.items() if g == c}
+        arcs = {(src, t) for src, sinks in li.live.values() for t in sinks}
+        g = li.digraph()
+        assert g.vertex_count == len(labels) and g.vertices() == tuple(labels)
+        assert g.arcs == tuple(sorted(arcs))
+        assert g.is_bidirected() == all((v, u) in arcs for u, v in arcs)
+        for u in labels:
             assert li.stars_at(u) == brute_stars_at(li, u)
-            for v in range(1, m + 1):
+            assert g.out_neighbors(u) == brute_neighbors(arcs, u)
+            assert g.in_neighbors(u) == brute_neighbors(arcs, u, incoming=True)
+            assert g.neighbors(u) == tuple(
+                sorted(set(g.out_neighbors(u)) | set(g.in_neighbors(u)))
+            )
+            for v in labels:
                 assert li.stars_with_arc(u, v) == brute_stars_with_arc(li, u, v)
-        if m == 1:
+                assert g.has_arc(u, v) == ((u, v) in arcs)
+        if len(labels) == 1:
             break
-        block = data.draw(st.sets(st.integers(1, m), min_size=2, max_size=m))
-        li = li.contract(block)
+        block = data.draw(st.sets(st.sampled_from(labels), min_size=2, max_size=len(labels)))
+        assert li.contract(block) is li
+        merged = min(block)
+        group_of = {o: merged if g in block else g for o, g in group_of.items()}
     assert li.live == {}
 
 
