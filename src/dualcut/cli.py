@@ -155,7 +155,7 @@ def _load_instance(problem: str, path: str):
         if kind == "dpa":
             ok = True
         elif kind in ("ssc", "mscs"):
-            ok = instance.digraph().is_bidirected()
+            ok = instance.is_bidirected()
             if not ok:
                 raise _UsageError(
                     f"--problem dpa needs a bidirected instance; "

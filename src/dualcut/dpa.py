@@ -266,7 +266,7 @@ def approx_dpa(instance, advisor: Advisor | None = None) -> RunReport:
         derived, vertex_to_star = dpa_to_ssc(instance)
         star_to_vertex = {sid: v for v, sid in vertex_to_star.items()}
     elif isinstance(instance, SSCInstance):
-        if not instance.digraph().is_bidirected():
+        if not instance.is_bidirected():
             raise ValueError("this algorithm requires a bidirected star instance")
         derived, star_to_vertex = instance, None
     else:

@@ -13,6 +13,17 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 
+class RecordError(ValueError):
+    """An input record (a star, arc or edge) is invalid.
+
+    `index` is the record's 0-based position in the constructor's input, so
+    a parser can point at the line it came from."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
 class Digraph:
     """Simple digraph: no self-loops, duplicate arcs merged."""
 
@@ -77,9 +88,9 @@ class Multigraph:
         adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, vertex_count + 1)}
         for eid, (u, v) in enumerate(edges):
             if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
-                raise ValueError(f"edge {{{u},{v}}} out of range 1..{vertex_count}")
+                raise RecordError(f"edge {{{u},{v}}} out of range 1..{vertex_count}", eid)
             if u == v:
-                raise ValueError(f"self-loop edge at vertex {u}")
+                raise RecordError(f"self-loop edge at vertex {u}", eid)
             edge_list.append((u, v))
             adj[u].append((eid, v))
             adj[v].append((eid, u))
@@ -201,6 +212,22 @@ def is_strongly_connected(g: Digraph) -> bool:
     if _reach_count(g.out_neighbors, start, largest) != n:
         return False
     return _reach_count(g.in_neighbors, start, largest) == n
+
+
+def spans_strongly(
+    n: int, out_lists: Sequence[Sequence[int]], in_lists: Sequence[Sequence[int]]
+) -> bool:
+    """True iff the arcs given as adjacency lists over vertices 1..n join
+    every ordered vertex pair by a directed path.
+
+    `out_lists[v]` holds the heads of v's arcs and `in_lists[v]` their
+    tails (index 0 unused; repeats are harmless), so callers can decide
+    strong connectivity straight from their records without a Digraph."""
+    if n == 1:
+        return True
+    if _reach_count(out_lists.__getitem__, 1, n) != n:
+        return False
+    return _reach_count(in_lists.__getitem__, 1, n) == n
 
 
 def _reach_count(step: Callable[[int], Sequence[int]], start: int, largest: int) -> int:

@@ -3,6 +3,10 @@
 Star ids and edge ids are 0-based list positions; vertex ids are 1-based.
 Instances validate their own feasibility on construction (strong connectivity
 or 2-edge-connectivity of the underlying graph), so algorithms may assume it.
+Strong connectivity, of an instance and of a selection alike, is decided by
+reachability over adjacency lists read straight from the stars or edges; no
+Digraph is built on the way. An invalid star or edge raises a `RecordError`
+(a ValueError) that names its position.
 """
 
 from __future__ import annotations
@@ -14,8 +18,9 @@ from typing import Iterable, Sequence
 from .graphs import (
     Digraph,
     Multigraph,
-    is_strongly_connected,
+    RecordError,
     is_two_edge_connected,
+    spans_strongly,
 )
 
 
@@ -34,9 +39,11 @@ class Star:
     def __post_init__(self) -> None:
         object.__setattr__(self, "sinks", frozenset(self.sinks))
         if not self.sinks:
-            raise ValueError(f"star {self.id}: empty sink set")
+            raise RecordError(f"star {self.id}: empty sink set", self.id)
         if self.source in self.sinks:
-            raise ValueError(f"star {self.id}: source {self.source} among sinks")
+            raise RecordError(
+                f"star {self.id}: source {self.source} among sinks", self.id
+            )
 
     def arcs(self) -> tuple[tuple[int, int], ...]:
         return tuple((self.source, t) for t in sorted(self.sinks))
@@ -53,26 +60,35 @@ class SSCInstance:
             raise ValueError("vertex_count must be >= 1")
         for i, st in enumerate(stars):
             if st.id != i:
-                raise ValueError(f"star at position {i} has id {st.id}")
+                raise RecordError(f"star at position {i} has id {st.id}", i)
             if not (1 <= st.source <= vertex_count):
-                raise ValueError(f"star {i}: source {st.source} out of range")
-            for t in st.sinks:
-                if not (1 <= t <= vertex_count):
-                    raise ValueError(f"star {i}: sink {t} out of range")
+                raise RecordError(f"star {i}: source {st.source} out of range", i)
+            sinks = st.sinks
+            if min(sinks) < 1 or max(sinks) > vertex_count:
+                for t in sinks:
+                    if not (1 <= t <= vertex_count):
+                        raise RecordError(f"star {i}: sink {t} out of range", i)
         self.vertex_count = vertex_count
         self.stars: tuple[Star, ...] = tuple(stars)
-        arcs = [a for st in self.stars for a in st.arcs()]
-        g = Digraph(vertex_count, arcs)
-        if not is_strongly_connected(g):
+        if not _stars_span(vertex_count, self.stars):
             raise InfeasibleInstanceError(
                 "union of all stars is not strongly connected"
             )
-        self._digraph = g
+        self._digraph: Digraph | None = None
         self._by_source: dict[int, tuple[Star, ...]] | None = None
 
     def digraph(self) -> Digraph:
-        """Digraph over the union of all stars' arcs (duplicates merged)."""
+        """Digraph over the union of all stars' arcs (duplicates merged),
+        built on first use."""
+        if self._digraph is None:
+            arcs = [a for st in self.stars for a in st.arcs()]
+            self._digraph = Digraph(self.vertex_count, arcs)
         return self._digraph
+
+    def is_bidirected(self) -> bool:
+        """Every star arc u->v has its reverse v->u in some star."""
+        arcs = {(st.source, t) for st in self.stars for t in st.sinks}
+        return all((v, u) in arcs for u, v in arcs)
 
     def stars_by_source(self) -> dict[int, tuple[Star, ...]]:
         """Source vertex -> the stars it sources, in id order (built once)."""
@@ -97,23 +113,24 @@ class DPAInstance:
         if vertex_count < 1:
             raise ValueError("vertex_count must be >= 1")
         seen: set[frozenset[int]] = set()
-        for u, v, c in edges:
+        for i, (u, v, c) in enumerate(edges):
             if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
-                raise ValueError(f"edge ({u},{v}) out of range")
+                raise RecordError(f"edge ({u},{v}) out of range", i)
             if u == v:
-                raise ValueError(f"self-loop edge at vertex {u}")
+                raise RecordError(f"self-loop edge at vertex {u}", i)
             if c not in (0, 1):
-                raise ValueError(f"edge ({u},{v}): cost must be 0 or 1, got {c}")
+                raise RecordError(
+                    f"edge ({u},{v}): cost must be 0 or 1, got {c}", i
+                )
             key = frozenset((u, v))
             if key in seen:
-                raise ValueError(f"duplicate edge ({u},{v})")
+                raise RecordError(f"duplicate edge ({u},{v})", i)
             seen.add(key)
         self.vertex_count = vertex_count
         self.edges: tuple[tuple[int, int, int], ...] = tuple(
             (u, v, c) for u, v, c in edges
         )
-        full = dpa_induced_graph(self, frozenset(range(1, vertex_count + 1)))
-        if not is_strongly_connected(full):
+        if not _power_spans(self, range(1, vertex_count + 1)):
             raise InfeasibleInstanceError(
                 "even with every vertex at high power the graph is not "
                 "strongly connected"
@@ -174,6 +191,34 @@ class PowerSolution:
     @property
     def cost(self) -> int:
         return len(self.selected)
+
+
+def _stars_span(n: int, stars: Iterable[Star]) -> bool:
+    """The stars' arcs make vertices 1..n strongly connected."""
+    out: list[list[int]] = [[] for _ in range(n + 1)]
+    inc: list[list[int]] = [[] for _ in range(n + 1)]
+    for st in stars:
+        src, sinks = st.source, st.sinks
+        out[src].extend(sinks)
+        for t in sinks:
+            inc[t].append(src)
+    return spans_strongly(n, out, inc)
+
+
+def _power_spans(d: DPAInstance, high) -> bool:
+    """The digraph that the vertices in `high` (a container) at high power
+    induce is strongly connected; same arcs as `dpa_induced_graph`."""
+    n = d.vertex_count
+    out: list[list[int]] = [[] for _ in range(n + 1)]
+    inc: list[list[int]] = [[] for _ in range(n + 1)]
+    for u, v, c in d.edges:
+        if c == 0 or u in high:
+            out[u].append(v)
+            inc[v].append(u)
+        if c == 0 or v in high:
+            out[v].append(u)
+            inc[u].append(v)
+    return spans_strongly(n, out, inc)
 
 
 def dpa_induced_graph(d: DPAInstance, high: Iterable[int]) -> Digraph:
@@ -275,8 +320,7 @@ def _scc_labels(g: Digraph) -> dict[int, int]:
 def ssc_to_dpa(s: SSCInstance) -> DPAInstance:
     """Reduce a bidirected SSC instance to DPA: one vertex per star, free
     cycle edges within same-source groups, unit edges per reverse arc pair."""
-    g = s.digraph()
-    if not g.is_bidirected():
+    if not s.is_bidirected():
         raise ValueError("ssc_to_dpa requires a bidirected instance")
     edges: list[tuple[int, int, int]] = []
     by_source: dict[int, list[Star]] = {}
@@ -310,15 +354,13 @@ def mscs_to_ssc(g: Digraph) -> SSCInstance:
 def check_feasible(instance, solution) -> bool:
     """Direct connectivity test of a solution against its instance."""
     if isinstance(instance, SSCInstance) and isinstance(solution, StarSolution):
+        stars = instance.stars
         for sid in solution.selected:
-            if not (0 <= sid < len(instance.stars)):
+            if not (0 <= sid < len(stars)):
                 raise ValueError(f"unknown star id {sid}")
-        arcs = [
-            a
-            for sid in solution.selected
-            for a in instance.stars[sid].arcs()
-        ]
-        return is_strongly_connected(Digraph(instance.vertex_count, arcs))
+        return _stars_span(
+            instance.vertex_count, [stars[sid] for sid in solution.selected]
+        )
     if isinstance(instance, TwoECSInstance) and isinstance(solution, EdgeSolution):
         g = instance.graph
         for eid in solution.selected:
@@ -333,7 +375,7 @@ def check_feasible(instance, solution) -> bool:
         for v in solution.selected:
             if not (1 <= v <= instance.vertex_count):
                 raise ValueError(f"unknown vertex id {v}")
-        return is_strongly_connected(dpa_induced_graph(instance, solution.selected))
+        return _power_spans(instance, solution.selected)
     raise TypeError(
         f"unsupported instance/solution pair: "
         f"{type(instance).__name__}/{type(solution).__name__}"

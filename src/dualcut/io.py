@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 
-from .graphs import Multigraph
+from .graphs import Multigraph, RecordError
 from .instances import DPAInstance, SSCInstance, Star, TwoECSInstance
 
 KINDS = ("ssc", "mscs", "dpa", "2ecs")
@@ -37,7 +37,7 @@ def _significant_lines(text: str) -> list[tuple[int, list[str]]]:
 
 def _ints(tokens: list[str], no: int) -> list[int]:
     try:
-        return [int(t) for t in tokens]
+        return list(map(int, tokens))
     except ValueError:
         raise ParseError(f"expected integers, got {' '.join(tokens)!r}", no) from None
 
@@ -46,7 +46,9 @@ def parse_instance(text: str):
     """Parse instance text; returns (kind, instance).
 
     mscs parses into a star instance with one singleton star per arc line;
-    duplicate arc lines become distinct stars.
+    duplicate arc lines become distinct stars. A record the instance rejects
+    (a vertex out of range, a source among its sinks, a duplicate or
+    badly priced edge) raises ParseError at that record's line.
     """
     lines = _significant_lines(text)
     if not lines:
@@ -58,12 +60,20 @@ def parse_instance(text: str):
     if kind not in KINDS:
         raise ParseError(f"unknown problem kind {kind!r}", no)
     n, count = _ints(header[2:], no)
+    if n < 1:
+        raise ParseError(f"vertex count must be >= 1, got {n}", no)
     body = lines[1:]
     if len(body) != count:
         raise ParseError(
             f"header declares {count} record lines, found {len(body)}", no
         )
+    try:
+        return kind, _build_instance(kind, n, body)
+    except RecordError as exc:
+        raise ParseError(str(exc), body[exc.index][0]) from None
 
+
+def _build_instance(kind: str, n: int, body: list[tuple[int, list[str]]]):
     if kind == "ssc":
         stars = []
         for idx, (lno, tok) in enumerate(body):
@@ -76,7 +86,7 @@ def parse_instance(text: str):
                     f"fan {fan} does not match {len(sinks)} listed sinks", lno
                 )
             stars.append(Star(idx, source, frozenset(sinks)))
-        return kind, SSCInstance(n, tuple(stars))
+        return SSCInstance(n, tuple(stars))
 
     if kind == "mscs":
         stars = []
@@ -85,7 +95,7 @@ def parse_instance(text: str):
                 raise ParseError("arc line must be 'a <u> <v>'", lno)
             u, v = _ints(tok[1:], lno)
             stars.append(Star(idx, u, frozenset((v,))))
-        return kind, SSCInstance(n, tuple(stars))
+        return SSCInstance(n, tuple(stars))
 
     if kind == "dpa":
         edges = []
@@ -94,7 +104,7 @@ def parse_instance(text: str):
                 raise ParseError("edge line must be 'e <u> <v> <cost>'", lno)
             u, v, cost = _ints(tok[1:], lno)
             edges.append((u, v, cost))
-        return kind, DPAInstance(n, tuple(edges))
+        return DPAInstance(n, tuple(edges))
 
     edges2 = []
     for lno, tok in body:
@@ -102,7 +112,7 @@ def parse_instance(text: str):
             raise ParseError("edge line must be 'e <u> <v>'", lno)
         u, v = _ints(tok[1:], lno)
         edges2.append((u, v))
-    return kind, TwoECSInstance(Multigraph(n, tuple(edges2)))
+    return TwoECSInstance(Multigraph(n, tuple(edges2)))
 
 
 def natural_kind(instance) -> str:
@@ -123,7 +133,7 @@ def write_instance(instance, kind: str | None = None) -> str:
             raise TypeError("ssc format needs a star instance")
         lines = [f"p ssc {instance.vertex_count} {len(instance.stars)}"]
         for st in instance.stars:
-            sinks = " ".join(str(t) for t in sorted(st.sinks))
+            sinks = " ".join(map(str, sorted(st.sinks)))
             lines.append(f"s {st.source} {len(st.sinks)} {sinks}")
     elif kind == "mscs":
         if not isinstance(instance, SSCInstance):

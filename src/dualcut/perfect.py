@@ -349,14 +349,28 @@ def is_perfect(li: LiveInstance, star_ids) -> bool:
 
 
 def live_crossing_stars(li: LiveInstance, side) -> frozenset[int]:
-    """Live stars with source inside `side` and some sink outside."""
+    """Live stars with source inside `side` and some sink outside.
+
+    A side holding more than half the current vertices is answered from the
+    vertices outside it, through the sink index."""
     side_set = frozenset(side)
+    live = li.live
+    vertices = li.vertices()
+    if 2 * len(side_set) > len(vertices):
+        by_sink = li._by_sink
+        return frozenset(
+            sid
+            for t in vertices
+            if t not in side_set
+            for sid in by_sink.get(t, ())
+            if live[sid][0] in side_set
+        )
     by_source = li._by_source
     return frozenset(
         sid
         for v in side_set
         for sid in by_source.get(v, ())
-        if not li.live[sid][1] <= side_set
+        if not live[sid][1] <= side_set
     )
 
 

@@ -196,6 +196,33 @@ def test_parse_and_usage_errors(tmp_path, capsys):
     assert code == 2 and "k must be" in err
 
 
+@pytest.mark.parametrize(
+    "problem, text, line, message",
+    [
+        ("ssc", "p ssc 3 1\ns 1 1 5\n", 2, "star 0: sink 5 out of range"),
+        ("mscs", "p mscs 2 2\na 1 2\na 1 1\n", 3, "star 1: source 1 among sinks"),
+        ("dpa", "p dpa 2 2\ne 1 2 1\ne 1 2 0\n", 3, "duplicate edge (1,2)"),
+        ("dpa", "p dpa 2 2\ne 1 2 1\ne 2 1 1\n", 3, "duplicate edge (2,1)"),
+        ("dpa", "p dpa 2 1\ne 1 2 5\n", 2, "edge (1,2): cost must be 0 or 1, got 5"),
+        ("2ecs", "p 2ecs 2 2\ne 1 2\ne 1 3\n", 3, "edge {1,3} out of range 1..2"),
+    ],
+    ids=["ssc-sink", "mscs-loop", "dpa-duplicate", "dpa-reversed", "dpa-cost", "2ecs-range"],
+)
+@pytest.mark.parametrize("command", ["solve", "verify", "exact", "gap"])
+def test_rejected_records_exit_two_with_their_line(
+    tmp_path, capsys, command, problem, text, line, message
+):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    if command == "verify":
+        args = ("--report", str(tmp_path / "report.json"))
+    else:
+        args = ("--problem", problem)
+    code, out, err = run(capsys, command, "--input", str(path), *args)
+    assert code == 2 and out == ""
+    assert err == f"error: line {line}: {message}\n"
+
+
 def test_infeasible_instance_exits_one(tmp_path, capsys):
     oneway = tmp_path / "oneway.txt"
     oneway.write_text("p mscs 2 1\na 1 2\n")

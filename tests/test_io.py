@@ -107,6 +107,33 @@ def test_parse_errors_carry_line_numbers():
     assert e7.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("p ssc 3 2\ns 2 1 1\n# note\n\ns 1 1 5\n", 5, "star 1: sink 5 out of range"),
+        ("p ssc 3 1\ns 4 1 1\n", 2, "star 0: source 4 out of range"),
+        ("p mscs 2 2\na 1 2\n\na 1 1\n", 4, "star 1: source 1 among sinks"),
+        ("p dpa 2 2\ne 1 2 1\n# dup\ne 1 2 0\n", 4, "duplicate edge (1,2)"),
+        ("p dpa 2 2\ne 1 2 1\ne 2 1 1\n", 3, "duplicate edge (2,1)"),
+        ("p dpa 2 1\ne 1 2 2\n", 2, "edge (1,2): cost must be 0 or 1, got 2"),
+        ("p dpa 3 1\ne 3 3 0\n", 2, "self-loop edge at vertex 3"),
+        ("p 2ecs 2 3\ne 1 2\ne 1 2\n e 2 3 # third\n", 4, "edge {2,3} out of range 1..2"),
+        ("p 2ecs 2 1\ne 2 2\n", 2, "self-loop edge at vertex 2"),
+        ("\np ssc 0 0\n", 2, "vertex count must be >= 1, got 0"),
+    ],
+    ids=[
+        "ssc-sink", "ssc-source", "mscs-loop", "dpa-duplicate", "dpa-reversed",
+        "dpa-cost", "dpa-loop", "2ecs-range", "2ecs-loop", "no-vertices",
+    ],
+)
+def test_rejected_records_raise_parse_errors_at_their_line(text, line, message):
+    # The constructors raise ValueError; parsing names the offending line.
+    with pytest.raises(ParseError) as info:
+        parse_instance(text)
+    assert info.value.line == line
+    assert str(info.value) == f"line {line}: {message}"
+
+
 def test_natural_kind_and_digest_stability():
     inst = mscs_to_ssc(Digraph(2, [(1, 2), (2, 1)]))
     assert natural_kind(inst) == "ssc"

@@ -269,6 +269,49 @@ def test_build_report_check_survives_python_O(breakage):
         else:
             print("accepted")
     """)
+    assert _run_optimized(script).startswith("rejected:")
+
+
+def test_instance_checks_survive_python_O():
+    # Instances and check_feasible decide connectivity with explicit checks,
+    # so `python -O` keeps every rejection.
+    script = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {str(Path(__file__).parent)!r})
+        from test_report import _three_cycle_report_args, _dropped_star
+        from dualcut import (
+            DPAInstance, InfeasibleInstanceError, PowerSolution, RunCheckError,
+            SSCInstance, Star, StarSolution, build_report, check_feasible,
+        )
+        assert False, "assert statements must be stripped here"
+        for build in (
+            lambda: SSCInstance(3, [Star(0, 1, {{2}}), Star(1, 2, {{1}})]),
+            lambda: DPAInstance(3, [(1, 2, 1)]),
+        ):
+            try:
+                build()
+            except InfeasibleInstanceError:
+                print("infeasible")
+            else:
+                print("accepted")
+        cycle = SSCInstance(3, [Star(0, 1, {{2}}), Star(1, 2, {{3}}), Star(2, 3, {{1}})])
+        print(check_feasible(cycle, StarSolution({{0, 1}})))
+        path = DPAInstance(3, [(1, 2, 1), (2, 3, 1)])
+        print(check_feasible(path, PowerSolution({{1, 3}})))
+        try:
+            build_report(**_three_cycle_report_args(_dropped_star))
+        except RunCheckError as exc:
+            print("selection is not feasible" in exc.problems)
+        else:
+            print("accepted")
+    """)
+    assert _run_optimized(script).split() == [
+        "infeasible", "infeasible", "False", "False", "True",
+    ]
+
+
+def _run_optimized(script: str) -> str:
+    """Stdout of `script` run by `python -O` against this package."""
     src = Path(dualcut.__file__).parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run(
@@ -276,4 +319,4 @@ def test_build_report_check_survives_python_O(breakage):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.startswith("rejected:"), out.stdout
+    return out.stdout

@@ -17,6 +17,7 @@ from dualcut import (
     crossing_stars,
     gen_random_2ecs,
     gen_random_ssc,
+    live_crossing_stars,
 )
 
 
@@ -136,6 +137,38 @@ def test_live_lookups_match_scans_after_contractions(n, fan, seed, data):
         merged = min(block)
         group_of = {o: merged if g in block else g for o, g in group_of.items()}
     assert li.live == {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 25),
+    fan=st.integers(1, 3),
+    seed=st.integers(0, 10_000),
+    data=st.data(),
+)
+def test_live_crossing_stars_match_the_definition_after_contractions(n, fan, seed, data):
+    # Sides with more than half the current vertices are answered from the
+    # vertices outside them; each side is also tried as its complement.
+    base = gen_random_ssc(n, 1.5, fan, seed).instance
+    li = LiveInstance.from_instance(base)
+    group_of = {v: v for v in range(1, n + 1)}
+    while li.current_count > 1:
+        labels = sorted(set(group_of.values()))
+        live = brute_live(base, group_of)
+        for _ in range(3):
+            side = frozenset(
+                data.draw(st.sets(st.sampled_from(labels), min_size=1, max_size=len(labels) - 1))
+            )
+            for s in (side, frozenset(labels) - side):
+                assert live_crossing_stars(li, s) == frozenset(
+                    sid
+                    for sid, (src, sinks) in live.items()
+                    if src in s and not sinks <= s
+                )
+        block = data.draw(st.sets(st.sampled_from(labels), min_size=2, max_size=len(labels)))
+        li.contract(block)
+        merged = min(block)
+        group_of = {o: merged if g in block else g for o, g in group_of.items()}
 
 
 @pytest.mark.parametrize(
