@@ -1,9 +1,11 @@
-"""Directed and undirected multigraph primitives, contraction, reachability.
+"""Directed and undirected multigraph primitives, reachability, and the
+reference contraction helpers.
 
 Vertex ids are dense integers 1..vertex_count. Arc ids and edge ids are
-0-based positions in the construction order. Contraction never mutates in
-place: it returns a new graph plus the id mapping, so callers can keep
-certificates expressed over original ids.
+0-based positions in the construction order. The algorithms contract in
+place through `perfect.LiveInstance`; the reference helpers here
+(`VertexPartition`, `contraction_mapping`, `contract_multigraph`) never
+mutate in place: they return a new graph plus the id mapping.
 """
 
 from __future__ import annotations
@@ -97,18 +99,9 @@ class Multigraph:
         self.edges: tuple[tuple[int, int], ...] = tuple(edge_list)
         self._adj = {v: tuple(pairs) for v, pairs in adj.items()}
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted({w for _, w in self._adj[v]}))
-
     def incident(self, v: int) -> tuple[tuple[int, int], ...]:
         """(edge id, other endpoint) pairs at v, in edge-id order of insertion."""
         return self._adj[v]
-
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
-    def edge_ids_between(self, u: int, v: int) -> tuple[int, ...]:
-        return tuple(sorted(eid for eid, w in self._adj[u] if w == v))
 
     def vertices(self) -> range:
         return range(1, self.vertex_count + 1)
@@ -117,6 +110,7 @@ class Multigraph:
         return f"Multigraph(n={self.vertex_count}, m={len(self.edges)})"
 
 
+# Reference helpers, unused by the solvers: the benchmark traces them, tests compare.
 @dataclass(frozen=True)
 class VertexPartition:
     """Maps original vertex ids to current (contracted) vertex ids.

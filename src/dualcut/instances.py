@@ -53,7 +53,7 @@ class SSCInstance:
     """Star strong connectivity: pick fewest stars whose arcs span strong
     connectivity over all vertices."""
 
-    __slots__ = ("vertex_count", "stars", "_digraph", "_by_source")
+    __slots__ = ("vertex_count", "stars", "_by_source")
 
     def __init__(self, vertex_count: int, stars: Sequence[Star]):
         if vertex_count < 1:
@@ -74,16 +74,7 @@ class SSCInstance:
             raise InfeasibleInstanceError(
                 "union of all stars is not strongly connected"
             )
-        self._digraph: Digraph | None = None
         self._by_source: dict[int, tuple[Star, ...]] | None = None
-
-    def digraph(self) -> Digraph:
-        """Digraph over the union of all stars' arcs (duplicates merged),
-        built on first use."""
-        if self._digraph is None:
-            arcs = [a for st in self.stars for a in st.arcs()]
-            self._digraph = Digraph(self.vertex_count, arcs)
-        return self._digraph
 
     def is_bidirected(self) -> bool:
         """Every star arc u->v has its reverse v->u in some star."""

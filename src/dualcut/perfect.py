@@ -1,22 +1,23 @@
-"""Live (contracted) star instances, perfect sets, internal cuts.
+"""Live (contracted) instances, perfect sets, internal cuts.
 
-A LiveInstance is the current contracted view of a base instance. Each
-current vertex is labelled by its smallest original vertex, so labels sort
-exactly as the dense ids of a fresh renumbering would, and every candidate
-list an advisor sees keeps its order. `contract` updates the view in place:
-it touches only the stars with a source or sink among the merged vertices
-other than the block's smallest, and keeps the star indexes and the arc
-multiplicities up to date, so no round rebuilds the instance or its digraph.
-Stars keep their original ids throughout, so selections and certificates
-recorded during a run always refer to the input instance.
+A LiveInstance is the current contracted view of an instance; its records
+are stars, or edges as one-sink records. Each current vertex is labelled by
+its smallest original vertex, so labels sort as the dense ids of a fresh
+renumbering would, and every candidate list an advisor sees keeps its order.
+`contract` updates the view in place: it touches only the records with a
+source or sink among the merged vertices other than the block's smallest,
+and keeps the record indexes and the arc multiplicities up to date, so no
+round rebuilds the instance or its digraph. Records keep their original ids,
+so selections and certificates always refer to the input instance.
 """
 
 from __future__ import annotations
 
 from itertools import chain
+from typing import Iterable
 
 from .advisor import Advisor
-from .graphs import is_strongly_connected
+from .graphs import Multigraph, is_strongly_connected
 from .instances import SSCInstance
 
 
@@ -171,31 +172,37 @@ class LiveDigraph:
 
 
 class LiveInstance:
-    """Current contracted state of a base instance: vertex labels, live
-    stars with their current source and sinks, and indexes over them."""
+    """Current contracted state of an instance: vertex labels, live records
+    with their current source and sinks, and indexes over them."""
 
-    __slots__ = ("base", "partition", "live", "_by_source", "_by_sink", "_graph")
+    __slots__ = ("partition", "live", "_by_source", "_by_sink", "_graph")
 
-    def __init__(self, base: SSCInstance):
-        n = base.vertex_count
-        self.base = base
+    def __init__(self, n: int, records: Iterable[tuple[int, int, frozenset[int]]]):
+        """`records` are (id, source, sinks) triples in ascending id order."""
         self.partition = Labels(n)
         self.live: dict[int, tuple[int, frozenset[int]]] = {}
-        # Source -> its live star ids, ascending; sink -> its live star ids.
-        self._by_source: dict[int, tuple[int, ...]] = {}
+        # Source -> its live record ids, ascending; sink -> its live record ids.
+        by_source: dict[int, list[int]] = {}
         self._by_sink: dict[int, set[int]] = {}
         self._graph = LiveDigraph(n)
-        for v, stars in base.stars_by_source().items():
-            self._by_source[v] = tuple(st.id for st in stars)
-        for st in base.stars:
-            self.live[st.id] = (st.source, st.sinks)
-            for t in st.sinks:
-                self._by_sink.setdefault(t, set()).add(st.id)
-            self._graph._add(st.source, st.sinks)
+        for rid, src, sinks in records:
+            self.live[rid] = (src, sinks)
+            by_source.setdefault(src, []).append(rid)
+            for t in sinks:
+                self._by_sink.setdefault(t, set()).add(rid)
+            self._graph._add(src, sinks)
+        self._by_source = {v: tuple(ids) for v, ids in by_source.items()}
 
     @staticmethod
     def from_instance(base: SSCInstance) -> "LiveInstance":
-        return LiveInstance(base)
+        stars = [(st.id, st.source, st.sinks) for st in base.stars]
+        return LiveInstance(base.vertex_count, stars)
+
+    @staticmethod
+    def from_multigraph(g: Multigraph) -> "LiveInstance":
+        """Each edge {u, v} becomes the record (id, u, {v})."""
+        edges = [(eid, u, frozenset((v,))) for eid, (u, v) in enumerate(g.edges)]
+        return LiveInstance(g.vertex_count, edges)
 
     @property
     def current_count(self) -> int:
@@ -208,9 +215,6 @@ class LiveInstance:
     def digraph(self) -> LiveDigraph:
         """Digraph over current vertices spanned by all live stars' arcs."""
         return self._graph
-
-    def live_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.live))
 
     def source_of(self, star_id: int) -> int:
         try:
@@ -229,7 +233,7 @@ class LiveInstance:
         return self._by_source.get(v, ())
 
     def stars_with_arc(self, u: int, v: int) -> tuple[int, ...]:
-        """Live star ids whose current arcs include u->v, ascending."""
+        """Live record ids whose current arcs include u->v, ascending."""
         live = self.live
         return tuple(sid for sid in self._by_source.get(u, ()) if v in live[sid][1])
 
@@ -242,10 +246,11 @@ class LiveInstance:
 
     def contract(self, block) -> "LiveInstance":
         """Merge a block of current vertices, in place, into its smallest
-        label; stars shrink, empty ones die. Returns this instance.
+        label; records shrink, and those with every end in the block die.
+        Returns this instance.
 
-        Only stars with a source or a sink among the other block members
-        change; only stars sourced inside the block can die."""
+        Only records with a source or a sink among the other block members
+        change; only records sourced inside the block can die."""
         block = set(block)
         if not block:
             raise ValueError("block must be nonempty")
@@ -266,6 +271,15 @@ class LiveInstance:
         dead: set[int] = set()
         for sid in touched:
             src, sinks = live[sid]
+            if src in block and sinks <= block:
+                g._remove(src, sinks)
+                tails.add(src)
+                heads.update(sinks)
+                if anchor in sinks:
+                    by_sink[anchor].discard(sid)
+                del live[sid]
+                dead.add(sid)
+                continue
             new_src = anchor if src in block else src
             new_sinks = frozenset(
                 [anchor if t in gone else t for t in sinks]
@@ -284,10 +298,6 @@ class LiveInstance:
                     by_sink[t].discard(sid)
             for t in new_sinks - sinks:
                 by_sink.setdefault(t, set()).add(sid)
-            if not new_sinks:
-                del live[sid]
-                dead.add(sid)
-                continue
             live[sid] = (new_src, new_sinks)
             if new_src != src:
                 moved.append(sid)

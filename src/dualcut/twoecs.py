@@ -5,6 +5,9 @@ all neighbors on the cycle, takes the cycle's edges, records the one-vertex
 cut at the closing end, and contracts the cycle. The recorded cuts are
 pairwise edge-disjoint, so doubling each gives an integer dual solution
 certifying a lower bound of twice the cut count.
+
+The graph is contracted in place as a `LiveInstance` of edge records, so
+edge ids stay those of the input.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from dataclasses import dataclass
 
 from .advisor import Advisor
 from .certificates import TWOECS, Cut, DualCertificate
-from .graphs import Multigraph, VertexPartition, contract_multigraph
 from .instances import TwoECSInstance
+from .perfect import LiveInstance
 from .report import IterationRecord, RunReport, build_report
 
 
@@ -29,47 +32,54 @@ class CycleWitness:
     internal_cut_vertex: int
 
 
-def find_cycle_with_internal_cut(g: Multigraph, advisor: Advisor | None = None) -> CycleWitness:
+def _edges_between(li: LiveInstance, u: int, v: int) -> tuple[int, ...]:
+    """Live edge ids joining u and v, whichever end each is recorded from."""
+    return li.stars_with_arc(u, v) + li.stars_with_arc(v, u)
+
+
+def find_cycle_with_internal_cut(li: LiveInstance, advisor: Advisor | None = None) -> CycleWitness:
     """Grow a path greedily; when stuck, close it into a cycle.
 
-    Requires a 2-edge-connected graph on at least 2 vertices. The closing
+    Requires a live edge instance (`LiveInstance.from_multigraph`) whose
+    current graph is 2-edge-connected on at least 2 vertices. The closing
     edge is the smallest-id edge to the earliest path neighbor, never the
     edge that entered the endpoint, so two parallel edges close a legal
     2-cycle.
     """
     advisor = advisor or Advisor()
-    if g.vertex_count < 2:
+    if li.current_count < 2:
         raise ValueError("need at least two vertices to find a cycle")
+    g = li.digraph()
+    edges = [(eid, u, v) for eid, (u, (v,)) in li.live.items()]
     oriented = sorted(
-        [(u, v, eid) for eid, (u, v) in enumerate(g.edges)]
-        + [(v, u, eid) for eid, (u, v) in enumerate(g.edges)]
+        [(u, v, eid) for eid, u, v in edges] + [(v, u, eid) for eid, u, v in edges]
     )
     tail, head, first_eid = advisor.choose("initial-edge", oriented)
     path = [tail, head]
-    path_edges = [first_eid]
-    visited = {tail, head}
+    position = {tail: 0, head: 1}
     while True:
-        end = path[-1]
-        fresh = sorted(set(g.neighbors(end)) - visited)
+        fresh = [w for w in g.neighbors(path[-1]) if w not in position]
         if not fresh:
             break
         nxt = advisor.choose("extend", fresh)
+        position[nxt] = len(path)
         path.append(nxt)
-        path_edges.append(min(g.edge_ids_between(end, nxt)))
-        visited.add(nxt)
 
     end = path[-1]
-    positions = [path.index(u) for u in set(g.neighbors(end))]
-    anchor = min(positions)
-    entry = path_edges[-1]
+    anchor = min(position[u] for u in g.neighbors(end))
+    cycle_vertices = tuple(path[anchor:])
+    # Each step after the first takes its smallest-id edge; only cycle steps are looked up.
+    cycle_edges = [
+        first_eid if i == 0 else min(_edges_between(li, path[i], path[i + 1]))
+        for i in range(anchor, len(path) - 1)
+    ]
     closing_options = [
-        eid for eid in g.edge_ids_between(end, path[anchor]) if eid != entry
+        eid for eid in _edges_between(li, end, path[anchor]) if eid != cycle_edges[-1]
     ]
     assert closing_options, "a bridgeless graph always offers a closing edge"
-    cycle_vertices = tuple(path[anchor:])
-    cycle_edges = tuple(path_edges[anchor:]) + (min(closing_options),)
+    cycle_edges.append(min(closing_options))
     assert set(g.neighbors(end)) <= set(cycle_vertices)
-    return CycleWitness(cycle_vertices, cycle_edges, end)
+    return CycleWitness(cycle_vertices, tuple(cycle_edges), end)
 
 
 def approx_2ecs(instance: TwoECSInstance, advisor: Advisor | None = None) -> RunReport:
@@ -79,24 +89,20 @@ def approx_2ecs(instance: TwoECSInstance, advisor: Advisor | None = None) -> Run
     the vertex-count bound and the certificate objective.
     """
     advisor = advisor or Advisor()
-    g = instance.graph
-    n0 = g.vertex_count
-    partition = VertexPartition.identity(n0)
-    origin = list(range(len(g.edges)))
+    n0 = instance.graph.vertex_count
+    li = LiveInstance.from_multigraph(instance.graph)
     selected: list[int] = []
     iterations: list[IterationRecord] = []
     cuts: list[Cut] = []
     index = 0
-    while g.vertex_count > 1:
-        witness = find_cycle_with_internal_cut(g, advisor)
-        original_edges = tuple(sorted(origin[e] for e in witness.cycle_edges))
-        cut = Cut(partition.lift({witness.internal_cut_vertex}))
+    while li.current_count > 1:
+        witness = find_cycle_with_internal_cut(li, advisor)
+        cycle_edges = tuple(sorted(witness.cycle_edges))
+        cut = Cut(li.lift({witness.internal_cut_vertex}))
         cuts.append(cut)
-        selected.extend(original_edges)
-        iterations.append(IterationRecord(index, "cycle", original_edges, (cut,)))
-        g, mapping, edge_origin = contract_multigraph(g, set(witness.cycle_vertices))
-        partition = partition.compose(mapping)
-        origin = [origin[e] for e in edge_origin]
+        selected.extend(cycle_edges)
+        iterations.append(IterationRecord(index, "cycle", cycle_edges, (cut,)))
+        li.contract(witness.cycle_vertices)
         index += 1
 
     # The recorded cuts must be pairwise edge-disjoint for the doubled dual

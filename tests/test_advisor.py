@@ -3,7 +3,7 @@
 import pytest
 
 from dualcut import Advisor, PlannedAdvisor, ScriptedAdvisor
-from dualcut.graphs import VertexPartition, contraction_mapping
+from dualcut.perfect import Labels
 
 
 def test_default_advisor_picks_first():
@@ -46,11 +46,12 @@ def test_planned_advisor_records_indices():
 
 
 def test_planned_advisor_translates_through_partition():
-    part = VertexPartition.identity(4).compose(contraction_mapping(4, {2, 3}))
+    part = Labels(4)
+    part.merge({2, 3}, 2)
     a = PlannedAdvisor([("v", "vertex", 3), ("e", "arc", (4, 3))])
-    # Original vertex 3 now lives at current id 2; original 4 at current 3.
-    assert a.choose("v", [1, 2, 3], part) == 2
-    assert a.choose("e", [(1, 2), (3, 2)], part) == (3, 2)
+    # Original vertex 3 now lives at label 2; original 4 keeps label 4.
+    assert a.choose("v", [1, 2, 4], part) == 2
+    assert a.choose("e", [(1, 2), (4, 2)], part) == (4, 2)
 
 
 def test_planned_advisor_rejects_label_mismatch_and_missing_target():

@@ -41,7 +41,7 @@ def test_bidirected_family_structure(k):
     assert inst.vertex_count == n
     assert len(inst.stars) == 2 * (3 * k + 5)
     assert all(len(s.sinks) == 1 for s in inst.stars)
-    assert inst.digraph().is_bidirected()
+    assert inst.is_bidirected()
     assert gi.expected.alg_cost == 3 * k + 3
     assert gi.expected.opt_cost == n
     witness = StarSolution(gi.opt_witness)
@@ -58,7 +58,7 @@ def test_general_family_structure(k):
     assert inst.vertex_count == n
     assert len(inst.stars) == 9 * k + 2
     assert all(len(s.sinks) == 1 for s in inst.stars)
-    assert not inst.digraph().is_bidirected()
+    assert not inst.is_bidirected()
     assert gi.expected.alg_cost == 8 * k + 2
     assert gi.expected.opt_cost == n
     witness = StarSolution(gi.opt_witness)
@@ -105,7 +105,7 @@ def test_random_generator_types_and_sizes():
         s = gen_random_ssc(7, 1.0, 3, seed=seed).instance
         assert isinstance(s, SSCInstance) and len(s.stars) <= 20
         b = gen_random_bidirected(7, 0.8, 3, seed=seed).instance
-        assert isinstance(b, SSCInstance) and b.digraph().is_bidirected()
+        assert isinstance(b, SSCInstance) and b.is_bidirected()
         assert len(b.stars) <= 20
         d = gen_random_dpa(7, 0.4, seed=seed).instance
         assert isinstance(d, DPAInstance) and len(d.edges) <= 12

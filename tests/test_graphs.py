@@ -42,9 +42,8 @@ def test_digraph_rejects_self_loops():
 def test_multigraph_keeps_parallel_edges():
     g = Multigraph(2, [(1, 2), (2, 1), (1, 2)])
     assert len(g.edges) == 3
-    assert g.degree(1) == 3
-    assert g.neighbors(1) == (2,)
-    assert g.edge_ids_between(1, 2) == (0, 1, 2)
+    assert g.incident(1) == ((0, 2), (1, 2), (2, 2))
+    assert g.incident(2) == ((0, 1), (1, 1), (2, 1))
 
 
 def test_partition_compose_and_lift():
@@ -79,7 +78,7 @@ def test_contract_multigraph_keeps_parallels_and_origins():
     assert len(shrunk.edges) == 4
     assert sorted(origin) == [1, 2, 3, 4]
     # (2,3) and (2,4) now leave the merged vertex 1 as parallel-free edges.
-    assert shrunk.edge_ids_between(1, 2) != ()
+    assert any(w == 2 for _, w in shrunk.incident(1))
 
 
 def _random_digraph(rng: random.Random, n: int) -> Digraph:
@@ -304,3 +303,57 @@ def test_contraction_preserves_strong_connectivity(g, data):
             st.sampled_from(li.vertices()), min_size=2, max_size=li.current_count,
         ))
         assert is_strongly_connected(li.contract(block).digraph())
+
+
+@st.composite
+def _multigraphs_with_blocks(draw):
+    """A multigraph on 2..12 vertices with parallel edges, not necessarily
+    connected."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    pairs = draw(st.lists(
+        st.integers(1, n).flatmap(
+            lambda u: st.tuples(st.just(u), st.integers(1, n - 1).map(lambda v: v + (v >= u)))
+        ),
+        max_size=3 * n,
+    ))
+    edges = pairs + draw(st.lists(st.sampled_from(pairs), max_size=n)) if pairs else []
+    return Multigraph(n, edges)
+
+
+def _reference_view(g, partition, origin):
+    """The vertex classes, each live edge id with its end classes, and each
+    class's neighbor classes, from a rebuilt graph mapped back to original
+    ids."""
+    cls = {c: partition.lift({c}) for c in g.vertices()}
+    ends = {origin[j]: (cls[u], cls[v]) for j, (u, v) in enumerate(g.edges)}
+    nbrs = {cls[c]: {cls[w] for _, w in g.incident(c)} for c in g.vertices()}
+    return set(cls.values()), ends, nbrs
+
+
+def _live_view(li):
+    cls = {c: li.lift({c}) for c in li.vertices()}
+    ends = {eid: (cls[u], cls[v]) for eid, (u, (v,)) in li.live.items()}
+    nbrs = {cls[c]: {cls[w] for w in li.digraph().neighbors(c)} for c in li.vertices()}
+    return set(cls.values()), ends, nbrs
+
+
+@given(_multigraphs_with_blocks(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_live_edge_contraction_matches_the_rebuild_reference(g, data):
+    # The rebuild path: a fresh Multigraph per contraction, edge ids mapped
+    # back through `origin`, vertex ids through a composed VertexPartition.
+    ref, partition, origin = g, VertexPartition.identity(g.vertex_count), list(range(len(g.edges)))
+    li = LiveInstance.from_multigraph(g)
+    assert _live_view(li) == _reference_view(ref, partition, origin)
+    while li.current_count > 1:
+        block = data.draw(st.sets(
+            st.sampled_from(li.vertices()), min_size=2, max_size=li.current_count,
+        ))
+        li.contract(block)
+        ref, mapping, edge_origin = contract_multigraph(
+            ref, {partition.current_of(label) for label in block}
+        )
+        partition = partition.compose(mapping)
+        origin = [origin[j] for j in edge_origin]
+        assert li.current_count == ref.vertex_count
+        assert _live_view(li) == _reference_view(ref, partition, origin)

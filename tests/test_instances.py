@@ -44,7 +44,7 @@ def test_ssc_instance_checks_ids_and_feasibility():
     with pytest.raises(InfeasibleInstanceError):
         SSCInstance(3, [star(0, 1, 2), star(1, 2, 1)])  # vertex 3 unreachable
     inst = SSCInstance(2, [star(0, 1, 2), star(1, 2, 1)])
-    assert inst.digraph().has_arc(1, 2)
+    assert Digraph(2, [a for st in inst.stars for a in st.arcs()]).has_arc(1, 2)
 
 
 def test_dpa_instance_validation():

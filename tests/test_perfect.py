@@ -44,7 +44,7 @@ def fat_instance():
 def test_live_instance_accessors():
     li = fat_instance()
     assert li.current_count == 3
-    assert li.live_ids() == (0, 1, 2, 3)
+    assert sorted(li.live) == [0, 1, 2, 3]
     assert li.source_of(0) == 1 and li.sinks_of(0) == frozenset({2, 3})
     assert li.stars_at(2) == (1, 3)
     assert li.stars_with_arc(2, 1) == (1,)
@@ -68,7 +68,7 @@ def test_contract_remaps_and_drops_empty_stars():
     assert shrunk.source_of(0) == 1 and shrunk.sinks_of(0) == frozenset({3})
     assert shrunk.lift({1}) == frozenset({1, 2})
     # Stars fully inside the block are gone.
-    assert 1 not in shrunk.live_ids()
+    assert 1 not in shrunk.live
 
 
 def test_quasiperfect_and_perfect():
@@ -109,7 +109,7 @@ def test_quasiperfect_matches_the_digraph_definition(n, fan, seed):
     li = LiveInstance.from_instance(gen_random_ssc(n, 1.5, fan, seed).instance)
     rng = random.Random(seed)
     while True:
-        ids = li.live_ids()
+        ids = tuple(sorted(li.live))
         for _ in range(20):
             chosen = rng.sample(ids, rng.randint(0, min(len(ids), 5)))
             assert is_quasiperfect(li, chosen) == quasiperfect_by_digraph(li, chosen)

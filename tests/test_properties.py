@@ -106,7 +106,7 @@ def test_runs_are_reproducible(inst, script):
 @given(star_instances(), st.data())
 def test_augmenting_a_singleton_yields_a_perfect_superset(inst, data):
     li = LiveInstance.from_instance(inst)
-    sid = data.draw(st.sampled_from(sorted(li.live_ids())))
+    sid = data.draw(st.sampled_from(sorted(li.live)))
     q = augment_to_perfect(li, frozenset((sid,)))
     assert sid in q
     assert is_perfect(li, q)

@@ -1,11 +1,13 @@
 """Tests for the 2-edge-connected subgraph approximation."""
 
 import random
+import sys
 
 import pytest
 
 from dualcut import (
     EdgeSolution,
+    LiveInstance,
     Multigraph,
     ScriptedAdvisor,
     TwoECSInstance,
@@ -17,6 +19,7 @@ from dualcut import (
     gen_random_2ecs,
     verify_certificate,
 )
+from dualcut import graphs
 
 
 def k4():
@@ -26,7 +29,7 @@ def k4():
 
 
 def test_cycle_witness_structure_on_k4():
-    w = find_cycle_with_internal_cut(k4().graph)
+    w = find_cycle_with_internal_cut(LiveInstance.from_multigraph(k4().graph))
     verts = w.cycle_vertices
     assert len(verts) == len(set(verts)) >= 2
     assert len(w.cycle_edges) == len(verts)
@@ -40,13 +43,13 @@ def test_cycle_witness_structure_on_k4():
 
 def test_cycle_closing_edge_differs_from_entry_on_parallel_pair():
     g = Multigraph(2, [(1, 2), (1, 2)])
-    w = find_cycle_with_internal_cut(g)
+    w = find_cycle_with_internal_cut(LiveInstance.from_multigraph(g))
     assert sorted(w.cycle_edges) == [0, 1]
 
 
 def test_single_vertex_is_rejected_by_cycle_finder():
     with pytest.raises(ValueError):
-        find_cycle_with_internal_cut(Multigraph(1, []))
+        find_cycle_with_internal_cut(LiveInstance.from_multigraph(Multigraph(1, [])))
 
 
 def test_k4_run():
@@ -89,3 +92,28 @@ def test_cost_identity_and_strict_ratio():
             assert report.cost == n + report.k - 1
             assert 2 * report.cost < 3 * opt
             assert check_feasible(inst, EdgeSolution(report.selected))
+
+
+def test_run_contracts_in_place_without_rebuilding_the_graph(monkeypatch):
+    # The rounds contract one live edge instance; the only Multigraph a run
+    # builds is the selection that `check_feasible` tests.
+    inst = gen_random_2ecs(200, seed=3).instance
+    calls = {"contract_multigraph": 0, "Multigraph": 0}
+    contract, init = graphs.contract_multigraph, Multigraph.__init__
+
+    def counting_contract(*args, **kwargs):
+        calls["contract_multigraph"] += 1
+        return contract(*args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        calls["Multigraph"] += 1
+        init(self, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dualcut" and getattr(module, "contract_multigraph", None) is contract:
+            monkeypatch.setattr(module, "contract_multigraph", counting_contract)
+    monkeypatch.setattr(Multigraph, "__init__", counting_init)
+    report = approx_2ecs(inst)
+    assert report.k > 1
+    assert calls["contract_multigraph"] == 0
+    assert calls["Multigraph"] <= 1
