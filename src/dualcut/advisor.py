@@ -13,6 +13,16 @@ from __future__ import annotations
 
 from typing import Sequence
 
+# Every choice the algorithms offer; README lists the same labels.
+CHOICE_LABELS = frozenset(
+    (
+        "initial-arc", "initial-edge", "extend", "rotate-extend", "arc-star",
+        "aug-star", "aug-step", "leaf-select", "leaf-pair-star",
+        "cycle-direction", "c1-star", "outward-star", "reversed-outward-star",
+        "case-b-star", "f1-star", "f1-sink", "f2-star",
+    )
+)
+
 
 class Advisor:
     """Base advisor: always picks the first candidate."""
@@ -20,6 +30,8 @@ class Advisor:
     fallbacks = 0  # choices that fell back to index 0; see ScriptedAdvisor
 
     def choose(self, label: str, candidates: Sequence, partition=None):
+        if label not in CHOICE_LABELS:
+            raise ValueError(f"unknown choice label {label!r}")
         if not candidates:
             raise ValueError(f"choice '{label}' offered no candidates")
         if len(candidates) == 1:

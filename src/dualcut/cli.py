@@ -133,7 +133,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"infeasible instance: {exc}", file=sys.stderr)
         return 1
     except RunCheckError as exc:
-        # The run's own report failed verify_run: no result is printed.
+        # A round failed its round check, or the finished run's own report
+        # failed verify_run: no result is printed.
         for problem in exc.problems:
             print(f"FAIL: {problem}", file=sys.stderr)
         return 1

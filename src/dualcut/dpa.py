@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .advisor import Advisor
-from .certificates import SSC, Cut, DualCertificate
+from .graphs import is_strongly_connected
 from .instances import (
     DPAInstance,
     SSCInstance,
@@ -19,13 +19,11 @@ from .instances import (
 )
 from .perfect import (
     LiveInstance,
-    are_star_disjoint,
     augment_to_perfect,
-    contract_perfect,
-    is_internal_cut,
-    is_perfect,
+    check_round,
+    contract_rounds,
 )
-from .report import IterationRecord, RunReport, build_report
+from .report import RunCheckError, RunReport, build_report
 
 
 @dataclass(frozen=True)
@@ -57,15 +55,13 @@ def build_rotation_cycle(li: LiveInstance, advisor: Advisor | None = None) -> Ro
     if g.vertex_count < 3:
         raise ValueError("rotation cycles need at least three vertices")
     leaves = _leaves_of(g)
-    start_arcs = sorted(a for a in g.arcs if a[1] not in leaves)
+    start_arcs = [a for a in g.arcs if a[1] not in leaves]
     tail, head = advisor.choose("initial-arc", start_arcs, li.partition)
     path = [tail, head]
     visited = {tail, head}
 
     def fresh_non_leaf(v: int) -> list[int]:
-        return sorted(
-            u for u in g.neighbors(v) if u not in visited and u not in leaves
-        )
+        return [u for u in g.neighbors(v) if u not in visited and u not in leaves]
 
     while True:
         end = path[-1]
@@ -97,49 +93,64 @@ def build_rotation_cycle(li: LiveInstance, advisor: Advisor | None = None) -> Ro
 
 def _check_rotation_cycle(g, leaves, rc: RotationCycle) -> None:
     cyc = rc.cycle_vertices
-    assert len(cyc) == len(set(cyc)) >= 2
-    assert cyc[0] == rc.path_end
-    assert rc.pivot_end in cyc
-    assert (rc.path_end == rc.pivot_end) == (len(cyc) == 2)
-    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-        assert g.has_arc(a, b), f"missing cycle arc {a}->{b}"
-    for v in (rc.path_end, rc.pivot_end):
-        assert v not in leaves
-        assert all(u in leaves or u in set(cyc) for u in g.neighbors(v))
-
-
-def _full_vertex_set(li: LiveInstance) -> frozenset[int]:
-    return frozenset(li.vertices())
-
-
-def _validated(li: LiveInstance, q, side1, side2):
-    assert is_perfect(li, q)
-    assert is_internal_cut(li, q, side1)
-    assert is_internal_cut(li, q, side2)
-    assert are_star_disjoint(li, side1, side2)
-    return frozenset(q), (frozenset(side1), frozenset(side2))
+    on_cycle = set(cyc)
+    ends = (rc.path_end, rc.pivot_end)
+    problems = [
+        f"rotation cycle {list(cyc)} {finding}"
+        for holds, finding in (
+            (len(cyc) == len(on_cycle) >= 2, "repeats a vertex or is too short"),
+            (cyc[0] == rc.path_end, "does not start at its path end"),
+            (rc.pivot_end in on_cycle, "misses its pivot end"),
+            (
+                (rc.path_end == rc.pivot_end) == (len(cyc) == 2),
+                "has ends that do not fit its length",
+            ),
+            (
+                all(g.has_arc(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])),
+                "misses a cycle arc",
+            ),
+            (not leaves.intersection(ends), "ends at a leaf"),
+            (
+                all(u in leaves or u in on_cycle for v in ends for u in g.neighbors(v)),
+                "has an end with a neighbour off the cycle that is not a leaf",
+            ),
+        )
+        if not holds
+    ]
+    if problems:
+        raise RunCheckError(problems)
 
 
 def find_perfect_two_cuts(li: LiveInstance, advisor: Advisor | None = None):
     """One round of the bidirected algorithm.
 
-    Returns (star ids, (cut side, cut side)) over current vertices: a
-    perfect set plus two star-disjoint cuts internal to it.
+    Returns (star ids, (cut side, cut side), "perfect") over current
+    vertices: a perfect set plus two star-disjoint cuts internal to it,
+    checked before it is returned (`check_round`).
     """
     advisor = advisor or Advisor()
     g = li.digraph()
     if not g.is_bidirected():
         raise ValueError("this dispatch requires a bidirected digraph")
-    n = li.current_count
-    if n < 2:
+    if li.current_count < 2:
         raise ValueError("need at least two current vertices")
-    if n == 2:
+    if not is_strongly_connected(g):
+        raise ValueError("the live digraph must be strongly connected")
+    q, sides = _two_cuts(li, advisor, g)
+    q, sides = frozenset(q), tuple(map(frozenset, sides))
+    check_round(li, q, sides)
+    return q, sides, "perfect"
+
+
+def _two_cuts(li: LiveInstance, advisor: Advisor, g):
+    """Dispatch of one bidirected round: (star ids, (cut side, cut side))."""
+    if li.current_count == 2:
         u, v = li.vertices()
         q = {
             advisor.choose("arc-star", li.stars_with_arc(u, v), li.partition),
             advisor.choose("arc-star", li.stars_with_arc(v, u), li.partition),
         }
-        return _validated(li, q, {u}, {v})
+        return q, ({u}, {v})
 
     leaves = _leaves_of(g)
     rc = build_rotation_cycle(li, advisor)
@@ -161,7 +172,7 @@ def find_perfect_two_cuts(li: LiveInstance, advisor: Advisor | None = None):
             star = advisor.choose("leaf-pair-star", cands, li.partition)
             q = augment_to_perfect(li, {star}, advisor)
             first, second = sorted(li.sinks_of(star) & leaves)[:2]
-            return _validated(li, q, {first}, {second})
+            return q, ({first}, {second})
 
     if rc.path_end == rc.pivot_end:
         return _two_cycle_branch(li, advisor, rc, leaves)
@@ -194,7 +205,7 @@ def _two_cycle_branch(li: LiveInstance, advisor: Advisor, rc: RotationCycle, lea
             advisor.choose("arc-star", li.stars_with_arc(leaf, center), li.partition),
         }
     side = frozenset((leaf,))
-    return _validated(li, q, side, _full_vertex_set(li) - side)
+    return q, (side, frozenset(li.vertices()) - side)
 
 
 def _leaf_and_cycle_branch(
@@ -237,7 +248,7 @@ def _leaf_and_cycle_branch(
         q0.add(advisor.choose("arc-star", li.stars_with_arc(a, b), li.partition))
     q = augment_to_perfect(li, q0, advisor)
     side = frozenset((leaf,))
-    return _validated(li, q, side, _full_vertex_set(li) - side)
+    return q, (side, frozenset(li.vertices()) - side)
 
 
 def _cycle_stars_branch(li: LiveInstance, advisor: Advisor, rc: RotationCycle, leaves):
@@ -251,7 +262,7 @@ def _cycle_stars_branch(li: LiveInstance, advisor: Advisor, rc: RotationCycle, l
     g = li.digraph()
     side1 = frozenset((rc.path_end,)) | (frozenset(g.neighbors(rc.path_end)) & leaves)
     side2 = frozenset((rc.pivot_end,)) | (frozenset(g.neighbors(rc.pivot_end)) & leaves)
-    return _validated(li, q, side1, side2)
+    return q, (side1, side2)
 
 
 def approx_dpa(instance, advisor: Advisor | None = None) -> RunReport:
@@ -264,51 +275,20 @@ def approx_dpa(instance, advisor: Advisor | None = None) -> RunReport:
     advisor = advisor or Advisor()
     if isinstance(instance, DPAInstance):
         derived, vertex_to_star = dpa_to_ssc(instance)
-        star_to_vertex = {sid: v for v, sid in vertex_to_star.items()}
+        vertex_of_star = {sid: v for v, sid in vertex_to_star.items()}
     elif isinstance(instance, SSCInstance):
         if not instance.is_bidirected():
             raise ValueError("this algorithm requires a bidirected star instance")
-        derived, star_to_vertex = instance, None
+        derived, vertex_of_star = instance, None
     else:
         raise TypeError(f"unsupported instance type {type(instance).__name__}")
-
-    li = LiveInstance.from_instance(derived)
-    iterations: list[IterationRecord] = []
-    cuts: list[Cut] = []
-    selected: set[int] = set()
-    index = 0
-    while li.current_count > 1:
-        q, (side1, side2) = find_perfect_two_cuts(li, advisor)
-        lifted = (Cut(li.lift(side1)), Cut(li.lift(side2)))
-        li = contract_perfect(li, q)
-        selected |= q
-        cuts.extend(lifted)
-        iterations.append(
-            IterationRecord(index, "perfect", tuple(sorted(q)), lifted)
-        )
-        index += 1
-
-    certificate = DualCertificate(SSC, tuple(cuts))
-    star_selection = tuple(sorted(selected))
-    if star_to_vertex is None:
-        return build_report(
-            problem="dpa",
-            instance=derived,
-            n=derived.vertex_count,
-            iterations=tuple(iterations),
-            selected=star_selection,
-            selection_kind="stars",
-            certificate=certificate,
-            advisor_fallbacks=advisor.fallbacks,
-        )
     return build_report(
         problem="dpa",
         instance=instance,
         n=derived.vertex_count,
-        iterations=tuple(iterations),
-        selected=tuple(sorted(star_to_vertex[sid] for sid in star_selection)),
-        selection_kind="power",
-        certificate=certificate,
+        iterations=contract_rounds(
+            LiveInstance.from_instance(derived), find_perfect_two_cuts, advisor
+        ),
         advisor_fallbacks=advisor.fallbacks,
-        selected_stars=star_selection,
+        vertex_of_star=vertex_of_star,
     )

@@ -1,4 +1,6 @@
-"""Live (contracted) instances, perfect sets, internal cuts.
+"""Live (contracted) instances, perfect sets, internal cuts, and the round
+loop that all algorithms share (`contract_rounds`) with the round check of
+the star algorithms (`check_round`).
 
 A LiveInstance is the current contracted view of an instance; its records
 are stars, or edges as one-sink records. Each current vertex is labelled by
@@ -13,12 +15,14 @@ so selections and certificates always refer to the input instance.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, combinations
 from typing import Iterable
 
 from .advisor import Advisor
-from .graphs import Multigraph, is_strongly_connected
+from .certificates import Cut
+from .graphs import Multigraph
 from .instances import SSCInstance
+from .report import IterationRecord, RunCheckError
 
 
 class Labels:
@@ -439,7 +443,6 @@ def augment_to_perfect(li: LiveInstance, star_ids, advisor: Advisor | None = Non
         external -= srcs
         for sid in added:
             external |= li.sinks_of(sid) - srcs
-    assert is_perfect(li, result)
     return frozenset(result)
 
 
@@ -468,15 +471,44 @@ def _dfs_path_to(g: LiveDigraph, start: int, targets: set[int], advisor: Advisor
 
 
 def contract_perfect(li: LiveInstance, star_ids) -> LiveInstance:
-    """Contract the sources of a perfect set into one supervertex.
-
-    Every chosen star dies (its sinks all lie inside the merged block), live
-    stars shrink, and strong connectivity is preserved."""
+    """Contract the sources of a perfect set into one supervertex."""
+    # Runs contract through `contract_rounds`; this stays for hand-driven
+    # round loops in tests and for the benchmark's per-layer trace.
     if not is_perfect(li, star_ids):
         raise ValueError("contract_perfect requires a perfect star set")
-    chosen = frozenset(star_ids)
-    srcs = li.sources(chosen)
-    shrunk = li.contract(srcs)
-    assert all(sid not in shrunk.live for sid in chosen)
-    assert is_strongly_connected(shrunk.digraph())
-    return shrunk
+    return li.contract(li.sources(star_ids))
+
+
+def check_round(li: LiveInstance, star_ids, sides) -> None:
+    """Check one round of a star algorithm: the set is perfect, every cut
+    side is internal to it, and no live star crosses two of the sides.
+
+    Raises RunCheckError naming the first finding; the check is explicit
+    code, so it also runs under `python -O`."""
+    if not is_perfect(li, star_ids):
+        raise RunCheckError([f"round star set {sorted(star_ids)} is not perfect"])
+    for side in sides:
+        if not is_internal_cut(li, star_ids, side):
+            raise RunCheckError(
+                [f"round cut {sorted(side)} is not internal to star set {sorted(star_ids)}"]
+            )
+    for side1, side2 in combinations(sides, 2):
+        if not are_star_disjoint(li, side1, side2):
+            raise RunCheckError(
+                [f"round cuts {sorted(side1)} and {sorted(side2)} share a star"]
+            )
+
+
+def contract_rounds(li: LiveInstance, find_round, advisor: Advisor) -> tuple[IterationRecord, ...]:
+    """The round loop of every algorithm: until one vertex is left, take
+    `find_round(li, advisor)`'s (record ids, cut sides, kind), lift the
+    sides to cuts over original vertices, and contract the ends of the
+    records (their sources and sinks) into one vertex."""
+    iterations: list[IterationRecord] = []
+    while li.current_count > 1:
+        q, sides, kind = find_round(li, advisor)
+        cuts = tuple(Cut(li.lift(side)) for side in sides)
+        ends = li.sources(q).union(*(li.sinks_of(rid) for rid in q))
+        li.contract(ends)
+        iterations.append(IterationRecord(len(iterations), kind, tuple(sorted(q)), cuts))
+    return tuple(iterations)

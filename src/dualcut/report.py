@@ -101,10 +101,11 @@ def convex_bound_for(problem: str, n: int, k: int, dual_objective: int) -> Fract
 
 
 class RunCheckError(Exception):
-    """A finished run failed `verify_run`; `problems` lists its findings."""
+    """A round failed its round check, or a finished run failed
+    `verify_run`; `problems` lists the findings."""
 
     def __init__(self, problems: list[str]):
-        super().__init__("run failed verification: " + "; ".join(problems))
+        super().__init__("run failed its check: " + "; ".join(problems))
         self.problems = tuple(problems)
 
 
@@ -126,19 +127,31 @@ def build_report(
     instance,
     n: int,
     iterations: tuple[IterationRecord, ...],
-    selected: tuple[int, ...],
-    selection_kind: str,
-    certificate: DualCertificate,
     advisor_fallbacks: int,
-    selected_stars: tuple[int, ...] | None = None,
+    vertex_of_star: dict[int, int] | None = None,
 ) -> RunReport:
     """Assemble the report of a finished run, then check it with `verify_run`.
 
     `instance` is the instance the run was given (a power instance for power
-    runs, not its star form). Raises RunCheckError listing every finding;
-    the check does not rest on `assert`, so it also runs under `python -O`.
+    runs, not its star form). The selection is the union of the iterations'
+    selections, and the certificate is their cuts in order. A power run
+    passes `vertex_of_star`, its star id -> vertex map: the report then
+    selects vertices and keeps the stars in `selected_stars`. Raises
+    RunCheckError listing every finding; the check does not rest on
+    `assert`, so it also runs under `python -O`.
     """
     k = len(iterations)
+    stars = tuple(sorted({i for rec in iterations for i in rec.selected}))
+    if vertex_of_star is None:
+        selected, selected_stars = stars, None
+        selection_kind = "edges" if problem == "2ecs" else "stars"
+    else:
+        selected = tuple(sorted(vertex_of_star[sid] for sid in stars))
+        selected_stars, selection_kind = stars, "power"
+    certificate = DualCertificate(
+        TWOECS if problem == "2ecs" else SSC,
+        tuple(cut for rec in iterations for cut in rec.cuts),
+    )
     cost = len(selected)
     objective = certificate.objective
     digest = instance_digest(instance)
@@ -149,7 +162,7 @@ def build_report(
         k=k,
         cost=cost,
         selection_kind=selection_kind,
-        selected=tuple(sorted(selected)),
+        selected=selected,
         histogram=_histogram(iterations),
         iterations=iterations,
         certificate=certificate,
@@ -162,9 +175,7 @@ def build_report(
         ratio_vs_best=_ratio(cost, best),
         advisor_fallbacks=advisor_fallbacks,
         instance_digest=digest,
-        selected_stars=(
-            tuple(sorted(selected_stars)) if selected_stars is not None else None
-        ),
+        selected_stars=selected_stars,
     )
     problems = _check_run(natural_kind(instance), instance, report, digest)
     if problems:

@@ -12,22 +12,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .advisor import Advisor
-from .certificates import SSC, Cut, DualCertificate
 from .graphs import (
     find_nontrivial_path,
     find_path_internally_avoiding,
+    is_strongly_connected,
     reachable_avoiding,
 )
 from .instances import SSCInstance
 from .perfect import (
     LiveInstance,
-    are_star_disjoint,
     augment_to_perfect,
-    contract_perfect,
-    is_internal_cut,
-    is_perfect,
+    check_round,
+    contract_rounds,
 )
-from .report import BIG_ONE_CUT, TWO_CUTS, IterationRecord, RunReport, build_report
+from .report import BIG_ONE_CUT, TWO_CUTS, RunCheckError, RunReport, build_report
 
 
 @dataclass(frozen=True)
@@ -46,12 +44,12 @@ def build_simple_cycle(li: LiveInstance, advisor: Advisor | None = None) -> Simp
     if li.current_count < 2:
         raise ValueError("need at least two current vertices")
     g = li.digraph()
-    tail, head = advisor.choose("initial-arc", sorted(g.arcs), li.partition)
+    tail, head = advisor.choose("initial-arc", g.arcs, li.partition)
     path = [tail, head]
     visited = {tail, head}
     while True:
         end = path[-1]
-        fresh = sorted(u for u in g.out_neighbors(end) if u not in visited)
+        fresh = [u for u in g.out_neighbors(end) if u not in visited]
         if not fresh:
             break
         nxt = advisor.choose("extend", fresh, li.partition)
@@ -59,29 +57,7 @@ def build_simple_cycle(li: LiveInstance, advisor: Advisor | None = None) -> Simp
         visited.add(nxt)
     end = path[-1]
     anchor = min(path.index(u) for u in g.out_neighbors(end))
-    cycle = tuple(path[anchor:])
-    assert set(g.out_neighbors(end)) <= set(cycle)
-    assert g.has_arc(end, cycle[0])
-    return SimpleCycle(cycle, end)
-
-
-def _validated_big(li: LiveInstance, q, end: int):
-    q = frozenset(q)
-    assert len(q) >= 4
-    assert is_perfect(li, q)
-    side = frozenset((end,))
-    assert is_internal_cut(li, q, side)
-    return q, (side,), BIG_ONE_CUT
-
-
-def _validated_two(li: LiveInstance, q, side1, side2):
-    q = frozenset(q)
-    side1, side2 = frozenset(side1), frozenset(side2)
-    assert is_perfect(li, q)
-    assert is_internal_cut(li, q, side1)
-    assert is_internal_cut(li, q, side2)
-    assert are_star_disjoint(li, side1, side2)
-    return q, (side1, side2), TWO_CUTS
+    return SimpleCycle(tuple(path[anchor:]), end)
 
 
 def _stars_along(li: LiveInstance, advisor: Advisor, arcs) -> set[int]:
@@ -105,52 +81,67 @@ def find_perfect_set(li: LiveInstance, advisor: Advisor | None = None):
     Returns (star ids, cut sides, kind) over current vertices: kind
     "big-one-cut" carries one cut and at least four stars, kind "two-cuts"
     carries two star-disjoint cuts. The cycle is re-grown in place whenever
-    a longer detour is found, so the loop runs at most n times.
+    a longer detour is found, so the loop runs at most n times. The round
+    is checked before it is returned (`check_round`).
     """
     advisor = advisor or Advisor()
     if li.current_count < 2:
         raise ValueError("need at least two current vertices")
+    if not is_strongly_connected(li.digraph()):
+        raise ValueError("the live digraph must be strongly connected")
     cycle = list(build_simple_cycle(li, advisor).cycle_vertices)
     for _ in range(li.current_count + 1):
         if len(cycle) >= 4:
             arcs = list(zip(cycle, cycle[1:] + cycle[:1]))
             q = augment_to_perfect(li, _stars_along(li, advisor, arcs), advisor)
-            return _validated_big(li, q, cycle[-1])
-        outcome = (
-            _triangle_case(li, advisor, cycle)
-            if len(cycle) == 3
-            else _two_cycle_case(li, advisor, cycle)
-        )
+            outcome = q, ({cycle[-1]},)
+        elif len(cycle) == 3:
+            outcome = _triangle_case(li, advisor, cycle)
+        else:
+            outcome = _two_cycle_case(li, advisor, cycle)
         if isinstance(outcome, list):
             cycle = outcome
             continue
-        return outcome
+        q, sides = frozenset(outcome[0]), tuple(map(frozenset, outcome[1]))
+        if len(sides) == 1 and len(q) < 4:
+            raise RunCheckError(
+                [f"round star set {sorted(q)} carries one cut with fewer than four stars"]
+            )
+        check_round(li, q, sides)
+        return q, sides, BIG_ONE_CUT if len(sides) == 1 else TWO_CUTS
     raise AssertionError("cycle enlargement failed to terminate")
 
 
-def _triangle_case(li: LiveInstance, advisor: Advisor, cycle: list[int]):
-    """Dispatch for a 3-cycle; returns a result triple or an enlarged cycle."""
-    g = li.digraph()
-    first, second, end = cycle
-    cycle_set = set(cycle)
-    forward = [(first, second), (second, end), (end, first)]
-
-    # A star through a forward arc that also leaves the cycle lets the
-    # augmented set reach size four with the closing end as its cut.
-    outward = sorted(
+def _escape_star(li: LiveInstance, advisor: Advisor, label: str, arcs, cycle_set, end: int):
+    """A star through one of the triangle's `arcs` that also leaves the
+    cycle lets the augmented set reach size four with the closing end as
+    its cut; None when no star escapes."""
+    escaping = sorted(
         {
             sid
-            for a, b in forward
+            for a, b in arcs
             for sid in li.stars_with_arc(a, b)
             if li.sinks_of(sid) - cycle_set
         }
     )
-    if outward:
-        star = advisor.choose("outward-star", outward, li.partition)
-        rest = [(a, b) for a, b in forward if a != li.source_of(star)]
-        q0 = {star} | _stars_along(li, advisor, rest)
-        q = augment_to_perfect(li, q0, advisor)
-        return _validated_big(li, q, end)
+    if not escaping:
+        return None
+    star = advisor.choose(label, escaping, li.partition)
+    rest = [(a, b) for a, b in arcs if a != li.source_of(star)]
+    q0 = {star} | _stars_along(li, advisor, rest)
+    return augment_to_perfect(li, q0, advisor), ({end},)
+
+
+def _triangle_case(li: LiveInstance, advisor: Advisor, cycle: list[int]):
+    """Dispatch for a 3-cycle; returns (star ids, cut sides) or an enlarged
+    cycle."""
+    g = li.digraph()
+    first, second, end = cycle
+    cycle_set = set(cycle)
+    forward = [(first, second), (second, end), (end, first)]
+    outcome = _escape_star(li, advisor, "outward-star", forward, cycle_set, end)
+    if outcome is not None:
+        return outcome
 
     grown = find_nontrivial_path(g, first, second, cycle_set)
     if grown is not None:
@@ -163,23 +154,11 @@ def _triangle_case(li: LiveInstance, advisor: Advisor, cycle: list[int]):
     first_to_end = find_path_internally_avoiding(g, first, end, cycle_set)
     closes_back = g.has_arc(end, second)
     if back_to_first is None:
-        return _validated_two(
-            li,
-            _stars_along(li, advisor, forward),
-            {end},
-            _blocked_reach(g, cycle_set, second),
-        )
+        return _stars_along(li, advisor, forward), ({end}, _blocked_reach(g, cycle_set, second))
     if first_to_end is None:
-        return _validated_two(
-            li,
-            _stars_along(li, advisor, forward),
-            {end},
-            _blocked_reach(g, cycle_set, first),
-        )
+        return _stars_along(li, advisor, forward), ({end}, _blocked_reach(g, cycle_set, first))
     if not closes_back:
-        return _validated_two(
-            li,
-            _stars_along(li, advisor, forward),
+        return _stars_along(li, advisor, forward), (
             {end},
             frozenset((end,)) | _blocked_reach(g, cycle_set, first),
         )
@@ -197,30 +176,15 @@ def _triangle_case(li: LiveInstance, advisor: Advisor, cycle: list[int]):
     # the cycle through a reverse arc grows a big set; otherwise the forward
     # stars are perfect on their own.
     reverse = [(end, second), (second, first), (first, end)]
-    rev_outward = sorted(
-        {
-            sid
-            for a, b in reverse
-            for sid in li.stars_with_arc(a, b)
-            if li.sinks_of(sid) - cycle_set
-        }
-    )
-    if rev_outward:
-        star = advisor.choose("reversed-outward-star", rev_outward, li.partition)
-        rest = [(a, b) for a, b in reverse if a != li.source_of(star)]
-        q0 = {star} | _stars_along(li, advisor, rest)
-        q = augment_to_perfect(li, q0, advisor)
-        return _validated_big(li, q, end)
-    return _validated_two(
-        li,
-        _stars_along(li, advisor, forward),
-        {end},
-        _blocked_reach(g, cycle_set, first),
-    )
+    outcome = _escape_star(li, advisor, "reversed-outward-star", reverse, cycle_set, end)
+    if outcome is not None:
+        return outcome
+    return _stars_along(li, advisor, forward), ({end}, _blocked_reach(g, cycle_set, first))
 
 
 def _two_cycle_case(li: LiveInstance, advisor: Advisor, cycle: list[int]):
-    """Dispatch for a 2-cycle; returns a result triple or an enlarged cycle."""
+    """Dispatch for a 2-cycle; returns (star ids, cut sides) or an enlarged
+    cycle."""
     g = li.digraph()
     first, end = cycle
     grown = find_nontrivial_path(g, first, end, set(cycle))
@@ -235,8 +199,7 @@ def _two_cycle_case(li: LiveInstance, advisor: Advisor, cycle: list[int]):
     ]
     if not fat:
         q = _stars_along(li, advisor, [(end, first), (first, end)])
-        full = frozenset(li.vertices())
-        return _validated_two(li, q, {end}, full - {end})
+        return q, ({end}, frozenset(li.vertices()) - {end})
     wide = advisor.choose("f1-star", fat, li.partition)
     partner = advisor.choose(
         "f1-sink", sorted(li.sinks_of(wide) - {end}), li.partition
@@ -246,8 +209,7 @@ def _two_cycle_case(li: LiveInstance, advisor: Advisor, cycle: list[int]):
         q0 = {wide} | _stars_along(
             li, advisor, [(end, first)] + list(zip(detour, detour[1:]))
         )
-        q = augment_to_perfect(li, q0, advisor)
-        return _validated_big(li, q, end)
+        return augment_to_perfect(li, q0, advisor), ({end},)
     reach = reachable_avoiding(
         g, partner, lambda a, b: (a, b) == (partner, first)
     )
@@ -258,10 +220,8 @@ def _two_cycle_case(li: LiveInstance, advisor: Advisor, cycle: list[int]):
     ]
     if fat_back:
         back = advisor.choose("f2-star", fat_back, li.partition)
-        q = augment_to_perfect(li, {wide, back}, advisor)
-        return _validated_big(li, q, end)
-    q = augment_to_perfect(li, {wide}, advisor)
-    return _validated_two(li, q, {end}, reach)
+        return augment_to_perfect(li, {wide, back}, advisor), ({end},)
+    return augment_to_perfect(li, {wide}, advisor), ({end}, reach)
 
 
 def approx_ssc(instance: SSCInstance, advisor: Advisor | None = None) -> RunReport:
@@ -269,26 +229,12 @@ def approx_ssc(instance: SSCInstance, advisor: Advisor | None = None) -> RunRepo
     if not isinstance(instance, SSCInstance):
         raise TypeError("approx_ssc needs a star instance")
     advisor = advisor or Advisor()
-    li = LiveInstance.from_instance(instance)
-    iterations: list[IterationRecord] = []
-    cuts: list[Cut] = []
-    selected: set[int] = set()
-    index = 0
-    while li.current_count > 1:
-        q, sides, kind = find_perfect_set(li, advisor)
-        lifted = tuple(Cut(li.lift(side)) for side in sides)
-        li = contract_perfect(li, q)
-        selected |= q
-        cuts.extend(lifted)
-        iterations.append(IterationRecord(index, kind, tuple(sorted(q)), lifted))
-        index += 1
     return build_report(
         problem="ssc",
         instance=instance,
         n=instance.vertex_count,
-        iterations=tuple(iterations),
-        selected=tuple(sorted(selected)),
-        selection_kind="stars",
-        certificate=DualCertificate(SSC, tuple(cuts)),
+        iterations=contract_rounds(
+            LiveInstance.from_instance(instance), find_perfect_set, advisor
+        ),
         advisor_fallbacks=advisor.fallbacks,
     )

@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .advisor import Advisor
-from .certificates import TWOECS, Cut, DualCertificate
 from .instances import TwoECSInstance
-from .perfect import LiveInstance
-from .report import IterationRecord, RunReport, build_report
+from .perfect import LiveInstance, contract_rounds
+from .report import RunCheckError, RunReport, build_report
 
 
 @dataclass(frozen=True)
@@ -54,14 +53,14 @@ def find_cycle_with_internal_cut(li: LiveInstance, advisor: Advisor | None = Non
     oriented = sorted(
         [(u, v, eid) for eid, u, v in edges] + [(v, u, eid) for eid, u, v in edges]
     )
-    tail, head, first_eid = advisor.choose("initial-edge", oriented)
+    tail, head, first_eid = advisor.choose("initial-edge", oriented, li.partition)
     path = [tail, head]
     position = {tail: 0, head: 1}
     while True:
         fresh = [w for w in g.neighbors(path[-1]) if w not in position]
         if not fresh:
             break
-        nxt = advisor.choose("extend", fresh)
+        nxt = advisor.choose("extend", fresh, li.partition)
         position[nxt] = len(path)
         path.append(nxt)
 
@@ -76,45 +75,36 @@ def find_cycle_with_internal_cut(li: LiveInstance, advisor: Advisor | None = Non
     closing_options = [
         eid for eid in _edges_between(li, end, path[anchor]) if eid != cycle_edges[-1]
     ]
-    assert closing_options, "a bridgeless graph always offers a closing edge"
+    if not closing_options:
+        raise RunCheckError(
+            [f"no second edge joins {end} and {path[anchor]}: the graph has a bridge"]
+        )
     cycle_edges.append(min(closing_options))
-    assert set(g.neighbors(end)) <= set(cycle_vertices)
+    if not set(g.neighbors(end)) <= set(cycle_vertices):
+        raise RunCheckError([f"cycle {list(cycle_vertices)} misses a neighbour of its end {end}"])
     return CycleWitness(cycle_vertices, tuple(cycle_edges), end)
+
+
+def _cycle_round(li: LiveInstance, advisor: Advisor):
+    witness = find_cycle_with_internal_cut(li, advisor)
+    return witness.cycle_edges, ({witness.internal_cut_vertex},), "cycle"
 
 
 def approx_2ecs(instance: TwoECSInstance, advisor: Advisor | None = None) -> RunReport:
     """Cycle-and-contract approximation with a dual certificate.
 
     Returns a report whose cost n+k-1 is strictly below 3/2 of the larger of
-    the vertex-count bound and the certificate objective.
+    the vertex-count bound and the certificate objective. The recorded cuts
+    must be pairwise edge-disjoint for the doubled dual to be feasible;
+    `build_report` checks that, and the selection, through `verify_run`.
     """
     advisor = advisor or Advisor()
-    n0 = instance.graph.vertex_count
-    li = LiveInstance.from_multigraph(instance.graph)
-    selected: list[int] = []
-    iterations: list[IterationRecord] = []
-    cuts: list[Cut] = []
-    index = 0
-    while li.current_count > 1:
-        witness = find_cycle_with_internal_cut(li, advisor)
-        cycle_edges = tuple(sorted(witness.cycle_edges))
-        cut = Cut(li.lift({witness.internal_cut_vertex}))
-        cuts.append(cut)
-        selected.extend(cycle_edges)
-        iterations.append(IterationRecord(index, "cycle", cycle_edges, (cut,)))
-        li.contract(witness.cycle_vertices)
-        index += 1
-
-    # The recorded cuts must be pairwise edge-disjoint for the doubled dual
-    # to be feasible; build_report checks that, and the selection, through
-    # verify_run.
     return build_report(
         problem="2ecs",
         instance=instance,
-        n=n0,
-        iterations=tuple(iterations),
-        selected=tuple(sorted(selected)),
-        selection_kind="edges",
-        certificate=DualCertificate(TWOECS, tuple(cuts)),
+        n=instance.graph.vertex_count,
+        iterations=contract_rounds(
+            LiveInstance.from_multigraph(instance.graph), _cycle_round, advisor
+        ),
         advisor_fallbacks=advisor.fallbacks,
     )

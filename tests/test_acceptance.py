@@ -235,7 +235,8 @@ def test_criterion_7_round_construction_contracts():
         li = LiveInstance.from_instance(inst)
         adv = ScriptedAdvisor([rng.randrange(0, 8) for _ in range(16)])
         while li.current_count > 1:
-            q, (s1, s2) = find_perfect_two_cuts(li, adv)
+            q, (s1, s2), kind = find_perfect_two_cuts(li, adv)
+            assert kind == "perfect"
             assert is_perfect(li, q)
             assert is_internal_cut(li, q, s1) and is_internal_cut(li, q, s2)
             assert are_star_disjoint(li, s1, s2)

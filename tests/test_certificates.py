@@ -101,9 +101,6 @@ def test_lower_bounds_combines_objective_and_vertex_count():
             instance=s,
             n=4,
             iterations=(IterationRecord(0, TWO_CUTS, (0, 1, 2, 3), cuts),),
-            selected=(0, 1, 2, 3),
-            selection_kind="stars",
-            certificate=DualCertificate(SSC, cuts),
             advisor_fallbacks=0,
         ).bounds
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-import dualcut.ssc as ssc_module
+import dualcut.report as report_module
 from dualcut.certificates import DualCertificate
 from dualcut.cli import main
 
@@ -322,7 +322,7 @@ def test_solve_exits_one_when_its_report_fails_verification(gk1, capsys, monkeyp
     # Stand-in for a faulty algorithm: every cut reaches the certificate
     # twice, so some star crosses two of its cuts.
     monkeypatch.setattr(
-        ssc_module,
+        report_module,
         "DualCertificate",
         lambda problem, cuts: DualCertificate(problem, tuple(cuts) * 2),
     )

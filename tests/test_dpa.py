@@ -146,7 +146,8 @@ def test_round_outputs_satisfy_contracts():
         li = LiveInstance.from_instance(inst)
         advisor = ScriptedAdvisor([rng.randrange(0, 6) for _ in range(12)])
         while li.current_count > 1:
-            q, (s1, s2) = find_perfect_two_cuts(li, advisor)
+            q, (s1, s2), kind = find_perfect_two_cuts(li, advisor)
+            assert kind == "perfect"
             assert is_perfect(li, q)
             assert is_internal_cut(li, q, s1) and is_internal_cut(li, q, s2)
             assert are_star_disjoint(li, s1, s2)

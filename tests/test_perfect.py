@@ -1,6 +1,10 @@
-"""Tests for live instances, perfect star sets, internal cuts, augmentation."""
+"""Tests for live instances, perfect star sets, internal cuts, augmentation,
+and the round loop with its round check."""
 
+import ast
 import random
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +26,10 @@ from dualcut import (
     live_crossing_stars,
     mscs_to_ssc,
 )
+import dualcut
+import dualcut.perfect as perfect_module
+from dualcut import approx_dpa, approx_ssc, gen_random_bidirected
+from test_report import _run_optimized
 
 
 def live_cycle(n):
@@ -180,3 +188,58 @@ def test_contract_perfect_shrinks_and_rejects_imperfect_sets():
     assert shrunk.current_count == 1
     with pytest.raises(ValueError):
         contract_perfect(live_cycle(3), frozenset({0}))
+
+
+def test_algorithm_modules_hold_no_assert_statements():
+    # `python -O` strips assert statements, so no round check may be one.
+    package = Path(dualcut.__file__).parent
+    for name in ("ssc.py", "dpa.py", "perfect.py", "twoecs.py"):
+        tree = ast.parse((package / name).read_text())
+        assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)], name
+
+
+@pytest.mark.parametrize(
+    "breakage, finding",
+    [
+        # A faulty augmentation hands the round a set that is not perfect.
+        (
+            "ssc.augment_to_perfect = lambda li, ids, advisor=None: frozenset(ids)",
+            "is not perfect",
+        ),
+        ("perfect.is_internal_cut = lambda li, ids, side: False", "is not internal"),
+    ],
+    ids=["not-perfect", "not-internal"],
+)
+def test_round_check_survives_python_O(breakage, finding):
+    script = textwrap.dedent(f"""
+        import dualcut.perfect as perfect
+        import dualcut.ssc as ssc
+        from dualcut import RunCheckError, approx_ssc, gen_random_ssc
+        assert False, "assert statements must be stripped here"
+        {breakage}
+        try:
+            approx_ssc(gen_random_ssc(8, 1.0, 2, seed=0).instance)
+        except RunCheckError as exc:
+            print(*exc.problems, sep="\\n")
+        else:
+            print("accepted")
+    """)
+    lines = _run_optimized(script).splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("round ") and finding in lines[0]
+
+
+def test_each_round_checks_its_set_once(monkeypatch):
+    calls = []
+    real = perfect_module.is_perfect
+    monkeypatch.setattr(
+        perfect_module, "is_perfect", lambda li, ids: calls.append(ids) or real(li, ids)
+    )
+    for solve, inst in (
+        (approx_ssc, gen_random_ssc(12, 1.0, 2, seed=5).instance),
+        (approx_dpa, gen_random_bidirected(12, 0.5, 2, seed=5).instance),
+    ):
+        calls.clear()
+        report = solve(inst)
+        assert report.k > 1
+        assert len(calls) == report.k

@@ -223,22 +223,24 @@ def _three_cycle_report_args(breakage):
         instance=inst,
         n=inst.vertex_count,
         iterations=good.iterations,
-        selected=good.selected,
-        selection_kind="stars",
-        certificate=good.certificate,
         advisor_fallbacks=0,
     )
     args.update(breakage(good))
     return args
 
 
+def _changed_last_iteration(good, **changes):
+    *rest, last = good.iterations
+    return {"iterations": (*rest, dataclasses.replace(last, **changes))}
+
+
 def _dropped_star(good):
-    return {"selected": good.selected[:-1]}  # identities break, infeasible
+    # identities break, infeasible
+    return _changed_last_iteration(good, selected=good.iterations[-1].selected[:-1])
 
 
 def _doubled_certificate(good):
-    cert = good.certificate
-    return {"certificate": DualCertificate(cert.problem, cert.cuts * 2)}
+    return _changed_last_iteration(good, cuts=good.iterations[-1].cuts * 2)
 
 
 def test_build_report_rejects_broken_identities():

@@ -9,6 +9,7 @@ from dualcut import (
     EdgeSolution,
     LiveInstance,
     Multigraph,
+    PlannedAdvisor,
     ScriptedAdvisor,
     TwoECSInstance,
     approx_2ecs,
@@ -117,3 +118,19 @@ def test_run_contracts_in_place_without_rebuilding_the_graph(monkeypatch):
     assert report.k > 1
     assert calls["contract_multigraph"] == 0
     assert calls["Multigraph"] <= 1
+
+
+def test_planned_vertex_choices_translate_through_the_partition():
+    # Round 2's `extend` offers labels [2, 4]; original vertex 8 was merged
+    # into label 2 in round 1, so naming it must pick label 2.
+    inst = gen_random_2ecs(8, 0.7, seed=0).instance
+    advisor = PlannedAdvisor([
+        ("initial-edge", "raw", (1, 3, 3)),
+        ("extend", "vertex", 4),
+        ("extend", "vertex", 6),
+        ("initial-edge", "raw", (1, 3, 3)),
+        ("extend", "vertex", 8),
+    ])
+    report = approx_2ecs(inst, advisor)
+    assert advisor.recorded == [0, 0, 0, 0, 0]
+    assert report == approx_2ecs(inst)
