@@ -30,6 +30,12 @@ class Advisor:
     fallbacks = 0  # choices that fell back to index 0; see ScriptedAdvisor
 
     def choose(self, label: str, candidates: Sequence, partition=None):
+        """Return one of `candidates`, a read-only Sequence in canonical order.
+
+        Advisors may use only `len`, indexing in `[0, len)` and iteration:
+        candidates need not be a list, and the `initial-edge` ones are read
+        lazily off the live graph, so one index costs far less than a copy.
+        """
         if label not in CHOICE_LABELS:
             raise ValueError(f"unknown choice label {label!r}")
         if not candidates:

@@ -34,11 +34,12 @@ class RotationCycle:
     path successor of the earliest path neighbor of that endpoint. Both are
     non-leaves, and every neighbor of either is on the cycle or is a leaf.
     The vertex list starts at `path_end`; consecutive entries (wrapping) are
-    joined by arcs."""
+    joined by arcs. `leaves` are the current vertices with one neighbor."""
 
     cycle_vertices: tuple[int, ...]
     path_end: int
     pivot_end: int
+    leaves: frozenset[int]
 
 
 def _leaves_of(g) -> frozenset[int]:
@@ -86,13 +87,13 @@ def build_rotation_cycle(li: LiveInstance, advisor: Advisor | None = None) -> Ro
         backward = path[x_pos : anchor_pos + 1][::-1]
         forward = path[anchor_pos + 1 : len(path) - 1]
         cycle = tuple([end] + backward + forward)
-        rc = RotationCycle(cycle, end, pivot)
-        _check_rotation_cycle(g, leaves, rc)
+        rc = RotationCycle(cycle, end, pivot, leaves)
+        _check_rotation_cycle(g, rc)
         return rc
 
 
-def _check_rotation_cycle(g, leaves, rc: RotationCycle) -> None:
-    cyc = rc.cycle_vertices
+def _check_rotation_cycle(g, rc: RotationCycle) -> None:
+    cyc, leaves = rc.cycle_vertices, rc.leaves
     on_cycle = set(cyc)
     ends = (rc.path_end, rc.pivot_end)
     problems = [
@@ -136,13 +137,13 @@ def find_perfect_two_cuts(li: LiveInstance, advisor: Advisor | None = None):
         raise ValueError("need at least two current vertices")
     if not is_strongly_connected(g):
         raise ValueError("the live digraph must be strongly connected")
-    q, sides = _two_cuts(li, advisor, g)
+    q, sides = _two_cuts(li, advisor)
     q, sides = frozenset(q), tuple(map(frozenset, sides))
     check_round(li, q, sides)
     return q, sides, "perfect"
 
 
-def _two_cuts(li: LiveInstance, advisor: Advisor, g):
+def _two_cuts(li: LiveInstance, advisor: Advisor):
     """Dispatch of one bidirected round: (star ids, (cut side, cut side))."""
     if li.current_count == 2:
         u, v = li.vertices()
@@ -152,8 +153,8 @@ def _two_cuts(li: LiveInstance, advisor: Advisor, g):
         }
         return q, ({u}, {v})
 
-    leaves = _leaves_of(g)
     rc = build_rotation_cycle(li, advisor)
+    leaves = rc.leaves
     centers = (
         (rc.path_end,)
         if rc.path_end == rc.pivot_end
@@ -175,22 +176,22 @@ def _two_cuts(li: LiveInstance, advisor: Advisor, g):
             return q, ({first}, {second})
 
     if rc.path_end == rc.pivot_end:
-        return _two_cycle_branch(li, advisor, rc, leaves)
+        return _two_cycle_branch(li, advisor, rc)
 
     for center in centers:
-        outcome = _leaf_and_cycle_branch(li, advisor, rc, leaves, center)
+        outcome = _leaf_and_cycle_branch(li, advisor, rc, center)
         if outcome is not None:
             return outcome
-    return _cycle_stars_branch(li, advisor, rc, leaves)
+    return _cycle_stars_branch(li, advisor, rc)
 
 
-def _two_cycle_branch(li: LiveInstance, advisor: Advisor, rc: RotationCycle, leaves):
+def _two_cycle_branch(li: LiveInstance, advisor: Advisor, rc: RotationCycle):
     """Both ends coincide: the cycle is a 2-cycle. A leaf of the end yields
     a singleton cut paired with its complement."""
     center = rc.path_end
     other = rc.cycle_vertices[1]
     g = li.digraph()
-    leaf_nbrs = sorted(set(g.neighbors(center)) & leaves)
+    leaf_nbrs = sorted(set(g.neighbors(center)) & rc.leaves)
     leaf = advisor.choose("leaf-select", leaf_nbrs, li.partition)
     target = frozenset((leaf, other))
     cands = [sid for sid in li.stars_at(center) if li.sinks_of(sid) == target]
@@ -209,12 +210,12 @@ def _two_cycle_branch(li: LiveInstance, advisor: Advisor, rc: RotationCycle, lea
 
 
 def _leaf_and_cycle_branch(
-    li: LiveInstance, advisor: Advisor, rc: RotationCycle, leaves, center: int
+    li: LiveInstance, advisor: Advisor, rc: RotationCycle, center: int
 ):
     """A star from a cycle end hitting both a leaf and the cycle: walk the
     cycle to its nearest qualifying sink, take stars along the rest of the
     cycle, and cut around the leaf."""
-    cyc = rc.cycle_vertices
+    cyc, leaves = rc.cycle_vertices, rc.leaves
     cycle_others = set(cyc) - {center}
     qualifying = [
         sid
@@ -251,10 +252,10 @@ def _leaf_and_cycle_branch(
     return q, (side, frozenset(li.vertices()) - side)
 
 
-def _cycle_stars_branch(li: LiveInstance, advisor: Advisor, rc: RotationCycle, leaves):
+def _cycle_stars_branch(li: LiveInstance, advisor: Advisor, rc: RotationCycle):
     """No end star mixes leaves with the cycle: take one star per cycle arc
     and cut each end together with its private leaves."""
-    cyc = rc.cycle_vertices
+    cyc, leaves = rc.cycle_vertices, rc.leaves
     q0 = set()
     for a, b in zip(cyc, cyc[1:] + cyc[:1]):
         q0.add(advisor.choose("arc-star", li.stars_with_arc(a, b), li.partition))

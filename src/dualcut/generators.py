@@ -24,6 +24,7 @@ from .instances import (
     TwoECSInstance,
 )
 from .oracles import certify_exact_by_bound
+from .report import RunCheckError
 from .ssc import approx_ssc
 
 
@@ -41,10 +42,26 @@ class GeneratedInstance:
     opt_witness: Optional[frozenset[int]] = None
 
 
+def _check(family: str, claims) -> None:
+    """Raise RunCheckError naming every (holds, finding) claim that fails;
+    explicit code, so the claims are checked under `python -O` too."""
+    problems = [f"{family}: {finding}" for holds, finding in claims if not holds]
+    if problems:
+        raise RunCheckError(problems)
+
+
 def _arc_stars(vertex_count: int, arcs) -> SSCInstance:
     """One singleton star per arc, ids following arc list order."""
     stars = [Star(i, u, frozenset({v})) for i, (u, v) in enumerate(arcs)]
     return SSCInstance(vertex_count, stars)
+
+
+def _route_claims(advisor: PlannedAdvisor, plan, cost: int, expected_cost: int):
+    return [
+        (advisor.position == len(plan), "route not fully consumed"),
+        (len(advisor.recorded) == len(plan), "route hit a silent choice"),
+        (cost == expected_cost, f"run cost {cost}, expected {expected_cost}"),
+    ]
 
 
 def gen_dpa_tight(k: int) -> GeneratedInstance:
@@ -66,8 +83,8 @@ def gen_dpa_tight(k: int) -> GeneratedInstance:
     for i in range(1, k + 1):
         edges += [(2 + i, k + 3 + i), (k + 3 + i, 3 + i)]
     edges += [(1, k + 3), (2, k + 2)]
-    assert len(edges) == 3 * k + 5
     n = 2 * k + 3
+    _check("gen_dpa_tight", [(len(edges) == 3 * k + 5, "edge count is not 3k+5")])
     arcs = [a for u, v in edges for a in ((u, v), (v, u))]
     instance = _arc_stars(n, arcs)
 
@@ -76,16 +93,15 @@ def gen_dpa_tight(k: int) -> GeneratedInstance:
     plan += [("extend", "vertex", 1)]
     advisor = PlannedAdvisor(plan)
     report = approx_dpa(instance, advisor)
-    assert advisor.position == len(plan), "route not fully consumed"
-    assert len(advisor.recorded) == len(plan), "route hit a silent choice"
-    assert report.cost == 3 * k + 3
+    _check("gen_dpa_tight", _route_claims(advisor, plan, report.cost, 3 * k + 3))
 
     # Spanning cycle 1 -> u_1 -> l_1 -> u_2 -> ... -> u_{k+1} -> 2 -> 1 as
     # forward stars: optimal because n vertices always need n stars.
     witness_ids = {0, 2 * (k + 1), 2 * (k + 2)}
     witness_ids |= {2 * i for i in range(k + 3, 3 * k + 3)}
     witness = StarSolution(frozenset(witness_ids))
-    assert certify_exact_by_bound(instance, witness)
+    optimal = certify_exact_by_bound(instance, witness)
+    _check("gen_dpa_tight", [(optimal, "witness is not optimal")])
     return GeneratedInstance(
         instance,
         tuple(advisor.recorded),
@@ -122,7 +138,10 @@ def gen_ssc_tight(k: int) -> GeneratedInstance:
         ]
         levels.append((a2, b2, c2, d2, x2, y2))
         n += 5
-    assert len(arcs) == 9 * k + 2 and n == 5 * k + 2
+    _check("gen_ssc_tight", [
+        (len(arcs) == 9 * k + 2, "arc count is not 9k+2"),
+        (n == 5 * k + 2, "vertex count is not 5k+2"),
+    ])
     instance = _arc_stars(n, arcs)
 
     # Route: peel the innermost gadget first, one gadget per 5 choices, then
@@ -140,9 +159,7 @@ def gen_ssc_tight(k: int) -> GeneratedInstance:
     plan.append(("initial-arc", "arc", (6, 7)))
     advisor = PlannedAdvisor(plan)
     report = approx_ssc(instance, advisor)
-    assert advisor.position == len(plan), "route not fully consumed"
-    assert len(advisor.recorded) == len(plan), "route hit a silent choice"
-    assert report.cost == 8 * k + 2
+    _check("gen_ssc_tight", _route_claims(advisor, plan, report.cost, 8 * k + 2))
 
     # Spanning cycle: base 7-cycle arcs, detouring through each gadget via
     # its first five appended arcs (the level rewire keeps ids 0..6 valid).
@@ -150,7 +167,8 @@ def gen_ssc_tight(k: int) -> GeneratedInstance:
     for j in range(2, k + 1):
         witness_ids |= set(range(9 * j - 7, 9 * j - 2))
     witness = StarSolution(frozenset(witness_ids))
-    assert certify_exact_by_bound(instance, witness)
+    optimal = certify_exact_by_bound(instance, witness)
+    _check("gen_ssc_tight", [(optimal, "witness is not optimal")])
     return GeneratedInstance(
         instance,
         tuple(advisor.recorded),

@@ -236,10 +236,22 @@ class LiveInstance:
         """Live star ids with current source v, ascending."""
         return self._by_source.get(v, ())
 
+    def degree(self, v: int) -> int:
+        """Live records with v as their source or among their sinks; in a
+        live edge instance, the degree of v."""
+        return len(self._by_source.get(v, ())) + len(self._by_sink.get(v, ()))
+
     def stars_with_arc(self, u: int, v: int) -> tuple[int, ...]:
-        """Live record ids whose current arcs include u->v, ascending."""
+        """Live record ids whose current arcs include u->v, ascending.
+
+        Scans the smaller of u's records and v's, so a lookup at a
+        supervertex does not visit every record merged into it."""
         live = self.live
-        return tuple(sid for sid in self._by_source.get(u, ()) if v in live[sid][1])
+        out = self._by_source.get(u, ())
+        into = self._by_sink.get(v, ())
+        if len(into) < len(out):
+            return tuple(sorted([sid for sid in into if live[sid][0] == u]))
+        return tuple(sid for sid in out if v in live[sid][1])
 
     def sources(self, star_ids) -> frozenset[int]:
         return frozenset(self.source_of(sid) for sid in star_ids)
@@ -461,8 +473,8 @@ def _dfs_path_to(g: LiveDigraph, start: int, targets: set[int], advisor: Advisor
         if not candidates:
             path.pop()
             if not path:
-                raise AssertionError(
-                    "strongly connected digraph must reach the sources"
+                raise RunCheckError(
+                    [f"no directed path leads from {start} back to the sources"]
                 )
             continue
         nxt = advisor.choose("aug-step", candidates, partition)

@@ -109,7 +109,7 @@ def find_perfect_set(li: LiveInstance, advisor: Advisor | None = None):
             )
         check_round(li, q, sides)
         return q, sides, BIG_ONE_CUT if len(sides) == 1 else TWO_CUTS
-    raise AssertionError("cycle enlargement failed to terminate")
+    raise RunCheckError(["cycle enlargement failed to terminate"])
 
 
 def _escape_star(li: LiveInstance, advisor: Advisor, label: str, arcs, cycle_set, end: int):

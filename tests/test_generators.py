@@ -1,5 +1,7 @@
 """Tests for the tight families and the random instance generators."""
 
+import textwrap
+
 import pytest
 
 from dualcut import (
@@ -19,6 +21,7 @@ from dualcut import (
     gen_random_ssc,
     gen_ssc_tight,
 )
+from test_report import _run_optimized
 
 
 def test_bidirected_family_smallest_advice_frozen():
@@ -137,3 +140,25 @@ def test_generator_argument_validation():
         gen_random_2ecs(1)
     with pytest.raises(ValueError):
         gen_random_dpa(1)
+
+
+def test_tight_family_claims_survive_python_O():
+    # The generators check their route, cost and witness with explicit code,
+    # so `python -O` still refuses a witness that fails its certificate.
+    script = textwrap.dedent("""
+        import dualcut.generators as generators
+        from dualcut import RunCheckError
+        assert False, "assert statements must be stripped here"
+        generators.certify_exact_by_bound = lambda instance, witness: False
+        for gen in (generators.gen_ssc_tight, generators.gen_dpa_tight):
+            try:
+                gen(2)
+            except RunCheckError as exc:
+                print(*exc.problems, sep="\\n")
+            else:
+                print("accepted")
+    """)
+    assert _run_optimized(script).splitlines() == [
+        "gen_ssc_tight: witness is not optimal",
+        "gen_dpa_tight: witness is not optimal",
+    ]

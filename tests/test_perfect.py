@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from dualcut import (
     Digraph,
     LiveInstance,
+    RunCheckError,
     SSCInstance,
     Star,
     augment_to_perfect,
@@ -27,6 +28,7 @@ from dualcut import (
     mscs_to_ssc,
 )
 import dualcut
+import dualcut.dpa as dpa_module
 import dualcut.perfect as perfect_module
 from dualcut import approx_dpa, approx_ssc, gen_random_bidirected
 from test_report import _run_optimized
@@ -193,7 +195,7 @@ def test_contract_perfect_shrinks_and_rejects_imperfect_sets():
 def test_algorithm_modules_hold_no_assert_statements():
     # `python -O` strips assert statements, so no round check may be one.
     package = Path(dualcut.__file__).parent
-    for name in ("ssc.py", "dpa.py", "perfect.py", "twoecs.py"):
+    for name in ("ssc.py", "dpa.py", "perfect.py", "twoecs.py", "generators.py"):
         tree = ast.parse((package / name).read_text())
         assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)], name
 
@@ -243,3 +245,29 @@ def test_each_round_checks_its_set_once(monkeypatch):
         report = solve(inst)
         assert report.k > 1
         assert len(calls) == report.k
+
+
+def test_each_dpa_round_finds_its_leaves_once(monkeypatch):
+    # `build_rotation_cycle` hands its leaves to the round's branches.
+    leaf_calls, rounds = [], []
+    real_leaves, real_round = dpa_module._leaves_of, dpa_module.find_perfect_two_cuts
+
+    def counting_round(li, advisor=None):
+        before, count = len(leaf_calls), li.current_count
+        outcome = real_round(li, advisor)
+        rounds.append((count, len(leaf_calls) - before))
+        return outcome
+
+    monkeypatch.setattr(dpa_module, "_leaves_of", lambda g: leaf_calls.append(g) or real_leaves(g))
+    monkeypatch.setattr(dpa_module, "find_perfect_two_cuts", counting_round)
+    for seed in range(4):
+        approx_dpa(gen_random_bidirected(12, 0.5, 2, seed=seed).instance)
+    assert any(count >= 3 for count, _ in rounds)
+    assert all(calls == (1 if count >= 3 else 0) for count, calls in rounds)
+
+
+def test_augmentation_without_a_path_back_is_a_run_check_failure():
+    # Star 1 leaves for vertex 3, which has no way back to the sources.
+    li = LiveInstance(3, [(0, 1, frozenset({2})), (1, 2, frozenset({1, 3}))])
+    with pytest.raises(RunCheckError, match="no directed path leads from 3"):
+        augment_to_perfect(li, {0, 1})

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from collections.abc import Sequence
 
 import pytest
 
@@ -21,6 +22,7 @@ from dualcut import (
     verify_certificate,
 )
 from dualcut import graphs
+import dualcut.twoecs as twoecs_module
 
 
 def k4():
@@ -134,3 +136,66 @@ def test_planned_vertex_choices_translate_through_the_partition():
     report = approx_2ecs(inst, advisor)
     assert advisor.recorded == [0, 0, 0, 0, 0]
     assert report == approx_2ecs(inst)
+
+
+def sorted_oriented_edges(li):
+    """The `initial-edge` candidates as a sorted list of every live edge in
+    both directions: the reference the lazy sequence must equal."""
+    edges = [(eid, u, v) for eid, (u, (v,)) in li.live.items()]
+    return sorted([(u, v, eid) for eid, u, v in edges] + [(v, u, eid) for eid, u, v in edges])
+
+
+class CheckingAdvisor(ScriptedAdvisor):
+    """Compares every `initial-edge` candidate sequence with the sorted
+    reference of the live instance it was read from."""
+
+    def __init__(self, script, li, rng):
+        super().__init__(script)
+        self.li, self.rng, self.rounds = li, rng, 0
+
+    def choose(self, label, candidates, partition=None):
+        if label == "initial-edge":
+            self.rounds += 1
+            want = sorted_oriented_edges(self.li)
+            assert isinstance(candidates, Sequence) and not isinstance(candidates, list)
+            assert len(candidates) == len(want)
+            assert list(candidates) == want
+            for i in (0, len(want) - 1, self.rng.randrange(len(want))):
+                assert candidates[i] == want[i]
+            for i in (len(want), -1):
+                with pytest.raises(IndexError):
+                    candidates[i]
+        return super().choose(label, candidates, partition)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 30])
+def test_initial_edge_sequence_equals_the_sorted_list_every_round(n):
+    rng = random.Random(n)
+    for seed in range(6):
+        graph = gen_random_2ecs(n, 0.7 if seed % 2 else 1.5, seed=seed).instance.graph
+        if n == 2:  # the spanning cycle is a parallel pair
+            assert len(graph.edges) > len({frozenset(e) for e in graph.edges})
+        li = LiveInstance.from_multigraph(graph)
+        script = [] if seed < 2 else [rng.randrange(0, 8) for _ in range(3 * n)]
+        advisor = CheckingAdvisor(script, li, rng)
+        while li.current_count > 1:
+            li.contract(find_cycle_with_internal_cut(li, advisor).cycle_vertices)
+        assert advisor.rounds > 0
+
+
+def test_out_of_range_advice_replays_as_with_the_sorted_list(monkeypatch):
+    def runs():
+        rng = random.Random(7)
+        out = []
+        for seed in range(30):
+            inst = gen_random_2ecs(2 + seed % 9, 1.0, seed=seed).instance
+            advisor = ScriptedAdvisor([rng.choice([0, 1, 3, 40, -1]) for _ in range(12)])
+            out.append((approx_2ecs(inst, advisor), advisor.fallbacks))
+        return out
+
+    lazy = runs()
+    with monkeypatch.context() as patch:
+        patch.setattr(twoecs_module, "OrientedEdges", sorted_oriented_edges)
+        eager = runs()
+    assert lazy == eager
+    assert sum(fallbacks for _, fallbacks in lazy) > 0
