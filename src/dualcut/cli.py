@@ -45,7 +45,7 @@ from .io import (
     write_instance,
 )
 from .oracles import certify_exact_by_bound, exact_2ecs, exact_dpa, exact_ssc
-from .report import RunCheckError, report_from_json, report_to_json, verify_run
+from .report import RunCheckError, _ratio, report_from_json, report_to_json, verify_run
 from .ssc import approx_ssc
 from .twoecs import approx_2ecs
 
@@ -358,7 +358,7 @@ def _cmd_gap(args) -> int:
             return 1
     print(f"cost: {report.cost}")
     print(f"optimum: {optimum}")
-    print(f"gap: {report.cost}/{optimum} ≈ {report.cost / optimum:.4f}")
+    print(f"gap: {report.cost}/{optimum} ≈ {float(_ratio(report.cost, optimum)):.4f}")
     return 0
 
 

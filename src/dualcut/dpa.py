@@ -50,19 +50,18 @@ def build_rotation_cycle(li: LiveInstance, advisor: Advisor | None = None) -> Ro
     """Grow a path among non-leaves, rotating at dead ends, until both the
     endpoint and the pivot successor are stuck; then close the cycle."""
     advisor = advisor or Advisor()
-    g = li.digraph()
-    if not g.is_bidirected():
+    if not li.is_bidirected():
         raise ValueError("rotation cycles need a bidirected digraph")
-    if g.vertex_count < 3:
+    if li.current_count < 3:
         raise ValueError("rotation cycles need at least three vertices")
-    leaves = _leaves_of(g)
-    start_arcs = [a for a in g.arcs if a[1] not in leaves]
+    leaves = _leaves_of(li)
+    start_arcs = [a for a in li.arcs if a[1] not in leaves]
     tail, head = advisor.choose("initial-arc", start_arcs, li.partition)
     path = [tail, head]
     visited = {tail, head}
 
     def fresh_non_leaf(v: int) -> list[int]:
-        return [u for u in g.neighbors(v) if u not in visited and u not in leaves]
+        return [u for u in li.neighbors(v) if u not in visited and u not in leaves]
 
     while True:
         end = path[-1]
@@ -72,7 +71,7 @@ def build_rotation_cycle(li: LiveInstance, advisor: Advisor | None = None) -> Ro
             path.append(nxt)
             visited.add(nxt)
             continue
-        anchor_pos = min(path.index(u) for u in g.neighbors(end) if u in visited)
+        anchor_pos = min(path.index(u) for u in li.neighbors(end) if u in visited)
         pivot = path[anchor_pos + 1]
         ext = fresh_non_leaf(pivot)
         if ext:
@@ -83,12 +82,12 @@ def build_rotation_cycle(li: LiveInstance, advisor: Advisor | None = None) -> Ro
             path.append(nxt)
             visited.add(nxt)
             continue
-        x_pos = min(path.index(u) for u in g.neighbors(pivot) if u in visited)
+        x_pos = min(path.index(u) for u in li.neighbors(pivot) if u in visited)
         backward = path[x_pos : anchor_pos + 1][::-1]
         forward = path[anchor_pos + 1 : len(path) - 1]
         cycle = tuple([end] + backward + forward)
         rc = RotationCycle(cycle, end, pivot, leaves)
-        _check_rotation_cycle(g, rc)
+        _check_rotation_cycle(li, rc)
         return rc
 
 
@@ -130,12 +129,11 @@ def find_perfect_two_cuts(li: LiveInstance, advisor: Advisor | None = None):
     checked before it is returned (`check_round`).
     """
     advisor = advisor or Advisor()
-    g = li.digraph()
-    if not g.is_bidirected():
+    if not li.is_bidirected():
         raise ValueError("this dispatch requires a bidirected digraph")
     if li.current_count < 2:
         raise ValueError("need at least two current vertices")
-    if not is_strongly_connected(g):
+    if not is_strongly_connected(li):
         raise ValueError("the live digraph must be strongly connected")
     q, sides = _two_cuts(li, advisor)
     q, sides = frozenset(q), tuple(map(frozenset, sides))
@@ -190,8 +188,7 @@ def _two_cycle_branch(li: LiveInstance, advisor: Advisor, rc: RotationCycle):
     a singleton cut paired with its complement."""
     center = rc.path_end
     other = rc.cycle_vertices[1]
-    g = li.digraph()
-    leaf_nbrs = sorted(set(g.neighbors(center)) & rc.leaves)
+    leaf_nbrs = sorted(set(li.neighbors(center)) & rc.leaves)
     leaf = advisor.choose("leaf-select", leaf_nbrs, li.partition)
     target = frozenset((leaf, other))
     cands = [sid for sid in li.stars_at(center) if li.sinks_of(sid) == target]
@@ -260,9 +257,8 @@ def _cycle_stars_branch(li: LiveInstance, advisor: Advisor, rc: RotationCycle):
     for a, b in zip(cyc, cyc[1:] + cyc[:1]):
         q0.add(advisor.choose("arc-star", li.stars_with_arc(a, b), li.partition))
     q = augment_to_perfect(li, q0, advisor)
-    g = li.digraph()
-    side1 = frozenset((rc.path_end,)) | (frozenset(g.neighbors(rc.path_end)) & leaves)
-    side2 = frozenset((rc.pivot_end,)) | (frozenset(g.neighbors(rc.pivot_end)) & leaves)
+    side1 = frozenset((rc.path_end,)) | (frozenset(li.neighbors(rc.path_end)) & leaves)
+    side2 = frozenset((rc.pivot_end,)) | (frozenset(li.neighbors(rc.pivot_end)) & leaves)
     return q, (side1, side2)
 
 

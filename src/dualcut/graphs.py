@@ -197,11 +197,11 @@ def is_strongly_connected(g: Digraph) -> bool:
     """True iff every ordered vertex pair has a directed path.
 
     Works on any graph with Digraph's queries whose `vertices()` ascend,
-    such as a live instance's view, whose vertices need not be dense."""
-    n = g.vertex_count
+    such as a live instance, whose vertices need not be dense."""
+    vertices = g.vertices()
+    n = len(vertices)
     if n == 1:
         return True
-    vertices = g.vertices()
     start, largest = vertices[0], vertices[-1]
     if _reach_count(g.out_neighbors, start, largest) != n:
         return False

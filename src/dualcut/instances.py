@@ -134,16 +134,16 @@ class DPAInstance:
 class TwoECSInstance:
     """Minimum 2-edge-connected spanning subgraph over a multigraph."""
 
-    __slots__ = ("graph",)
+    __slots__ = ("graph", "vertex_count")
 
     def __init__(self, graph: Multigraph):
         if not is_two_edge_connected(graph):
             raise InfeasibleInstanceError("input multigraph is not 2-edge-connected")
         self.graph = graph
+        self.vertex_count = graph.vertex_count
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        g = self.graph
-        return f"TwoECSInstance(n={g.vertex_count}, m={len(g.edges)})"
+        return f"TwoECSInstance(n={self.vertex_count}, m={len(self.graph.edges)})"
 
 
 @dataclass(frozen=True)

@@ -168,10 +168,7 @@ def certify_exact_by_bound(instance, witness, certificate=None) -> bool:
     bound_instance = instance
     if isinstance(instance, DPAInstance):
         bound_instance, _ = dpa_to_ssc(instance)
-    if isinstance(bound_instance, SSCInstance):
-        n = bound_instance.vertex_count
-    else:
-        n = bound_instance.graph.vertex_count
+    n = bound_instance.vertex_count
     objective = 0
     if certificate is not None:
         feasible, objective, _ = verify_certificate(bound_instance, certificate)

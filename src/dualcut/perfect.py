@@ -8,9 +8,10 @@ its smallest original vertex, so labels sort as the dense ids of a fresh
 renumbering would, and every candidate list an advisor sees keeps its order.
 `contract` updates the view in place: it touches only the records with a
 source or sink among the merged vertices other than the block's smallest,
-and keeps the record indexes and the arc multiplicities up to date, so no
-round rebuilds the instance or its digraph. Records keep their original ids,
-so selections and certificates always refer to the input instance.
+and keeps its one index, arc -> ids of the live records carrying it, up to
+date, so no round rebuilds the instance or a digraph. Records keep their
+original ids, so selections and certificates always refer to the input
+instance.
 """
 
 from __future__ import annotations
@@ -70,36 +71,57 @@ class Labels:
         members[anchor] = merged
 
 
-class LiveDigraph:
-    """Read-only digraph over the current vertices of a LiveInstance,
-    spanned by its live stars' arcs.
+class LiveInstance:
+    """Current contracted state of an instance: vertex labels, live records
+    with their current source and sinks, and one index over them.
 
-    It answers the queries of `graphs.Digraph` from arc multiplicities that
-    `LiveInstance.contract` keeps up to date. Vertices are labels, not dense
-    ids. Sorted neighbour tuples are built on demand and kept until a
-    contraction changes that vertex's arcs.
+    The index maps each arc u->v between current vertices to the ids of the
+    live records carrying it, and answers the queries of `graphs.Digraph`
+    itself. Vertices are labels, not dense ids. Sorted neighbour tuples are
+    built on demand and kept until a contraction changes that vertex's arcs.
     """
 
-    __slots__ = ("_out", "_in", "_out_sorted", "_in_sorted", "_nbrs_sorted", "_vertices", "_arcs")
+    __slots__ = (
+        "partition", "live", "_out", "_in",
+        "_out_sorted", "_in_sorted", "_nbrs_sorted", "_vertices", "_arcs",
+    )
 
-    def __init__(self, n: int):
-        # Vertex -> neighbour -> number of live stars carrying that arc. Keys
-        # are every current vertex, in ascending order: the dicts are built
-        # in order and contraction only deletes keys.
-        self._out: dict[int, dict[int, int]] = {v: {} for v in range(1, n + 1)}
-        self._in: dict[int, dict[int, int]] = {v: {} for v in range(1, n + 1)}
+    def __init__(self, n: int, records: Iterable[tuple[int, int, frozenset[int]]]):
+        """`records` are (id, source, sinks) triples in ascending id order."""
+        self.partition = Labels(n)
+        self.live: dict[int, tuple[int, frozenset[int]]] = {}
+        # Tail -> head -> ids of the live records carrying that arc, and head
+        # -> tail -> the same set object. Keys are every current vertex, in
+        # ascending order: the dicts are built in order and contraction only
+        # deletes keys.
+        self._out: dict[int, dict[int, set[int]]] = {v: {} for v in range(1, n + 1)}
+        self._in: dict[int, dict[int, set[int]]] = {v: {} for v in range(1, n + 1)}
         self._out_sorted: dict[int, tuple[int, ...]] = {}
         self._in_sorted: dict[int, tuple[int, ...]] = {}
         self._nbrs_sorted: dict[int, tuple[int, ...]] = {}
         self._vertices: tuple[int, ...] | None = None
         self._arcs: tuple[tuple[int, int], ...] | None = None
+        for rid, src, sinks in records:
+            self.live[rid] = (src, sinks)
+            self._link(rid, src, sinks)
+
+    @staticmethod
+    def from_instance(base: SSCInstance) -> "LiveInstance":
+        stars = [(st.id, st.source, st.sinks) for st in base.stars]
+        return LiveInstance(base.vertex_count, stars)
+
+    @staticmethod
+    def from_multigraph(g: Multigraph) -> "LiveInstance":
+        """Each edge {u, v} becomes the record (id, u, {v})."""
+        edges = [(eid, u, frozenset((v,))) for eid, (u, v) in enumerate(g.edges)]
+        return LiveInstance(g.vertex_count, edges)
 
     @property
-    def vertex_count(self) -> int:
+    def current_count(self) -> int:
         return len(self._out)
 
     def vertices(self) -> tuple[int, ...]:
-        """Current vertices, ascending."""
+        """Current vertex labels, ascending."""
         if self._vertices is None:
             self._vertices = tuple(self._out)
         return self._vertices
@@ -141,85 +163,6 @@ class LiveDigraph:
         inc = self._in
         return all(heads.keys() == inc[v].keys() for v, heads in self._out.items())
 
-    def _add(self, u: int, heads) -> None:
-        out_u, inc = self._out[u], self._in
-        for v in heads:
-            out_u[v] = out_u.get(v, 0) + 1
-            tails = inc[v]
-            tails[u] = tails.get(u, 0) + 1
-
-    def _remove(self, u: int, heads) -> None:
-        out_u, inc = self._out[u], self._in
-        for v in heads:
-            for counts, key in ((out_u, v), (inc[v], u)):
-                if counts[key] == 1:
-                    del counts[key]
-                else:
-                    counts[key] -= 1
-
-    def _changed(self, tails, heads, gone) -> None:
-        """Forget what contraction made stale: the sorted out- and
-        in-neighbours of `tails` and `heads`, and the `gone` vertices."""
-        self._vertices = self._arcs = None
-        for v in gone:
-            del self._out[v], self._in[v]
-        for cache, vertices in (
-            (self._out_sorted, chain(tails, gone)),
-            (self._in_sorted, chain(heads, gone)),
-            (self._nbrs_sorted, chain(tails, heads, gone)),
-        ):
-            for v in vertices:
-                cache.pop(v, None)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LiveDigraph(n={self.vertex_count})"
-
-
-class LiveInstance:
-    """Current contracted state of an instance: vertex labels, live records
-    with their current source and sinks, and indexes over them."""
-
-    __slots__ = ("partition", "live", "_by_source", "_by_sink", "_graph")
-
-    def __init__(self, n: int, records: Iterable[tuple[int, int, frozenset[int]]]):
-        """`records` are (id, source, sinks) triples in ascending id order."""
-        self.partition = Labels(n)
-        self.live: dict[int, tuple[int, frozenset[int]]] = {}
-        # Source -> its live record ids, ascending; sink -> its live record ids.
-        by_source: dict[int, list[int]] = {}
-        self._by_sink: dict[int, set[int]] = {}
-        self._graph = LiveDigraph(n)
-        for rid, src, sinks in records:
-            self.live[rid] = (src, sinks)
-            by_source.setdefault(src, []).append(rid)
-            for t in sinks:
-                self._by_sink.setdefault(t, set()).add(rid)
-            self._graph._add(src, sinks)
-        self._by_source = {v: tuple(ids) for v, ids in by_source.items()}
-
-    @staticmethod
-    def from_instance(base: SSCInstance) -> "LiveInstance":
-        stars = [(st.id, st.source, st.sinks) for st in base.stars]
-        return LiveInstance(base.vertex_count, stars)
-
-    @staticmethod
-    def from_multigraph(g: Multigraph) -> "LiveInstance":
-        """Each edge {u, v} becomes the record (id, u, {v})."""
-        edges = [(eid, u, frozenset((v,))) for eid, (u, v) in enumerate(g.edges)]
-        return LiveInstance(g.vertex_count, edges)
-
-    @property
-    def current_count(self) -> int:
-        return self._graph.vertex_count
-
-    def vertices(self) -> tuple[int, ...]:
-        """Current vertex labels, ascending."""
-        return self._graph.vertices()
-
-    def digraph(self) -> LiveDigraph:
-        """Digraph over current vertices spanned by all live stars' arcs."""
-        return self._graph
-
     def source_of(self, star_id: int) -> int:
         try:
             return self.live[star_id][0]
@@ -234,24 +177,16 @@ class LiveInstance:
 
     def stars_at(self, v: int) -> tuple[int, ...]:
         """Live star ids with current source v, ascending."""
-        return self._by_source.get(v, ())
+        return tuple(sorted(set().union(*self._out.get(v, {}).values())))
 
     def degree(self, v: int) -> int:
-        """Live records with v as their source or among their sinks; in a
-        live edge instance, the degree of v."""
-        return len(self._by_source.get(v, ())) + len(self._by_sink.get(v, ()))
+        """Live record arcs at v, out and in; in a live edge instance, the
+        number of live edges at v."""
+        return sum(map(len, self._out[v].values())) + sum(map(len, self._in[v].values()))
 
     def stars_with_arc(self, u: int, v: int) -> tuple[int, ...]:
-        """Live record ids whose current arcs include u->v, ascending.
-
-        Scans the smaller of u's records and v's, so a lookup at a
-        supervertex does not visit every record merged into it."""
-        live = self.live
-        out = self._by_source.get(u, ())
-        into = self._by_sink.get(v, ())
-        if len(into) < len(out):
-            return tuple(sorted([sid for sid in into if live[sid][0] == u]))
-        return tuple(sid for sid in out if v in live[sid][1])
+        """Live record ids whose current arcs include u->v, ascending."""
+        return tuple(sorted(self._out.get(u, {}).get(v, ())))
 
     def sources(self, star_ids) -> frozenset[int]:
         return frozenset(self.source_of(sid) for sid in star_ids)
@@ -265,8 +200,8 @@ class LiveInstance:
         label; records shrink, and those with every end in the block die.
         Returns this instance.
 
-        Only records with a source or a sink among the other block members
-        change; only records sourced inside the block can die."""
+        Only records with an end among the other block members change: each
+        is unlinked from its old arcs and linked at its new ends."""
         block = set(block)
         if not block:
             raise ValueError("block must be nonempty")
@@ -276,57 +211,51 @@ class LiveInstance:
                 raise ValueError(f"block vertex {v} is not a current vertex")
         anchor = min(block)
         gone = block - {anchor}
-        live, by_source, by_sink, g = self.live, self._by_source, self._by_sink, self._graph
+        live, out, inc = self.live, self._out, self._in
         touched: set[int] = set()
         for v in gone:
-            touched.update(by_source.pop(v, ()))
-            touched.update(by_sink.pop(v, ()))
-        tails: set[int] = set()
-        heads: set[int] = set()
-        moved: list[int] = []
-        dead: set[int] = set()
-        for sid in touched:
-            src, sinks = live[sid]
-            if src in block and sinks <= block:
-                g._remove(src, sinks)
-                tails.add(src)
-                heads.update(sinks)
-                if anchor in sinks:
-                    by_sink[anchor].discard(sid)
-                del live[sid]
-                dead.add(sid)
-                continue
-            new_src = anchor if src in block else src
-            new_sinks = frozenset(
-                [anchor if t in gone else t for t in sinks]
-            ) - {new_src}
-            if new_src == src:
-                g._remove(src, sinks - new_sinks)
-                g._add(src, new_sinks - sinks)
-                heads.update(sinks ^ new_sinks)
+            touched.update(*out[v].values(), *inc[v].values())
+        # Vertices whose sorted neighbour tuples may change.
+        stale = set(block)
+        for rid in touched:
+            src, sinks = live[rid]
+            self._unlink(rid, src, sinks)
+            stale.add(src)
+            if src in block:
+                new_src = anchor
+                stale.update(sinks)
             else:
-                g._remove(src, sinks)
-                g._add(new_src, new_sinks)
-                heads.update(sinks | new_sinks)
-            tails.update((src, new_src))
-            for t in sinks - new_sinks:
-                if t not in gone:
-                    by_sink[t].discard(sid)
-            for t in new_sinks - sinks:
-                by_sink.setdefault(t, set()).add(sid)
-            live[sid] = (new_src, new_sinks)
-            if new_src != src:
-                moved.append(sid)
-        if moved or dead:
-            kept = [sid for sid in by_source.get(anchor, ()) if sid not in dead]
-            ids = tuple(sorted(kept + moved))
-            if ids:
-                by_source[anchor] = ids
+                new_src = src
+            new_sinks = frozenset([anchor if t in gone else t for t in sinks]) - {new_src}
+            if new_sinks:
+                live[rid] = (new_src, new_sinks)
+                self._link(rid, new_src, new_sinks)
             else:
-                by_source.pop(anchor, None)
-        g._changed(tails - gone, heads - gone, gone)
+                del live[rid]
+        for v in gone:
+            del out[v], inc[v]
+        self._vertices = self._arcs = None
+        for cache in (self._out_sorted, self._in_sorted, self._nbrs_sorted):
+            for v in stale:
+                cache.pop(v, None)
         self.partition.merge(block, anchor)
         return self
+
+    def _link(self, rid: int, src: int, sinks) -> None:
+        heads, inc = self._out[src], self._in
+        for t in sinks:
+            ids = heads.get(t)
+            if ids is None:
+                ids = heads[t] = inc[t][src] = set()
+            ids.add(rid)
+
+    def _unlink(self, rid: int, src: int, sinks) -> None:
+        heads, inc = self._out[src], self._in
+        for t in sinks:
+            ids = heads[t]
+            ids.remove(rid)
+            if not ids:
+                del heads[t], inc[t][src]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -378,26 +307,25 @@ def live_crossing_stars(li: LiveInstance, side) -> frozenset[int]:
     """Live stars with source inside `side` and some sink outside.
 
     A side holding more than half the current vertices is answered from the
-    vertices outside it, through the sink index."""
+    arcs into the vertices outside it."""
     side_set = frozenset(side)
-    live = li.live
     vertices = li.vertices()
     if 2 * len(side_set) > len(vertices):
-        by_sink = li._by_sink
-        return frozenset(
-            sid
+        inc = li._in
+        return frozenset(chain.from_iterable(
+            ids
             for t in vertices
             if t not in side_set
-            for sid in by_sink.get(t, ())
-            if live[sid][0] in side_set
-        )
-    by_source = li._by_source
-    return frozenset(
-        sid
+            for tail, ids in inc[t].items()
+            if tail in side_set
+        ))
+    out = li._out
+    return frozenset(chain.from_iterable(
+        ids
         for v in side_set
-        for sid in by_source.get(v, ())
-        if not live[sid][1] <= side_set
-    )
+        for head, ids in out.get(v, {}).items()
+        if head not in side_set
+    ))
 
 
 def is_internal_cut(li: LiveInstance, star_ids, side) -> bool:
@@ -439,13 +367,12 @@ def augment_to_perfect(li: LiveInstance, star_ids, advisor: Advisor | None = Non
     result = set(star_ids)
     if not is_quasiperfect(li, result):
         raise ValueError("augment_to_perfect requires a quasiperfect star set")
-    g = li.digraph()
     # Sources and sinks outside them, kept up to date as stars are added.
     srcs = {li.source_of(sid) for sid in result}
     external = {t for sid in result for t in li.sinks_of(sid)} - srcs
     while external:
         u = min(external)
-        path = _dfs_path_to(g, u, srcs, advisor, li.partition)
+        path = _dfs_path_to(li, u, srcs, advisor)
         added = [
             advisor.choose("aug-star", li.stars_with_arc(a, b), li.partition)
             for a, b in zip(path, path[1:])
@@ -458,13 +385,13 @@ def augment_to_perfect(li: LiveInstance, star_ids, advisor: Advisor | None = Non
     return frozenset(result)
 
 
-def _dfs_path_to(g: LiveDigraph, start: int, targets: set[int], advisor: Advisor, partition) -> list[int]:
+def _dfs_path_to(li: LiveInstance, start: int, targets: set[int], advisor: Advisor) -> list[int]:
     """Depth-first path from start to any target, internal vertices avoiding
     targets; the final hop prefers the smallest reachable target."""
     visited = {start}
     path = [start]
     while True:
-        nbrs = g.out_neighbors(path[-1])  # ascending
+        nbrs = li.out_neighbors(path[-1])  # ascending
         finish = next((t for t in nbrs if t in targets), None)
         if finish is not None:
             path.append(finish)
@@ -477,7 +404,7 @@ def _dfs_path_to(g: LiveDigraph, start: int, targets: set[int], advisor: Advisor
                     [f"no directed path leads from {start} back to the sources"]
                 )
             continue
-        nxt = advisor.choose("aug-step", candidates, partition)
+        nxt = advisor.choose("aug-step", candidates, li.partition)
         visited.add(nxt)
         path.append(nxt)
 

@@ -474,13 +474,7 @@ def _check_run(kind: str, instance, report: RunReport, digest: str) -> list[str]
             )
 
     n, k, cost = report.n, report.k, report.cost
-    if isinstance(cert_instance, (SSCInstance, TwoECSInstance)):
-        real_n = (
-            cert_instance.vertex_count
-            if isinstance(cert_instance, SSCInstance)
-            else cert_instance.graph.vertex_count
-        )
-        need(n == real_n, "vertex count differs from instance")
+    need(n == cert_instance.vertex_count, "vertex count differs from instance")
     need(k == len(report.iterations), "iteration count differs from k")
 
     hist = _histogram(report.iterations)

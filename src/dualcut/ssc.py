@@ -43,20 +43,19 @@ def build_simple_cycle(li: LiveInstance, advisor: Advisor | None = None) -> Simp
     advisor = advisor or Advisor()
     if li.current_count < 2:
         raise ValueError("need at least two current vertices")
-    g = li.digraph()
-    tail, head = advisor.choose("initial-arc", g.arcs, li.partition)
+    tail, head = advisor.choose("initial-arc", li.arcs, li.partition)
     path = [tail, head]
     visited = {tail, head}
     while True:
         end = path[-1]
-        fresh = [u for u in g.out_neighbors(end) if u not in visited]
+        fresh = [u for u in li.out_neighbors(end) if u not in visited]
         if not fresh:
             break
         nxt = advisor.choose("extend", fresh, li.partition)
         path.append(nxt)
         visited.add(nxt)
     end = path[-1]
-    anchor = min(path.index(u) for u in g.out_neighbors(end))
+    anchor = min(path.index(u) for u in li.out_neighbors(end))
     return SimpleCycle(tuple(path[anchor:]), end)
 
 
@@ -87,7 +86,7 @@ def find_perfect_set(li: LiveInstance, advisor: Advisor | None = None):
     advisor = advisor or Advisor()
     if li.current_count < 2:
         raise ValueError("need at least two current vertices")
-    if not is_strongly_connected(li.digraph()):
+    if not is_strongly_connected(li):
         raise ValueError("the live digraph must be strongly connected")
     cycle = list(build_simple_cycle(li, advisor).cycle_vertices)
     for _ in range(li.current_count + 1):
@@ -135,7 +134,6 @@ def _escape_star(li: LiveInstance, advisor: Advisor, label: str, arcs, cycle_set
 def _triangle_case(li: LiveInstance, advisor: Advisor, cycle: list[int]):
     """Dispatch for a 3-cycle; returns (star ids, cut sides) or an enlarged
     cycle."""
-    g = li.digraph()
     first, second, end = cycle
     cycle_set = set(cycle)
     forward = [(first, second), (second, end), (end, first)]
@@ -143,30 +141,30 @@ def _triangle_case(li: LiveInstance, advisor: Advisor, cycle: list[int]):
     if outcome is not None:
         return outcome
 
-    grown = find_nontrivial_path(g, first, second, cycle_set)
+    grown = find_nontrivial_path(li, first, second, cycle_set)
     if grown is not None:
         return [first] + grown[1:-1] + [second, end]
-    grown = find_nontrivial_path(g, second, end, cycle_set)
+    grown = find_nontrivial_path(li, second, end, cycle_set)
     if grown is not None:
         return [first, second] + grown[1:-1] + [end]
 
-    back_to_first = find_path_internally_avoiding(g, second, first, cycle_set)
-    first_to_end = find_path_internally_avoiding(g, first, end, cycle_set)
-    closes_back = g.has_arc(end, second)
+    back_to_first = find_path_internally_avoiding(li, second, first, cycle_set)
+    first_to_end = find_path_internally_avoiding(li, first, end, cycle_set)
+    closes_back = li.has_arc(end, second)
     if back_to_first is None:
-        return _stars_along(li, advisor, forward), ({end}, _blocked_reach(g, cycle_set, second))
+        return _stars_along(li, advisor, forward), ({end}, _blocked_reach(li, cycle_set, second))
     if first_to_end is None:
-        return _stars_along(li, advisor, forward), ({end}, _blocked_reach(g, cycle_set, first))
+        return _stars_along(li, advisor, forward), ({end}, _blocked_reach(li, cycle_set, first))
     if not closes_back:
         return _stars_along(li, advisor, forward), (
             {end},
-            frozenset((end,)) | _blocked_reach(g, cycle_set, first),
+            frozenset((end,)) | _blocked_reach(li, cycle_set, first),
         )
 
     # The reverse triangle is within reach: if either reverse leg has a long
     # detour, stitch both legs into a bigger cycle closed by end->second.
-    long_back = find_nontrivial_path(g, second, first, cycle_set)
-    long_leg = find_nontrivial_path(g, first, end, cycle_set)
+    long_back = find_nontrivial_path(li, second, first, cycle_set)
+    long_leg = find_nontrivial_path(li, first, end, cycle_set)
     if long_back is not None or long_leg is not None:
         mid_back = long_back[1:-1] if long_back is not None else []
         mid_leg = long_leg[1:-1] if long_leg is not None else []
@@ -179,15 +177,14 @@ def _triangle_case(li: LiveInstance, advisor: Advisor, cycle: list[int]):
     outcome = _escape_star(li, advisor, "reversed-outward-star", reverse, cycle_set, end)
     if outcome is not None:
         return outcome
-    return _stars_along(li, advisor, forward), ({end}, _blocked_reach(g, cycle_set, first))
+    return _stars_along(li, advisor, forward), ({end}, _blocked_reach(li, cycle_set, first))
 
 
 def _two_cycle_case(li: LiveInstance, advisor: Advisor, cycle: list[int]):
     """Dispatch for a 2-cycle; returns (star ids, cut sides) or an enlarged
     cycle."""
-    g = li.digraph()
     first, end = cycle
-    grown = find_nontrivial_path(g, first, end, set(cycle))
+    grown = find_nontrivial_path(li, first, end, set(cycle))
     if grown is not None:
         return [first] + grown[1:-1] + [end]
     # With no detour, `first` is both the only out-target and the only
@@ -204,14 +201,14 @@ def _two_cycle_case(li: LiveInstance, advisor: Advisor, cycle: list[int]):
     partner = advisor.choose(
         "f1-sink", sorted(li.sinks_of(wide) - {end}), li.partition
     )
-    detour = find_nontrivial_path(g, partner, first, {end})
+    detour = find_nontrivial_path(li, partner, first, {end})
     if detour is not None:
         q0 = {wide} | _stars_along(
             li, advisor, [(end, first)] + list(zip(detour, detour[1:]))
         )
         return augment_to_perfect(li, q0, advisor), ({end},)
     reach = reachable_avoiding(
-        g, partner, lambda a, b: (a, b) == (partner, first)
+        li, partner, lambda a, b: (a, b) == (partner, first)
     )
     fat_back = [
         sid

@@ -77,7 +77,7 @@ class OrientedEdges(Sequence):
     def _at(self, v: int):
         """The triples with tail v, ascending."""
         li = self._li
-        for w in li.digraph().neighbors(v):
+        for w in li.neighbors(v):
             for eid in sorted(_edges_between(li, v, w)):
                 yield (v, w, eid)
 
@@ -94,12 +94,11 @@ def find_cycle_with_internal_cut(li: LiveInstance, advisor: Advisor | None = Non
     advisor = advisor or Advisor()
     if li.current_count < 2:
         raise ValueError("need at least two vertices to find a cycle")
-    g = li.digraph()
     tail, head, first_eid = advisor.choose("initial-edge", OrientedEdges(li), li.partition)
     path = [tail, head]
     position = {tail: 0, head: 1}
     while True:
-        fresh = [w for w in g.neighbors(path[-1]) if w not in position]
+        fresh = [w for w in li.neighbors(path[-1]) if w not in position]
         if not fresh:
             break
         nxt = advisor.choose("extend", fresh, li.partition)
@@ -107,7 +106,7 @@ def find_cycle_with_internal_cut(li: LiveInstance, advisor: Advisor | None = Non
         path.append(nxt)
 
     end = path[-1]
-    anchor = min(position[u] for u in g.neighbors(end))
+    anchor = min(position[u] for u in li.neighbors(end))
     cycle_vertices = tuple(path[anchor:])
     # Each step after the first takes its smallest-id edge; only cycle steps are looked up.
     cycle_edges = [
@@ -122,7 +121,7 @@ def find_cycle_with_internal_cut(li: LiveInstance, advisor: Advisor | None = Non
             [f"no second edge joins {end} and {path[anchor]}: the graph has a bridge"]
         )
     cycle_edges.append(min(closing_options))
-    if not set(g.neighbors(end)) <= set(cycle_vertices):
+    if not set(li.neighbors(end)) <= set(cycle_vertices):
         raise RunCheckError([f"cycle {list(cycle_vertices)} misses a neighbour of its end {end}"])
     return CycleWitness(cycle_vertices, tuple(cycle_edges), end)
 
@@ -144,7 +143,7 @@ def approx_2ecs(instance: TwoECSInstance, advisor: Advisor | None = None) -> Run
     return build_report(
         problem="2ecs",
         instance=instance,
-        n=instance.graph.vertex_count,
+        n=instance.vertex_count,
         iterations=contract_rounds(
             LiveInstance.from_multigraph(instance.graph), _cycle_round, advisor
         ),

@@ -95,6 +95,20 @@ def test_general_family_gap_is_unreduced(tmp_path, capsys):
     assert "gap: 18/12 ≈ 1.5000" in out
 
 
+@pytest.mark.parametrize(
+    "problem, text",
+    [("ssc", "p ssc 1 0\n"), ("2ecs", "p 2ecs 1 0\n"), ("dpa", "p dpa 2 1\ne 1 2 0\n")],
+    ids=["ssc", "2ecs", "dpa"],
+)
+def test_gap_of_a_zero_optimum_is_one(problem, text, tmp_path, capsys):
+    # The ratio follows the report's rule: 1 when the optimum is 0.
+    path = tmp_path / "zero.txt"
+    path.write_text(text)
+    code, out, _ = run(capsys, "gap", "--problem", problem, "--input", str(path))
+    assert code == 0
+    assert "cost: 0\noptimum: 0\ngap: 0/0 ≈ 1.0000\n" in out
+
+
 def test_edge_problem_pipeline(tmp_path, capsys):
     path = tmp_path / "e.txt"
     report_path = tmp_path / "e.json"

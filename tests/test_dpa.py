@@ -55,17 +55,16 @@ def test_rotation_cycle_invariants_on_random_instances():
         li = LiveInstance.from_instance(inst)
         advisor = ScriptedAdvisor([rng.randrange(0, 6) for _ in range(8)])
         rc = build_rotation_cycle(li, advisor)
-        g = li.digraph()
         cyc = rc.cycle_vertices
         assert len(cyc) == len(set(cyc)) >= 2
         assert cyc[0] == rc.path_end
         assert (rc.path_end == rc.pivot_end) == (len(cyc) == 2)
         for a, b in zip(cyc, cyc[1:] + (cyc[0],)):
-            assert g.has_arc(a, b) and g.has_arc(b, a)
-        leaves = {v for v in g.vertices() if len(g.neighbors(v)) == 1}
+            assert li.has_arc(a, b) and li.has_arc(b, a)
+        leaves = {v for v in li.vertices() if len(li.neighbors(v)) == 1}
         for end in (rc.path_end, rc.pivot_end):
             assert end not in leaves
-            for w in g.neighbors(end):
+            for w in li.neighbors(end):
                 assert w in cyc or w in leaves
 
 

@@ -63,11 +63,10 @@ def test_partition_compose_and_lift():
 def test_contract_digraph_drops_internal_arcs():
     g = Digraph(4, [(1, 2), (2, 3), (3, 4), (4, 1), (2, 1)])
     li = LiveInstance.from_instance(mscs_to_ssc(g)).contract({1, 2})
-    shrunk = li.digraph()
     # The merged vertex is labelled 1; the others keep their labels.
-    assert shrunk.vertex_count == 3 and shrunk.vertices() == (1, 3, 4)
+    assert li.current_count == 3 and li.vertices() == (1, 3, 4)
     assert li.partition.current_of(1) == li.partition.current_of(2) == 1
-    assert shrunk.arcs == ((1, 3), (3, 4), (4, 1))
+    assert li.arcs == ((1, 3), (3, 4), (4, 1))
 
 
 def test_contract_multigraph_keeps_parallels_and_origins():
@@ -170,12 +169,11 @@ def test_live_strong_connectivity_matches_networkx_after_contractions():
             mscs_to_ssc(Digraph(n, sorted((u, v) for u, v in arcs if u != v)))
         )
         while li.current_count > 1:
-            view = li.digraph()
-            assert is_strongly_connected(view) == nx.is_strongly_connected(
-                _nx_digraph(view.vertices(), view.arcs)
+            assert is_strongly_connected(li) == nx.is_strongly_connected(
+                _nx_digraph(li.vertices(), li.arcs)
             )
             size = min(li.current_count, rng.randint(2, 12))
-            li.contract(rng.sample(view.vertices(), size))
+            li.contract(rng.sample(li.vertices(), size))
 
 
 def test_two_edge_connectivity_matches_networkx_on_large_multigraphs():
@@ -302,7 +300,7 @@ def test_contraction_preserves_strong_connectivity(g, data):
         block = data.draw(st.sets(
             st.sampled_from(li.vertices()), min_size=2, max_size=li.current_count,
         ))
-        assert is_strongly_connected(li.contract(block).digraph())
+        assert is_strongly_connected(li.contract(block))
 
 
 @st.composite
@@ -333,7 +331,7 @@ def _reference_view(g, partition, origin):
 def _live_view(li):
     cls = {c: li.lift({c}) for c in li.vertices()}
     ends = {eid: (cls[u], cls[v]) for eid, (u, (v,)) in li.live.items()}
-    nbrs = {cls[c]: {cls[w] for w in li.digraph().neighbors(c)} for c in li.vertices()}
+    nbrs = {cls[c]: {cls[w] for w in li.neighbors(c)} for c in li.vertices()}
     return set(cls.values()), ends, nbrs
 
 

@@ -79,16 +79,31 @@ def test_crossing_edges_matches_brute_force(n, seed, data):
         assert crossing_edges(t, cut) == brute_crossing_edges(t, cut)
 
 
-def brute_live(base, group_of):
-    """Live stars rebuilt from the base instance: each star mapped through
-    the current grouping, dropped when no sink survives."""
+def brute_live(records, group_of):
+    """Live records rebuilt from the base (id, source, sinks) records: each
+    mapped through the current grouping, dropped when no sink survives."""
     live = {}
-    for star in base.stars:
-        src = group_of[star.source]
-        sinks = frozenset(group_of[t] for t in star.sinks) - {src}
+    for rid, source, base_sinks in records:
+        src = group_of[source]
+        sinks = frozenset(group_of[t] for t in base_sinks) - {src}
         if sinks:
-            live[star.id] = (src, sinks)
+            live[rid] = (src, sinks)
     return live
+
+
+def star_records(base):
+    return [(star.id, star.source, star.sinks) for star in base.stars]
+
+
+def base_records(kind, n, fan, seed):
+    """The records of a random star instance, or of a random edge instance
+    (one-sink records, with parallel edges), and its live instance."""
+    if kind == "stars":
+        base = gen_random_ssc(n, 1.5, fan, seed).instance
+        return star_records(base), LiveInstance.from_instance(base)
+    g = gen_random_2ecs(n, 1.0, seed).instance.graph
+    records = [(eid, u, frozenset((v,))) for eid, (u, v) in enumerate(g.edges)]
+    return records, LiveInstance.from_multigraph(g)
 
 
 def brute_neighbors(arcs, v, incoming=False):
@@ -103,40 +118,44 @@ def brute_neighbors(arcs, v, incoming=False):
     data=st.data(),
 )
 def test_live_lookups_match_scans_after_contractions(n, fan, seed, data):
-    base = gen_random_ssc(n, 1.5, fan, seed).instance
-    li = LiveInstance.from_instance(base)
-    # Original vertex -> its current label, kept here independently.
-    group_of = {v: v for v in range(1, n + 1)}
-    while True:
-        labels = sorted(set(group_of.values()))
-        assert li.vertices() == tuple(labels) and li.current_count == len(labels)
-        assert li.live == brute_live(base, group_of)
-        for o in range(1, n + 1):
-            assert li.partition.current_of(o) == group_of[o]
-        for c in labels:
-            assert li.lift({c}) == {o for o, g in group_of.items() if g == c}
-        arcs = {(src, t) for src, sinks in li.live.values() for t in sinks}
-        g = li.digraph()
-        assert g.vertex_count == len(labels) and g.vertices() == tuple(labels)
-        assert g.arcs == tuple(sorted(arcs))
-        assert g.is_bidirected() == all((v, u) in arcs for u, v in arcs)
-        for u in labels:
-            assert li.stars_at(u) == brute_stars_at(li, u)
-            assert g.out_neighbors(u) == brute_neighbors(arcs, u)
-            assert g.in_neighbors(u) == brute_neighbors(arcs, u, incoming=True)
-            assert g.neighbors(u) == tuple(
-                sorted(set(g.out_neighbors(u)) | set(g.in_neighbors(u)))
-            )
-            for v in labels:
-                assert li.stars_with_arc(u, v) == brute_stars_with_arc(li, u, v)
-                assert g.has_arc(u, v) == ((u, v) in arcs)
-        if len(labels) == 1:
-            break
-        block = data.draw(st.sets(st.sampled_from(labels), min_size=2, max_size=len(labels)))
-        assert li.contract(block) is li
-        merged = min(block)
-        group_of = {o: merged if g in block else g for o, g in group_of.items()}
-    assert li.live == {}
+    # Star records, and edge records (one sink each, with parallel edges).
+    for kind in ("stars", "edges"):
+        records, li = base_records(kind, n, fan, seed)
+        # Original vertex -> its current label, kept here independently.
+        group_of = {v: v for v in range(1, n + 1)}
+        while True:
+            labels = sorted(set(group_of.values()))
+            assert li.vertices() == tuple(labels) and li.current_count == len(labels)
+            assert li.live == brute_live(records, group_of)
+            for o in range(1, n + 1):
+                assert li.partition.current_of(o) == group_of[o]
+            for c in labels:
+                assert li.lift({c}) == {o for o, g in group_of.items() if g == c}
+            arcs = {(src, t) for src, sinks in li.live.values() for t in sinks}
+            assert li.arcs == tuple(sorted(arcs))
+            assert li.is_bidirected() == all((v, u) in arcs for u, v in arcs)
+            for u in labels:
+                assert li.stars_at(u) == brute_stars_at(li, u)
+                if kind == "edges":
+                    # Each edge record carries one arc, so `degree` counts records.
+                    assert li.degree(u) == sum(
+                        1 for src, sinks in li.live.values() if src == u or u in sinks
+                    )
+                assert li.out_neighbors(u) == brute_neighbors(arcs, u)
+                assert li.in_neighbors(u) == brute_neighbors(arcs, u, incoming=True)
+                assert li.neighbors(u) == tuple(
+                    sorted(set(li.out_neighbors(u)) | set(li.in_neighbors(u)))
+                )
+                for v in labels:
+                    assert li.stars_with_arc(u, v) == brute_stars_with_arc(li, u, v)
+                    assert li.has_arc(u, v) == ((u, v) in arcs)
+            if len(labels) == 1:
+                break
+            block = data.draw(st.sets(st.sampled_from(labels), min_size=2, max_size=len(labels)))
+            assert li.contract(block) is li
+            merged = min(block)
+            group_of = {o: merged if g in block else g for o, g in group_of.items()}
+        assert li.live == {}
 
 
 @settings(max_examples=40, deadline=None)
@@ -154,7 +173,7 @@ def test_live_crossing_stars_match_the_definition_after_contractions(n, fan, see
     group_of = {v: v for v in range(1, n + 1)}
     while li.current_count > 1:
         labels = sorted(set(group_of.values()))
-        live = brute_live(base, group_of)
+        live = brute_live(star_records(base), group_of)
         for _ in range(3):
             side = frozenset(
                 data.draw(st.sets(st.sampled_from(labels), min_size=1, max_size=len(labels) - 1))
