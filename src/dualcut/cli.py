@@ -26,15 +26,7 @@ from .generators import (
     gen_random_ssc,
     gen_ssc_tight,
 )
-from .instances import (
-    DPAInstance,
-    EdgeSolution,
-    InfeasibleInstanceError,
-    PowerSolution,
-    SSCInstance,
-    StarSolution,
-    TwoECSInstance,
-)
+from .instances import DPAInstance, InfeasibleInstanceError
 from .io import (
     ParseError,
     extract_witness,
@@ -248,7 +240,7 @@ def _cmd_exact(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"optimum: {result.optimum}")
-    print(f"witness: {_ids(result.witness.selected)}")
+    print(f"witness: {_ids(result.witness)}")
     print(f"method: {result.method} ({result.explored} subsets explored)")
     return 0
 
@@ -318,15 +310,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _witness_solution(instance, ids):
-    if isinstance(instance, SSCInstance):
-        return StarSolution(frozenset(ids))
-    if isinstance(instance, TwoECSInstance):
-        return EdgeSolution(frozenset(ids))
-    assert isinstance(instance, DPAInstance)
-    return PowerSolution(frozenset(ids))
-
-
 def _cmd_gap(args) -> int:
     try:
         _kind, instance, text = _load_instance(args.problem, args.input)
@@ -338,10 +321,10 @@ def _cmd_gap(args) -> int:
     optimum = None
     witness_ids = extract_witness(text)
     if witness_ids is not None:
+        witness = frozenset(witness_ids)
         try:
-            solution = _witness_solution(instance, witness_ids)
-            if certify_exact_by_bound(instance, solution, report.certificate):
-                optimum = solution.cost
+            if certify_exact_by_bound(instance, witness, report.certificate):
+                optimum = len(witness)
             else:
                 print(
                     "note: shipped witness is feasible but not certified "

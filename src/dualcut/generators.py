@@ -20,7 +20,6 @@ from .instances import (
     DPAInstance,
     SSCInstance,
     Star,
-    StarSolution,
     TwoECSInstance,
 )
 from .oracles import certify_exact_by_bound
@@ -99,14 +98,14 @@ def gen_dpa_tight(k: int) -> GeneratedInstance:
     # forward stars: optimal because n vertices always need n stars.
     witness_ids = {0, 2 * (k + 1), 2 * (k + 2)}
     witness_ids |= {2 * i for i in range(k + 3, 3 * k + 3)}
-    witness = StarSolution(frozenset(witness_ids))
+    witness = frozenset(witness_ids)
     optimal = certify_exact_by_bound(instance, witness)
     _check("gen_dpa_tight", [(optimal, "witness is not optimal")])
     return GeneratedInstance(
         instance,
         tuple(advisor.recorded),
         ExpectedCosts(3 * k + 3, 2 * k + 3),
-        witness.selected,
+        witness,
     )
 
 
@@ -166,14 +165,14 @@ def gen_ssc_tight(k: int) -> GeneratedInstance:
     witness_ids = set(range(7))
     for j in range(2, k + 1):
         witness_ids |= set(range(9 * j - 7, 9 * j - 2))
-    witness = StarSolution(frozenset(witness_ids))
+    witness = frozenset(witness_ids)
     optimal = certify_exact_by_bound(instance, witness)
     _check("gen_ssc_tight", [(optimal, "witness is not optimal")])
     return GeneratedInstance(
         instance,
         tuple(advisor.recorded),
         ExpectedCosts(8 * k + 2, 5 * k + 2),
-        witness.selected,
+        witness,
     )
 
 

@@ -87,21 +87,23 @@ class Multigraph:
             raise ValueError("vertex_count must be >= 1")
         self.vertex_count = vertex_count
         edge_list: list[tuple[int, int]] = []
-        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, vertex_count + 1)}
+        # Only vertices with edges get an entry, so memory follows the edges,
+        # not the declared vertex count.
+        adj: dict[int, list[tuple[int, int]]] = {}
         for eid, (u, v) in enumerate(edges):
             if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
                 raise RecordError(f"edge {{{u},{v}}} out of range 1..{vertex_count}", eid)
             if u == v:
                 raise RecordError(f"self-loop edge at vertex {u}", eid)
             edge_list.append((u, v))
-            adj[u].append((eid, v))
-            adj[v].append((eid, u))
+            adj.setdefault(u, []).append((eid, v))
+            adj.setdefault(v, []).append((eid, u))
         self.edges: tuple[tuple[int, int], ...] = tuple(edge_list)
         self._adj = {v: tuple(pairs) for v, pairs in adj.items()}
 
     def incident(self, v: int) -> tuple[tuple[int, int], ...]:
         """(edge id, other endpoint) pairs at v, in edge-id order of insertion."""
-        return self._adj[v]
+        return self._adj.get(v, ())
 
     def vertices(self) -> range:
         return range(1, self.vertex_count + 1)
@@ -256,9 +258,13 @@ def is_connected(g: Multigraph) -> bool:
 
 
 def is_two_edge_connected(g: Multigraph) -> bool:
-    """Connected and bridgeless; a parallel pair counts, a single vertex too."""
+    """Connected and bridgeless; a parallel pair counts, a single vertex too.
+    Then every degree is two or more, so fewer edges than vertices fail
+    before any per-vertex array is allocated."""
     if g.vertex_count == 1:
         return True
+    if len(g.edges) < g.vertex_count:
+        return False
     if not is_connected(g):
         return False
     return not _has_bridge(g)

@@ -146,46 +146,12 @@ class TwoECSInstance:
         return f"TwoECSInstance(n={self.vertex_count}, m={len(self.graph.edges)})"
 
 
-@dataclass(frozen=True)
-class StarSolution:
-    selected: frozenset[int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "selected", frozenset(self.selected))
-
-    @property
-    def cost(self) -> int:
-        return len(self.selected)
-
-
-@dataclass(frozen=True)
-class EdgeSolution:
-    selected: frozenset[int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "selected", frozenset(self.selected))
-
-    @property
-    def cost(self) -> int:
-        return len(self.selected)
-
-
-@dataclass(frozen=True)
-class PowerSolution:
-    """Set of vertices assigned high power; everyone else stays low."""
-
-    selected: frozenset[int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "selected", frozenset(self.selected))
-
-    @property
-    def cost(self) -> int:
-        return len(self.selected)
-
-
-def _stars_span(n: int, stars: Iterable[Star]) -> bool:
-    """The stars' arcs make vertices 1..n strongly connected."""
+def _stars_span(n: int, stars: Sequence[Star]) -> bool:
+    """The stars' arcs make vertices 1..n strongly connected. Two or more
+    vertices need a star sourced at each, so fewer than n stars fail before
+    any per-vertex list is allocated."""
+    if n >= 2 and len(stars) < n:
+        return False
     out: list[list[int]] = [[] for _ in range(n + 1)]
     inc: list[list[int]] = [[] for _ in range(n + 1)]
     for st in stars:
@@ -198,8 +164,12 @@ def _stars_span(n: int, stars: Iterable[Star]) -> bool:
 
 def _power_spans(d: DPAInstance, high) -> bool:
     """The digraph that the vertices in `high` (a container) at high power
-    induce is strongly connected; same arcs as `dpa_induced_graph`."""
+    induce is strongly connected; same arcs as `dpa_induced_graph`. Two or
+    more vertices need a connected graph, so fewer than n - 1 edges fail
+    before any per-vertex list is allocated."""
     n = d.vertex_count
+    if n >= 2 and len(d.edges) < n - 1:
+        return False
     out: list[list[int]] = [[] for _ in range(n + 1)]
     inc: list[list[int]] = [[] for _ in range(n + 1)]
     for u, v, c in d.edges:
@@ -230,16 +200,36 @@ def dpa_to_ssc(d: DPAInstance) -> tuple[SSCInstance, dict[int, int]]:
     original vertex with component-crossing edges.
 
     Returns (instance, mapping) where mapping sends each original vertex that
-    received a star to that star's id. Solutions convert through the mapping
+    received a star to that star's id. Selections convert through the mapping
     with cost preserved exactly.
     """
     n = d.vertex_count
-    zero = Digraph(
-        n,
-        [a for u, v, c in d.edges if c == 0 for a in ((u, v), (v, u))],
-    )
-    comp = _scc_labels(zero)
-    comp_count = max(comp.values())
+    # Free edges are undirected, so the zero-cost components are connected
+    # components: one union-find pass in which the smaller root wins, so
+    # each root is its component's smallest vertex.
+    parent = list(range(n + 1))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v, c in d.edges:
+        if c == 0:
+            ru, rv = root(u), root(v)
+            if ru != rv:
+                parent[max(ru, rv)] = min(ru, rv)
+    # Components are numbered 1.. in order of their smallest vertex.
+    comp = [0] * (n + 1)
+    comp_count = 0
+    for v in range(1, n + 1):
+        r = root(v)
+        if r == v:
+            comp_count += 1
+            comp[v] = comp_count
+        else:
+            comp[v] = comp[r]
     # Each vertex's component-crossing targets, in one pass over the edges.
     crossing: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
     for a, b, _c in d.edges:
@@ -261,51 +251,6 @@ def dpa_to_ssc(d: DPAInstance) -> tuple[SSCInstance, dict[int, int]]:
             "strongly connected"
         ) from None
     return inst, mapping
-
-
-def _scc_labels(g: Digraph) -> dict[int, int]:
-    """Strongly connected component labels, dense 1.. in order of smallest member."""
-    n = g.vertex_count
-    order: list[int] = []
-    seen = bytearray(n + 1)
-    for root in range(1, n + 1):
-        if seen[root]:
-            continue
-        # Iterative post-order DFS.
-        stack: list[tuple[int, int]] = [(root, 0)]
-        seen[root] = 1
-        while stack:
-            v, idx = stack[-1]
-            nbrs = g.out_neighbors(v)
-            while idx < len(nbrs) and seen[nbrs[idx]]:
-                idx += 1
-            if idx < len(nbrs):
-                stack[-1] = (v, idx + 1)
-                w = nbrs[idx]
-                seen[w] = 1
-                stack.append((w, 0))
-            else:
-                stack.pop()
-                order.append(v)
-    label = [0] * (n + 1)
-    next_label = 0
-    for v in reversed(order):
-        if label[v]:
-            continue
-        next_label += 1
-        stack2 = [v]
-        label[v] = next_label
-        while stack2:
-            x = stack2.pop()
-            for w in g.in_neighbors(x):
-                if not label[w]:
-                    label[w] = next_label
-                    stack2.append(w)
-    # Renumber so component ids follow each component's smallest vertex.
-    first_seen: dict[int, int] = {}
-    for v in range(1, n + 1):
-        first_seen.setdefault(label[v], len(first_seen) + 1)
-    return {v: first_seen[label[v]] for v in range(1, n + 1)}
 
 
 def ssc_to_dpa(s: SSCInstance) -> DPAInstance:
@@ -342,39 +287,39 @@ def mscs_to_ssc(g: Digraph) -> SSCInstance:
     return SSCInstance(g.vertex_count, stars)
 
 
-def check_feasible(instance, solution) -> bool:
-    """Direct connectivity test of a solution against its instance."""
-    if isinstance(instance, SSCInstance) and isinstance(solution, StarSolution):
+def check_feasible(instance, selected: Iterable[int]) -> bool:
+    """Direct connectivity test of a selection against its instance.
+
+    `selected` is any iterable of ids; repeats count once. The instance type
+    says what the ids mean: star ids (0-based) for an `SSCInstance`, edge
+    ids (0-based) for a `TwoECSInstance`, and the vertices at high power
+    (1-based) for a `DPAInstance`. An id the instance does not have raises
+    ValueError; any other instance type raises TypeError.
+    """
+    ids = frozenset(selected)
+    if isinstance(instance, SSCInstance):
         stars = instance.stars
-        for sid in solution.selected:
+        for sid in ids:
             if not (0 <= sid < len(stars)):
                 raise ValueError(f"unknown star id {sid}")
-        return _stars_span(
-            instance.vertex_count, [stars[sid] for sid in solution.selected]
-        )
-    if isinstance(instance, TwoECSInstance) and isinstance(solution, EdgeSolution):
+        return _stars_span(instance.vertex_count, [stars[sid] for sid in ids])
+    if isinstance(instance, TwoECSInstance):
         g = instance.graph
-        for eid in solution.selected:
+        for eid in ids:
             if not (0 <= eid < len(g.edges)):
                 raise ValueError(f"unknown edge id {eid}")
-        sub = Multigraph(
-            g.vertex_count,
-            [g.edges[eid] for eid in sorted(solution.selected)],
-        )
+        sub = Multigraph(g.vertex_count, [g.edges[eid] for eid in sorted(ids)])
         return is_two_edge_connected(sub)
-    if isinstance(instance, DPAInstance) and isinstance(solution, PowerSolution):
-        for v in solution.selected:
+    if isinstance(instance, DPAInstance):
+        for v in ids:
             if not (1 <= v <= instance.vertex_count):
                 raise ValueError(f"unknown vertex id {v}")
-        return _power_spans(instance, solution.selected)
-    raise TypeError(
-        f"unsupported instance/solution pair: "
-        f"{type(instance).__name__}/{type(solution).__name__}"
-    )
+        return _power_spans(instance, ids)
+    raise TypeError(f"unsupported instance type {type(instance).__name__}")
 
 
 def check_cut_feasible(
-    s: SSCInstance, solution: StarSolution, exhaustive_limit: int = 12
+    s: SSCInstance, selected: Iterable[int], exhaustive_limit: int = 12
 ) -> bool:
     """Cut-covering semantics: every nonempty proper vertex subset must have a
     selected star with source inside and a sink outside. Exhaustive over all
@@ -384,10 +329,11 @@ def check_cut_feasible(
         raise ValueError(
             f"vertex count {n} exceeds exhaustive limit {exhaustive_limit}"
         )
-    for sid in solution.selected:
+    ids = frozenset(selected)
+    for sid in ids:
         if not (0 <= sid < len(s.stars)):
             raise ValueError(f"unknown star id {sid}")
-    chosen = [s.stars[sid] for sid in sorted(solution.selected)]
+    chosen = [s.stars[sid] for sid in sorted(ids)]
     for bits in range(1, (1 << n) - 1):
         side = {v for v in range(1, n + 1) if bits >> (v - 1) & 1}
         if not any(

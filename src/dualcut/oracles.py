@@ -14,10 +14,7 @@ from .certificates import Cut, lower_bounds, verify_certificate
 from .graphs import Multigraph, is_strongly_connected, is_two_edge_connected
 from .instances import (
     DPAInstance,
-    EdgeSolution,
-    PowerSolution,
     SSCInstance,
-    StarSolution,
     TwoECSInstance,
     check_feasible,
     dpa_induced_graph,
@@ -31,7 +28,7 @@ SEARCH = "search"
 @dataclass(frozen=True)
 class ExactResult:
     optimum: int
-    witness: object
+    witness: frozenset[int]
     method: str
     explored: int
 
@@ -64,7 +61,7 @@ def exact_ssc(instance: SSCInstance, limit: int = 22) -> ExactResult:
         raise ValueError(f"{len(stars)} stars exceeds the search limit {limit}")
     n = instance.vertex_count
     if n == 1:
-        return ExactResult(0, StarSolution(frozenset()), SEARCH, 0)
+        return ExactResult(0, frozenset(), SEARCH, 0)
     full = (1 << n) - 1
     source_bit = [1 << (st.source - 1) for st in stars]
     sink_mask = [
@@ -90,9 +87,7 @@ def exact_ssc(instance: SSCInstance, limit: int = 22) -> ExactResult:
                     radj[low.bit_length() - 1] |= source_bit[sid]
                     rest ^= low
             if _bit_reach_all(n, adj) and _bit_reach_all(n, radj):
-                return ExactResult(
-                    size, StarSolution(frozenset(combo)), SEARCH, explored
-                )
+                return ExactResult(size, frozenset(combo), SEARCH, explored)
     raise AssertionError("a valid instance admits the full star set")
 
 
@@ -104,7 +99,7 @@ def exact_2ecs(instance: TwoECSInstance, limit: int = 22) -> ExactResult:
         raise ValueError(f"{len(g.edges)} edges exceeds the search limit {limit}")
     n = g.vertex_count
     if n == 1:
-        return ExactResult(0, EdgeSolution(frozenset()), SEARCH, 0)
+        return ExactResult(0, frozenset(), SEARCH, 0)
     explored = 0
     for size in range(n, len(g.edges) + 1):
         for combo in combinations(range(len(g.edges)), size):
@@ -118,9 +113,7 @@ def exact_2ecs(instance: TwoECSInstance, limit: int = 22) -> ExactResult:
                 continue
             sub = Multigraph(n, tuple(g.edges[eid] for eid in combo))
             if is_two_edge_connected(sub):
-                return ExactResult(
-                    size, EdgeSolution(frozenset(combo)), SEARCH, explored
-                )
+                return ExactResult(size, frozenset(combo), SEARCH, explored)
     raise AssertionError("a valid instance admits the full edge set")
 
 
@@ -136,9 +129,7 @@ def exact_dpa(instance: DPAInstance, limit: int = 22) -> ExactResult:
             explored += 1
             induced = dpa_induced_graph(instance, set(combo))
             if is_strongly_connected(induced):
-                return ExactResult(
-                    size, PowerSolution(frozenset(combo)), SEARCH, explored
-                )
+                return ExactResult(size, frozenset(combo), SEARCH, explored)
     raise AssertionError("a valid instance is feasible at full power")
 
 
@@ -156,8 +147,9 @@ def enumerate_internal_cuts(li: LiveInstance, star_ids, size_limit: int = 16) ->
     return found
 
 
-def certify_exact_by_bound(instance, witness, certificate=None) -> bool:
-    """True when a feasible witness matches a proven lower bound exactly.
+def certify_exact_by_bound(instance, witness: frozenset[int], certificate=None) -> bool:
+    """True when a feasible witness, a set of ids as `check_feasible` reads
+    them, matches a proven lower bound exactly.
 
     The bound is the vertex count (for two or more vertices) maximized with
     a dual certificate's objective when one is supplied; power instances are
@@ -174,4 +166,4 @@ def certify_exact_by_bound(instance, witness, certificate=None) -> bool:
         feasible, objective, _ = verify_certificate(bound_instance, certificate)
         if not feasible:
             raise ValueError("certificate is not feasible")
-    return witness.cost == lower_bounds(n, objective)[1]
+    return len(witness) == lower_bounds(n, objective)[1]

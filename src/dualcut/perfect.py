@@ -83,7 +83,7 @@ class LiveInstance:
 
     __slots__ = (
         "partition", "live", "_out", "_in",
-        "_out_sorted", "_in_sorted", "_nbrs_sorted", "_vertices", "_arcs",
+        "_out_sorted", "_in_sorted", "_nbrs_sorted", "_vertices",
     )
 
     def __init__(self, n: int, records: Iterable[tuple[int, int, frozenset[int]]]):
@@ -100,7 +100,6 @@ class LiveInstance:
         self._in_sorted: dict[int, tuple[int, ...]] = {}
         self._nbrs_sorted: dict[int, tuple[int, ...]] = {}
         self._vertices: tuple[int, ...] | None = None
-        self._arcs: tuple[tuple[int, int], ...] | None = None
         for rid, src, sinks in records:
             self.live[rid] = (src, sinks)
             self._link(rid, src, sinks)
@@ -154,10 +153,8 @@ class LiveInstance:
     @property
     def arcs(self) -> tuple[tuple[int, int], ...]:
         """Every arc once, ascending by (tail, head)."""
-        if self._arcs is None:
-            heads = self.out_neighbors
-            self._arcs = tuple([(u, v) for u in self.vertices() for v in heads(u)])
-        return self._arcs
+        heads = self.out_neighbors
+        return tuple([(u, v) for u in self.vertices() for v in heads(u)])
 
     def is_bidirected(self) -> bool:
         inc = self._in
@@ -234,7 +231,7 @@ class LiveInstance:
                 del live[rid]
         for v in gone:
             del out[v], inc[v]
-        self._vertices = self._arcs = None
+        self._vertices = None
         for cache in (self._out_sorted, self._in_sorted, self._nbrs_sorted):
             for v in stale:
                 cache.pop(v, None)

@@ -27,10 +27,7 @@ from .certificates import (
 )
 from .instances import (
     DPAInstance,
-    EdgeSolution,
-    PowerSolution,
     SSCInstance,
-    StarSolution,
     TwoECSInstance,
     check_feasible,
     dpa_to_ssc,
@@ -372,7 +369,13 @@ def report_from_dict(data: dict) -> RunReport:
 
 
 def report_from_json(text: str) -> RunReport:
-    return report_from_dict(json.loads(text))
+    """Decode report JSON text; raises what `report_from_dict` raises, and
+    ValueError for text that is not JSON or nests too deeply to decode."""
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("report nests too deeply to decode") from None
+    return report_from_dict(data)
 
 
 def verify_run(kind: str, instance, report: RunReport) -> list[str]:
@@ -411,16 +414,14 @@ def _check_run(kind: str, instance, report: RunReport, digest: str) -> list[str]
         f"a {report.problem} report cannot belong to a {kind} instance",
     )
 
-    # Rebuild the solution and pick the instance the certificate refers to.
+    # Check the selection only against an instance whose ids it can name,
+    # and pick the instance the certificate refers to.
     cert_instance = instance
-    solution = None
+    paired = True
     if report.problem == "2ecs":
-        if isinstance(instance, TwoECSInstance):
-            solution = EdgeSolution(frozenset(report.selected))
-        else:
-            need(False, "edge report paired with a non-edge instance")
+        paired = isinstance(instance, TwoECSInstance)
+        need(paired, "edge report paired with a non-edge instance")
     elif report.problem == "dpa" and isinstance(instance, DPAInstance):
-        solution = PowerSolution(frozenset(report.selected))
         cert_instance, vmap = dpa_to_ssc(instance)
         if report.selected_stars is None:
             need(False, "power report is missing its star selection")
@@ -431,14 +432,13 @@ def _check_run(kind: str, instance, report: RunReport, digest: str) -> list[str]
                 and mapped == set(report.selected_stars),
                 "power selection and star selection disagree",
             )
-    elif isinstance(instance, SSCInstance):
-        solution = StarSolution(frozenset(report.selected))
     else:
-        need(False, "star report paired with a non-star instance")
+        paired = isinstance(instance, SSCInstance)
+        need(paired, "star report paired with a non-star instance")
 
-    if solution is not None:
+    if paired:
         try:
-            need(check_feasible(instance, solution), "selection is not feasible")
+            need(check_feasible(instance, report.selected), "selection is not feasible")
         except ValueError as exc:
             need(False, f"selection invalid: {exc}")
     need(len(report.selected) == report.cost, "cost differs from selection size")

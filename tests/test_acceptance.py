@@ -17,9 +17,7 @@ import pytest
 from dualcut import (
     Advisor,
     LiveInstance,
-    PowerSolution,
     ScriptedAdvisor,
-    StarSolution,
     approx_2ecs,
     approx_dpa,
     approx_ssc,
@@ -80,9 +78,9 @@ def tight_dpa_runs(tmp_path_factory):
         elapsed = time.perf_counter() - started
         assert code == 0
         report = report_from_json(report_path.read_text())
-        witness = StarSolution(gi.opt_witness)
+        witness = gi.opt_witness
         assert certify_exact_by_bound(gi.instance, witness)
-        runs.append(("ssc", gi.instance, report, witness.cost, elapsed))
+        runs.append(("ssc", gi.instance, report, len(witness), elapsed))
     return runs
 
 
@@ -94,9 +92,9 @@ def tight_ssc_runs():
         started = time.perf_counter()
         report = approx_ssc(gi.instance, ScriptedAdvisor(list(gi.advice)))
         elapsed = time.perf_counter() - started
-        witness = StarSolution(gi.opt_witness)
+        witness = gi.opt_witness
         assert certify_exact_by_bound(gi.instance, witness)
-        runs.append(("ssc", gi.instance, report, witness.cost, elapsed))
+        runs.append(("ssc", gi.instance, report, len(witness), elapsed))
     return runs
 
 
@@ -218,7 +216,7 @@ def test_criterion_6_cut_feasibility_equals_connectivity():
         assert len(ids) <= 12
         for r in range(len(ids) + 1):
             for combo in itertools.combinations(ids, r):
-                sol = StarSolution(frozenset(combo))
+                sol = frozenset(combo)
                 assert check_cut_feasible(inst, sol) == check_feasible(inst, sol)
                 cases += 1
         assert cases >= 2 ** len(ids)
@@ -280,19 +278,17 @@ def test_criterion_8_solution_conversions_preserve_cost_and_feasibility():
         d = ssc_to_dpa(s)  # star id j becomes power vertex j + 1
 
         # Star selection -> power selection.
-        stars = StarSolution(frozenset(approx_ssc(s).selected))
+        stars = frozenset(approx_ssc(s).selected)
         assert check_feasible(s, stars)
-        power = PowerSolution(frozenset(j + 1 for j in stars.selected))
-        assert power.cost == stars.cost
+        power = frozenset(j + 1 for j in stars)
+        assert len(power) == len(stars)
         assert check_feasible(d, power)
 
         # Power selection -> star selection on the derived instance.
         d_report = approx_dpa(d)
-        chosen = PowerSolution(frozenset(d_report.selected))
+        chosen = frozenset(d_report.selected)
         assert check_feasible(d, chosen)
         derived, vertex_to_star = dpa_to_ssc(d)
-        lifted = StarSolution(
-            frozenset(vertex_to_star[v] for v in chosen.selected)
-        )
-        assert lifted.cost == chosen.cost
+        lifted = frozenset(vertex_to_star[v] for v in chosen)
+        assert len(lifted) == len(chosen)
         assert check_feasible(derived, lifted)

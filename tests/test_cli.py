@@ -194,6 +194,20 @@ def test_verify_rejects_malformed_report(gk1, tmp_path, capsys):
     assert code == 1 and "malformed report" in out
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 200_000 + "]" * 200_000, '{"a":' * 100_000 + "1" + "}" * 100_000],
+    ids=["lists", "objects"],
+)
+def test_verify_fails_cleanly_on_deeply_nested_reports(gk1, tmp_path, capsys, text):
+    # json.loads raises RecursionError here; verify must still report FAIL.
+    bad = tmp_path / "deep.json"
+    bad.write_text(text)
+    code, out, _ = run(capsys, "verify", "--input", str(gk1), "--report", str(bad))
+    assert code == 1
+    assert out == "FAIL: malformed report: report nests too deeply to decode\n"
+
+
 def test_parse_and_usage_errors(tmp_path, capsys):
     broken = tmp_path / "broken.txt"
     broken.write_text("p ssc 2 1\ns 1 5 2\n")

@@ -2,16 +2,15 @@
 
 import pytest
 
+import networkx as nx
+
 from dualcut import (
     Digraph,
     DPAInstance,
-    EdgeSolution,
     InfeasibleInstanceError,
     Multigraph,
-    PowerSolution,
     SSCInstance,
     Star,
-    StarSolution,
     TwoECSInstance,
     check_cut_feasible,
     check_feasible,
@@ -21,7 +20,6 @@ from dualcut import (
     mscs_to_ssc,
     ssc_to_dpa,
 )
-from dualcut.instances import _scc_labels
 
 
 def star(i, src, *sinks):
@@ -82,10 +80,10 @@ def test_dpa_to_ssc_collapses_free_components():
     assert set(mapping) == {1, 2, 3}
     for v, sid in mapping.items():
         assert s.stars[sid].source == (1 if v in (1, 2) else 2)
-    power = PowerSolution(frozenset({3, 1}))
+    power = frozenset({3, 1})
     assert check_feasible(d, power)
-    stars = StarSolution(frozenset(mapping[v] for v in power.selected))
-    assert check_feasible(s, stars) and stars.cost == power.cost
+    stars = frozenset(mapping[v] for v in power)
+    assert check_feasible(s, stars) and len(stars) == len(power)
 
 
 def _dpa_to_ssc_stars_by_scanning(d, comp):
@@ -103,13 +101,26 @@ def _dpa_to_ssc_stars_by_scanning(d, comp):
     return stars
 
 
+def _free_components(d):
+    """Component of each vertex over the zero-cost edges, numbered 1.. in
+    order of smallest member, by networkx."""
+    g = nx.Graph()
+    g.add_nodes_from(range(1, d.vertex_count + 1))
+    g.add_edges_from((u, v) for u, v, c in d.edges if c == 0)
+    comp = {}
+    for label, members in enumerate(
+        sorted(nx.connected_components(g), key=min), start=1
+    ):
+        for v in members:
+            comp[v] = label
+    return comp
+
+
 def test_dpa_to_ssc_matches_the_per_vertex_scan():
     for seed in range(60):
         d = gen_random_dpa(3 + seed % 40, 0.2 + 0.1 * (seed % 6), seed=seed).instance
         s, mapping = dpa_to_ssc(d)
-        comp = _scc_labels(Digraph(d.vertex_count, [
-            a for u, v, c in d.edges if c == 0 for a in ((u, v), (v, u))
-        ]))
+        comp = _free_components(d)
         expected = _dpa_to_ssc_stars_by_scanning(d, comp)
         assert [(st.source, st.sinks) for st in s.stars] == [(c, t) for _v, c, t in expected]
         assert mapping == {v: i for i, (v, _c, _t) in enumerate(expected)}
@@ -128,10 +139,10 @@ def test_ssc_to_dpa_round_trip_preserves_solutions():
     s = mscs_to_ssc(Digraph(3, arcs))
     d = ssc_to_dpa(s)
     assert d.vertex_count == len(s.stars)
-    sol = StarSolution(frozenset({0, 2, 4}))  # directed triangle
+    sol = frozenset({0, 2, 4})  # directed triangle
     assert check_feasible(s, sol)
-    powered = PowerSolution(frozenset(sid + 1 for sid in sol.selected))
-    assert check_feasible(d, powered) and powered.cost == sol.cost
+    powered = frozenset(sid + 1 for sid in sol)
+    assert check_feasible(d, powered) and len(powered) == len(sol)
 
 
 def test_ssc_to_dpa_requires_bidirected():
@@ -143,34 +154,34 @@ def test_ssc_to_dpa_requires_bidirected():
 def test_check_feasible_validates_ids():
     s = SSCInstance(2, [star(0, 1, 2), star(1, 2, 1)])
     with pytest.raises(ValueError):
-        check_feasible(s, StarSolution(frozenset({5})))
+        check_feasible(s, frozenset({5}))
     t = TwoECSInstance(Multigraph(2, [(1, 2), (1, 2)]))
     with pytest.raises(ValueError):
-        check_feasible(t, EdgeSolution(frozenset({9})))
+        check_feasible(t, frozenset({9}))
     d = DPAInstance(2, [(1, 2, 1)])
     with pytest.raises(ValueError):
-        check_feasible(d, PowerSolution(frozenset({3})))
+        check_feasible(d, frozenset({3}))
     with pytest.raises(TypeError):
-        check_feasible(s, EdgeSolution(frozenset()))
+        check_feasible(Digraph(2, [(1, 2), (2, 1)]), frozenset())
 
 
 def test_check_feasible_examples():
     s = SSCInstance(3, [star(0, 1, 2, 3), star(1, 2, 1), star(2, 3, 1)])
-    assert check_feasible(s, StarSolution(frozenset({0, 1, 2})))
-    assert not check_feasible(s, StarSolution(frozenset({0, 1})))
+    assert check_feasible(s, frozenset({0, 1, 2}))
+    assert not check_feasible(s, frozenset({0, 1}))
     t = TwoECSInstance(Multigraph(3, [(1, 2), (2, 3), (3, 1), (1, 2)]))
-    assert check_feasible(t, EdgeSolution(frozenset({0, 1, 2})))
-    assert not check_feasible(t, EdgeSolution(frozenset({0, 1, 3})))
+    assert check_feasible(t, frozenset({0, 1, 2}))
+    assert not check_feasible(t, frozenset({0, 1, 3}))
 
 
 def test_cut_semantics_equals_connectivity_semantics():
     s = SSCInstance(3, [star(0, 1, 2, 3), star(1, 2, 1), star(2, 3, 1)])
     for bits in range(1 << len(s.stars)):
-        sol = StarSolution(frozenset(i for i in range(len(s.stars)) if bits >> i & 1))
+        sol = frozenset(i for i in range(len(s.stars)) if bits >> i & 1)
         assert check_cut_feasible(s, sol) == check_feasible(s, sol)
 
 
 def test_check_cut_feasible_limit():
     s = SSCInstance(2, [star(0, 1, 2), star(1, 2, 1)])
     with pytest.raises(ValueError):
-        check_cut_feasible(s, StarSolution(frozenset()), exhaustive_limit=1)
+        check_cut_feasible(s, frozenset(), exhaustive_limit=1)

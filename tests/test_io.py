@@ -1,9 +1,12 @@
 """Tests for the instance/advice text formats."""
 
+import tracemalloc
+
 import pytest
 
 from dualcut import (
     DPAInstance,
+    InfeasibleInstanceError,
     Multigraph,
     ParseError,
     SSCInstance,
@@ -132,6 +135,34 @@ def test_rejected_records_raise_parse_errors_at_their_line(text, line, message):
         parse_instance(text)
     assert info.value.line == line
     assert str(info.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p ssc 1000000 0\n", "union of all stars is not strongly connected"),
+        ("p mscs 1000000 1\na 1 2\n", "union of all stars is not strongly connected"),
+        (
+            "p dpa 1000000 0\n",
+            "even with every vertex at high power the graph is not strongly connected",
+        ),
+        ("p 2ecs 1000000 0\n", "input multigraph is not 2-edge-connected"),
+    ],
+    ids=["ssc", "mscs", "dpa", "2ecs"],
+)
+def test_too_few_records_for_the_declared_vertices_fail_in_little_memory(text, message):
+    # n >= 2 vertices need n stars, n edges (2ecs) or n - 1 edges (dpa); a
+    # shorter file is infeasible before anything is allocated per vertex.
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        with pytest.raises(InfeasibleInstanceError) as info:
+            parse_instance(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == message
+    assert peak < 1 << 20
 
 
 def test_natural_kind_and_digest_stability():

@@ -6,13 +6,10 @@ from dualcut import (
     Cut,
     DPAInstance,
     DualCertificate,
-    EdgeSolution,
     LiveInstance,
     Multigraph,
-    PowerSolution,
     SSCInstance,
     Star,
-    StarSolution,
     TwoECSInstance,
     certify_exact_by_bound,
     check_feasible,
@@ -81,7 +78,7 @@ def test_exact_dpa_unit_and_free_triangles():
     assert check_feasible(unit, res.witness)
     free = DPAInstance(3, [(1, 2, 0), (2, 3, 0), (1, 3, 0)])
     res0 = exact_dpa(free)
-    assert res0.optimum == 0 and res0.witness == PowerSolution(frozenset())
+    assert res0.optimum == 0 and res0.witness == frozenset()
 
 
 def test_exact_dpa_mixed_costs():
@@ -121,23 +118,23 @@ def test_enumerate_internal_cuts_triangle():
 
 def test_certify_by_bound_accepts_tight_witness():
     gi = gen_dpa_tight(2)
-    witness = StarSolution(gi.opt_witness)
+    witness = gi.opt_witness
     assert certify_exact_by_bound(gi.instance, witness)
 
 
 def test_certify_by_bound_rejects_slack_witness():
     inst = mscs_to_ssc(Digraph(3, [(1, 2), (2, 3), (3, 1), (2, 1)]))
     # All four stars are feasible but cost 4 > n, so the bound cannot match.
-    assert not certify_exact_by_bound(inst, StarSolution(frozenset((0, 1, 2, 3))))
+    assert not certify_exact_by_bound(inst, frozenset((0, 1, 2, 3)))
     # The minimal cycle cover has cost n and is certified by the vertex bound.
-    assert certify_exact_by_bound(inst, StarSolution(frozenset((0, 1, 2))))
+    assert certify_exact_by_bound(inst, frozenset((0, 1, 2)))
 
 
 def test_certify_by_bound_uses_certificate():
     # Cost-4 solution on a 3-vertex instance: the vertex bound (3) is not
     # enough, but two star-disjoint cuts raise nothing — need objective 4.
     inst = SSCInstance(3, [S(0, 1, 2), S(1, 1, 3), S(2, 2, 1), S(3, 3, 1)])
-    witness = StarSolution(frozenset((0, 1, 2, 3)))
+    witness = frozenset((0, 1, 2, 3))
     assert not certify_exact_by_bound(inst, witness)
     cert = DualCertificate(SSC, (Cut(frozenset((2,))), Cut(frozenset((3,)))))
     # Two cuts give bound 2; still short of 4.
@@ -147,8 +144,8 @@ def test_certify_by_bound_uses_certificate():
 def test_certify_by_bound_raises_on_bad_inputs():
     inst = mscs_to_ssc(Digraph(3, [(1, 2), (2, 3), (3, 1)]))
     with pytest.raises(ValueError):
-        certify_exact_by_bound(inst, StarSolution(frozenset((0,))))
-    witness = StarSolution(frozenset((0, 1, 2)))
+        certify_exact_by_bound(inst, frozenset((0,)))
+    witness = frozenset((0, 1, 2))
     # The star leaving vertex 2 crosses both sides: not star-disjoint.
     bad_cert = DualCertificate(SSC, (Cut(frozenset((2,))), Cut(frozenset((1, 2)))))
     with pytest.raises(ValueError):
@@ -157,10 +154,10 @@ def test_certify_by_bound_raises_on_bad_inputs():
 
 def test_certify_dpa_goes_through_derived_instance():
     inst = DPAInstance(3, [(1, 2, 1), (2, 3, 1), (1, 3, 1)])
-    assert certify_exact_by_bound(inst, PowerSolution(frozenset((1, 2, 3))))
+    assert certify_exact_by_bound(inst, frozenset((1, 2, 3)))
     assert not certify_exact_by_bound(
         DPAInstance(3, [(1, 2, 0), (2, 3, 0), (1, 3, 1)]),
-        PowerSolution(frozenset((1,))),
+        frozenset((1,)),
     )
 
 

@@ -6,11 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from dualcut import (
     LiveInstance,
-    PowerSolution,
     SSCInstance,
     ScriptedAdvisor,
     Star,
-    StarSolution,
     approx_dpa,
     approx_ssc,
     augment_to_perfect,
@@ -120,7 +118,7 @@ def test_cut_based_feasibility_matches_connectivity(inst):
         ids = ids[:9]
     for r in range(len(ids) + 1):
         for combo in itertools.combinations(ids, r):
-            sol = StarSolution(frozenset(combo))
+            sol = frozenset(combo)
             assert check_cut_feasible(inst, sol) == check_feasible(inst, sol)
 
 
@@ -129,8 +127,8 @@ def test_cut_based_feasibility_matches_connectivity(inst):
 def test_conversion_preserves_feasibility_and_cost(inst):
     dpa_inst = ssc_to_dpa(inst)  # star id s becomes power vertex s + 1
     report = approx_ssc(inst)
-    stars = StarSolution(frozenset(report.selected))
+    stars = frozenset(report.selected)
     assert check_feasible(inst, stars)
-    power = PowerSolution(frozenset(s + 1 for s in report.selected))
-    assert power.cost == stars.cost
+    power = frozenset(s + 1 for s in report.selected)
+    assert len(power) == len(stars)
     assert check_feasible(dpa_inst, power)

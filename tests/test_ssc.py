@@ -9,7 +9,6 @@ from dualcut import (
     SSCInstance,
     ScriptedAdvisor,
     Star,
-    StarSolution,
     approx_ssc,
     are_star_disjoint,
     build_simple_cycle,
@@ -122,7 +121,7 @@ def test_accounting_and_ratio_against_exact():
         assert sum(len(it.selected) - 1 for it in report.iterations) == n - 1
         cuts = sum(len(it.cuts) for it in report.iterations)
         assert 5 * report.cost <= 6 * (n - 1) + 2 * cuts
-        assert check_feasible(inst, StarSolution(frozenset(report.selected)))
+        assert check_feasible(inst, frozenset(report.selected))
         opt = exact_ssc(inst).optimum
         assert report.cost <= 8 * opt / 5
 

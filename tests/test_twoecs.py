@@ -7,7 +7,6 @@ from collections.abc import Sequence
 import pytest
 
 from dualcut import (
-    EdgeSolution,
     LiveInstance,
     Multigraph,
     PlannedAdvisor,
@@ -59,7 +58,7 @@ def test_k4_run():
     report = approx_2ecs(k4())
     assert report.cost == 4
     assert report.n == 4
-    assert check_feasible(k4(), EdgeSolution(report.selected))
+    assert check_feasible(k4(), frozenset(report.selected))
     feasible, objective, _ = verify_certificate(k4(), report.certificate)
     assert feasible and objective == report.bounds.dual_objective
 
@@ -94,7 +93,7 @@ def test_cost_identity_and_strict_ratio():
             n = inst.graph.vertex_count
             assert report.cost == n + report.k - 1
             assert 2 * report.cost < 3 * opt
-            assert check_feasible(inst, EdgeSolution(report.selected))
+            assert check_feasible(inst, frozenset(report.selected))
 
 
 def test_run_contracts_in_place_without_rebuilding_the_graph(monkeypatch):

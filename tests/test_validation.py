@@ -15,10 +15,8 @@ from dualcut import (
     Digraph,
     DPAInstance,
     InfeasibleInstanceError,
-    PowerSolution,
     SSCInstance,
     Star,
-    StarSolution,
     check_feasible,
     dpa_induced_graph,
     gen_random_bidirected,
@@ -118,7 +116,7 @@ def test_star_selections_match_the_digraph_definition(n, fan, seed, data):
     for _ in range(4):
         chosen = data.draw(st.sets(st.sampled_from(ids)))
         expected = strongly_connected(n, star_arcs(inst.stars[i] for i in chosen))
-        assert check_feasible(inst, StarSolution(chosen)) == expected
+        assert check_feasible(inst, frozenset(chosen)) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -133,7 +131,7 @@ def test_power_selections_match_the_digraph_definition(n, zero, seed, data):
     for _ in range(4):
         high = data.draw(st.sets(st.integers(1, n)))
         expected = strongly_connected(n, dpa_induced_graph(d, high).arcs)
-        assert check_feasible(d, PowerSolution(high)) == expected
+        assert check_feasible(d, frozenset(high)) == expected
 
 
 def test_random_selections_reach_both_outcomes():
@@ -144,12 +142,12 @@ def test_random_selections_reach_both_outcomes():
         keep = rng.choice((0.6, 0.85, 0.95, 1.0))
         chosen = {i for i in range(len(inst.stars)) if rng.random() < keep}
         expected = strongly_connected(15, star_arcs(inst.stars[i] for i in chosen))
-        assert check_feasible(inst, StarSolution(chosen)) == expected
+        assert check_feasible(inst, frozenset(chosen)) == expected
         star_outcomes.add(expected)
         d = gen_random_dpa(15, 0.4, seed).instance
         high = {v for v in range(1, 16) if rng.random() < keep}
         expected = strongly_connected(15, dpa_induced_graph(d, high).arcs)
-        assert check_feasible(d, PowerSolution(high)) == expected
+        assert check_feasible(d, frozenset(high)) == expected
         power_outcomes.add(expected)
     assert star_outcomes == {True, False} and power_outcomes == {True, False}
 
