@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .advisor import Advisor
-from .graphs import is_strongly_connected
 from .instances import (
     DPAInstance,
     SSCInstance,
@@ -22,6 +21,7 @@ from .perfect import (
     augment_to_perfect,
     check_round,
     contract_rounds,
+    stars_along,
 )
 from .report import RunCheckError, RunReport, build_report
 
@@ -50,8 +50,6 @@ def build_rotation_cycle(li: LiveInstance, advisor: Advisor | None = None) -> Ro
     """Grow a path among non-leaves, rotating at dead ends, until both the
     endpoint and the pivot successor are stuck; then close the cycle."""
     advisor = advisor or Advisor()
-    if not li.is_bidirected():
-        raise ValueError("rotation cycles need a bidirected digraph")
     if li.current_count < 3:
         raise ValueError("rotation cycles need at least three vertices")
     leaves = _leaves_of(li)
@@ -126,15 +124,13 @@ def find_perfect_two_cuts(li: LiveInstance, advisor: Advisor | None = None):
 
     Returns (star ids, (cut side, cut side), "perfect") over current
     vertices: a perfect set plus two star-disjoint cuts internal to it,
-    checked before it is returned (`check_round`).
+    checked before it is returned (`check_round`). The live instance is
+    strongly connected and bidirected: each is checked once per run
+    (`LiveInstance.from_instance`, `approx_dpa`), and contraction keeps both.
     """
     advisor = advisor or Advisor()
-    if not li.is_bidirected():
-        raise ValueError("this dispatch requires a bidirected digraph")
     if li.current_count < 2:
         raise ValueError("need at least two current vertices")
-    if not is_strongly_connected(li):
-        raise ValueError("the live digraph must be strongly connected")
     q, sides = _two_cuts(li, advisor)
     q, sides = frozenset(q), tuple(map(frozenset, sides))
     check_round(li, q, sides)
@@ -145,11 +141,7 @@ def _two_cuts(li: LiveInstance, advisor: Advisor):
     """Dispatch of one bidirected round: (star ids, (cut side, cut side))."""
     if li.current_count == 2:
         u, v = li.vertices()
-        q = {
-            advisor.choose("arc-star", li.stars_with_arc(u, v), li.partition),
-            advisor.choose("arc-star", li.stars_with_arc(v, u), li.partition),
-        }
-        return q, ({u}, {v})
+        return stars_along(li, advisor, [(u, v), (v, u)]), ({u}, {v})
 
     rc = build_rotation_cycle(li, advisor)
     leaves = rc.leaves
@@ -198,10 +190,7 @@ def _two_cycle_branch(li: LiveInstance, advisor: Advisor, rc: RotationCycle):
     else:
         # Every remaining star through the leaf is a singleton both ways, so
         # the opposite pair is already perfect.
-        q = {
-            advisor.choose("arc-star", li.stars_with_arc(center, leaf), li.partition),
-            advisor.choose("arc-star", li.stars_with_arc(leaf, center), li.partition),
-        }
+        q = stars_along(li, advisor, [(center, leaf), (leaf, center)])
     side = frozenset((leaf,))
     return q, (side, frozenset(li.vertices()) - side)
 
@@ -241,9 +230,7 @@ def _leaf_and_cycle_branch(
     # center; every later qualifying sink lies on this segment, which is why
     # the complement cut stays internal after augmentation.
     segment = walk[walk.index(nearest) :] + [center]
-    q0 = {star}
-    for a, b in zip(segment, segment[1:]):
-        q0.add(advisor.choose("arc-star", li.stars_with_arc(a, b), li.partition))
+    q0 = {star} | stars_along(li, advisor, zip(segment, segment[1:]))
     q = augment_to_perfect(li, q0, advisor)
     side = frozenset((leaf,))
     return q, (side, frozenset(li.vertices()) - side)
@@ -253,9 +240,7 @@ def _cycle_stars_branch(li: LiveInstance, advisor: Advisor, rc: RotationCycle):
     """No end star mixes leaves with the cycle: take one star per cycle arc
     and cut each end together with its private leaves."""
     cyc, leaves = rc.cycle_vertices, rc.leaves
-    q0 = set()
-    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-        q0.add(advisor.choose("arc-star", li.stars_with_arc(a, b), li.partition))
+    q0 = stars_along(li, advisor, zip(cyc, cyc[1:] + cyc[:1]))
     q = augment_to_perfect(li, q0, advisor)
     side1 = frozenset((rc.path_end,)) | (frozenset(li.neighbors(rc.path_end)) & leaves)
     side2 = frozenset((rc.pivot_end,)) | (frozenset(li.neighbors(rc.pivot_end)) & leaves)
@@ -271,14 +256,14 @@ def approx_dpa(instance, advisor: Advisor | None = None) -> RunReport:
     """
     advisor = advisor or Advisor()
     if isinstance(instance, DPAInstance):
-        derived, vertex_to_star = dpa_to_ssc(instance)
-        vertex_of_star = {sid: v for v, sid in vertex_to_star.items()}
+        star_form = dpa_to_ssc(instance)
+        derived = star_form[0]
     elif isinstance(instance, SSCInstance):
-        if not instance.is_bidirected():
-            raise ValueError("this algorithm requires a bidirected star instance")
-        derived, vertex_of_star = instance, None
+        derived, star_form = instance, None
     else:
         raise TypeError(f"unsupported instance type {type(instance).__name__}")
+    if not derived.is_bidirected():
+        raise ValueError("this algorithm requires a bidirected star instance")
     return build_report(
         problem="dpa",
         instance=instance,
@@ -287,5 +272,5 @@ def approx_dpa(instance, advisor: Advisor | None = None) -> RunReport:
             LiveInstance.from_instance(derived), find_perfect_two_cuts, advisor
         ),
         advisor_fallbacks=advisor.fallbacks,
-        vertex_of_star=vertex_of_star,
+        star_form=star_form,
     )

@@ -8,6 +8,7 @@ advice payload, so a plain ScriptedAdvisor replay reproduces the worst case.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from itertools import combinations
@@ -21,6 +22,7 @@ from .instances import (
     SSCInstance,
     Star,
     TwoECSInstance,
+    mscs_to_ssc,
 )
 from .oracles import certify_exact_by_bound
 from .report import RunCheckError
@@ -47,12 +49,6 @@ def _check(family: str, claims) -> None:
     problems = [f"{family}: {finding}" for holds, finding in claims if not holds]
     if problems:
         raise RunCheckError(problems)
-
-
-def _arc_stars(vertex_count: int, arcs) -> SSCInstance:
-    """One singleton star per arc, ids following arc list order."""
-    stars = [Star(i, u, frozenset({v})) for i, (u, v) in enumerate(arcs)]
-    return SSCInstance(vertex_count, stars)
 
 
 def _route_claims(advisor: PlannedAdvisor, plan, cost: int, expected_cost: int):
@@ -85,7 +81,7 @@ def gen_dpa_tight(k: int) -> GeneratedInstance:
     n = 2 * k + 3
     _check("gen_dpa_tight", [(len(edges) == 3 * k + 5, "edge count is not 3k+5")])
     arcs = [a for u, v in edges for a in ((u, v), (v, u))]
-    instance = _arc_stars(n, arcs)
+    instance = mscs_to_ssc(n, arcs)
 
     plan = [("initial-arc", "arc", (k + 3, 2))]
     plan += [("extend", "vertex", t) for t in range(k + 2, 2, -1)]
@@ -141,7 +137,7 @@ def gen_ssc_tight(k: int) -> GeneratedInstance:
         (len(arcs) == 9 * k + 2, "arc count is not 9k+2"),
         (n == 5 * k + 2, "vertex count is not 5k+2"),
     ])
-    instance = _arc_stars(n, arcs)
+    instance = mscs_to_ssc(n, arcs)
 
     # Route: peel the innermost gadget first, one gadget per 5 choices, then
     # close out the base level with its 2-cycle start.
@@ -176,6 +172,14 @@ def gen_ssc_tight(k: int) -> GeneratedInstance:
     )
 
 
+def _extra_count(factor: float, n: int) -> int:
+    """How many extra arcs or edges a random family adds: factor * n,
+    rounded; the factor must be finite and nonnegative."""
+    if not (math.isfinite(factor) and factor >= 0):
+        raise ValueError(f"extra factor must be finite and >= 0, got {factor}")
+    return int(round(factor * n))
+
+
 def gen_random_ssc(
     n: int,
     extra_arc_factor: float = 1.0,
@@ -193,7 +197,7 @@ def gen_random_ssc(
     rng.shuffle(order)
     arc_list = [(order[i], order[(i + 1) % n]) for i in range(n)]
     present = set(arc_list)
-    for _ in range(int(round(extra_arc_factor * n))):
+    for _ in range(_extra_count(extra_arc_factor, n)):
         for _attempt in range(20):
             u = rng.randrange(1, n + 1)
             v = rng.randrange(1, n + 1)
@@ -216,7 +220,7 @@ def gen_random_bidirected(
     if max_star_fan < 1:
         raise ValueError("max_star_fan must be >= 1")
     rng = random.Random(seed)
-    edges = _random_edge_set(n, int(round(extra_edge_factor * n)), rng)
+    edges = _random_edge_set(n, _extra_count(extra_edge_factor, n), rng)
     arc_list = [a for u, v in edges for a in ((u, v), (v, u))]
     return GeneratedInstance(_group_into_stars(n, arc_list, max_star_fan, rng))
 
@@ -232,7 +236,7 @@ def gen_random_2ecs(
     order = list(range(1, n + 1))
     rng.shuffle(order)
     edges = [(order[i], order[(i + 1) % n]) for i in range(n)]
-    for _ in range(int(round(extra_edge_factor * n))):
+    for _ in range(_extra_count(extra_edge_factor, n)):
         u = rng.randrange(1, n + 1)
         v = rng.randrange(1, n + 1)
         while v == u:

@@ -279,12 +279,12 @@ def ssc_to_dpa(s: SSCInstance) -> DPAInstance:
     return DPAInstance(len(s.stars), edges)
 
 
-def mscs_to_ssc(g: Digraph) -> SSCInstance:
-    """View a digraph as SSC with one singleton star per arc, in arc order."""
-    stars = [
-        Star(i, u, frozenset({v})) for i, (u, v) in enumerate(g.arcs)
-    ]
-    return SSCInstance(g.vertex_count, stars)
+def mscs_to_ssc(n: int, arcs: Iterable[tuple[int, int]]) -> SSCInstance:
+    """View the arcs (u, v) of a digraph on vertices 1..n as SSC with one
+    singleton star per arc, in arc order; a repeated arc stays its own star,
+    as in the `mscs` file format."""
+    stars = [Star(i, u, frozenset({v})) for i, (u, v) in enumerate(arcs)]
+    return SSCInstance(n, stars)
 
 
 def check_feasible(instance, selected: Iterable[int]) -> bool:

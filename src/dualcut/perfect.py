@@ -21,7 +21,7 @@ from typing import Iterable
 
 from .advisor import Advisor
 from .certificates import Cut
-from .graphs import Multigraph
+from .graphs import Multigraph, is_strongly_connected
 from .instances import SSCInstance
 from .report import IterationRecord, RunCheckError
 
@@ -77,13 +77,14 @@ class LiveInstance:
 
     The index maps each arc u->v between current vertices to the ids of the
     live records carrying it, and answers the queries of `graphs.Digraph`
-    itself. Vertices are labels, not dense ids. Sorted neighbour tuples are
-    built on demand and kept until a contraction changes that vertex's arcs.
+    itself. Vertices are labels, not dense ids. Sorted out- and undirected
+    neighbour tuples are built on demand and kept until a contraction changes
+    that vertex's arcs.
     """
 
     __slots__ = (
         "partition", "live", "_out", "_in",
-        "_out_sorted", "_in_sorted", "_nbrs_sorted", "_vertices",
+        "_out_sorted", "_nbrs_sorted", "_vertices",
     )
 
     def __init__(self, n: int, records: Iterable[tuple[int, int, frozenset[int]]]):
@@ -97,7 +98,6 @@ class LiveInstance:
         self._out: dict[int, dict[int, set[int]]] = {v: {} for v in range(1, n + 1)}
         self._in: dict[int, dict[int, set[int]]] = {v: {} for v in range(1, n + 1)}
         self._out_sorted: dict[int, tuple[int, ...]] = {}
-        self._in_sorted: dict[int, tuple[int, ...]] = {}
         self._nbrs_sorted: dict[int, tuple[int, ...]] = {}
         self._vertices: tuple[int, ...] | None = None
         for rid, src, sinks in records:
@@ -106,8 +106,13 @@ class LiveInstance:
 
     @staticmethod
     def from_instance(base: SSCInstance) -> "LiveInstance":
+        """The live view a star run starts from, checked once to be strongly
+        connected: contraction keeps that, so no round checks it again."""
         stars = [(st.id, st.source, st.sinks) for st in base.stars]
-        return LiveInstance(base.vertex_count, stars)
+        li = LiveInstance(base.vertex_count, stars)
+        if not is_strongly_connected(li):
+            raise RunCheckError(["the live digraph is not strongly connected"])
+        return li
 
     @staticmethod
     def from_multigraph(g: Multigraph) -> "LiveInstance":
@@ -132,10 +137,7 @@ class LiveInstance:
         return found
 
     def in_neighbors(self, v: int) -> tuple[int, ...]:
-        found = self._in_sorted.get(v)
-        if found is None:
-            found = self._in_sorted[v] = tuple(sorted(self._in[v]))
-        return found
+        return tuple(sorted(self._in[v]))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Undirected neighbor set (union of in- and out-neighbors), sorted."""
@@ -155,10 +157,6 @@ class LiveInstance:
         """Every arc once, ascending by (tail, head)."""
         heads = self.out_neighbors
         return tuple([(u, v) for u in self.vertices() for v in heads(u)])
-
-    def is_bidirected(self) -> bool:
-        inc = self._in
-        return all(heads.keys() == inc[v].keys() for v, heads in self._out.items())
 
     def source_of(self, star_id: int) -> int:
         try:
@@ -232,7 +230,7 @@ class LiveInstance:
         for v in gone:
             del out[v], inc[v]
         self._vertices = None
-        for cache in (self._out_sorted, self._in_sorted, self._nbrs_sorted):
+        for cache in (self._out_sorted, self._nbrs_sorted):
             for v in stale:
                 cache.pop(v, None)
         self.partition.merge(block, anchor)
@@ -380,6 +378,14 @@ def augment_to_perfect(li: LiveInstance, star_ids, advisor: Advisor | None = Non
         for sid in added:
             external |= li.sinks_of(sid) - srcs
     return frozenset(result)
+
+
+def stars_along(li: LiveInstance, advisor: Advisor, arcs) -> set[int]:
+    """One advisor-chosen live star per arc, chosen in arc order."""
+    return {
+        advisor.choose("arc-star", li.stars_with_arc(a, b), li.partition)
+        for a, b in arcs
+    }
 
 
 def _dfs_path_to(li: LiveInstance, start: int, targets: set[int], advisor: Advisor) -> list[int]:

@@ -125,24 +125,26 @@ def build_report(
     n: int,
     iterations: tuple[IterationRecord, ...],
     advisor_fallbacks: int,
-    vertex_of_star: dict[int, int] | None = None,
+    star_form: tuple[SSCInstance, dict[int, int]] | None = None,
 ) -> RunReport:
     """Assemble the report of a finished run, then check it with `verify_run`.
 
     `instance` is the instance the run was given (a power instance for power
     runs, not its star form). The selection is the union of the iterations'
     selections, and the certificate is their cuts in order. A power run
-    passes `vertex_of_star`, its star id -> vertex map: the report then
-    selects vertices and keeps the stars in `selected_stars`. Raises
-    RunCheckError listing every finding; the check does not rest on
-    `assert`, so it also runs under `python -O`.
+    passes `star_form`, the `dpa_to_ssc` pair (star instance, vertex -> star
+    id) it ran on: the report then selects vertices and keeps the stars in
+    `selected_stars`, and the check reuses the pair instead of deriving it
+    again. Raises RunCheckError listing every finding; the check does not
+    rest on `assert`, so it also runs under `python -O`.
     """
     k = len(iterations)
     stars = tuple(sorted({i for rec in iterations for i in rec.selected}))
-    if vertex_of_star is None:
+    if star_form is None:
         selected, selected_stars = stars, None
         selection_kind = "edges" if problem == "2ecs" else "stars"
     else:
+        vertex_of_star = {sid: v for v, sid in star_form[1].items()}
         selected = tuple(sorted(vertex_of_star[sid] for sid in stars))
         selected_stars, selection_kind = stars, "power"
     certificate = DualCertificate(
@@ -174,7 +176,7 @@ def build_report(
         instance_digest=digest,
         selected_stars=selected_stars,
     )
-    problems = _check_run(natural_kind(instance), instance, report, digest)
+    problems = _check_run(natural_kind(instance), instance, report, digest, star_form)
     if problems:
         raise RunCheckError(problems)
     return report
@@ -383,9 +385,12 @@ def verify_run(kind: str, instance, report: RunReport) -> list[str]:
     return _check_run(kind, instance, report, instance_digest(instance))
 
 
-def _check_run(kind: str, instance, report: RunReport, digest: str) -> list[str]:
-    """`verify_run` given the instance's digest, so that `build_report`,
-    which has just computed it, need not compute it again."""
+def _check_run(
+    kind: str, instance, report: RunReport, digest: str, star_form=None
+) -> list[str]:
+    """`verify_run` given the instance's digest and, for a power instance,
+    optionally its `dpa_to_ssc` star form, so that `build_report`, which
+    already has both, need not derive them again."""
     # The labels are looked up in tables below; an in-process report may
     # carry anything in them, even an unhashable list, so they come first.
     problems = [
@@ -422,7 +427,7 @@ def _check_run(kind: str, instance, report: RunReport, digest: str) -> list[str]
         paired = isinstance(instance, TwoECSInstance)
         need(paired, "edge report paired with a non-edge instance")
     elif report.problem == "dpa" and isinstance(instance, DPAInstance):
-        cert_instance, vmap = dpa_to_ssc(instance)
+        cert_instance, vmap = star_form or dpa_to_ssc(instance)
         if report.selected_stars is None:
             need(False, "power report is missing its star selection")
         else:

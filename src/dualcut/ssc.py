@@ -15,7 +15,6 @@ from .advisor import Advisor
 from .graphs import (
     find_nontrivial_path,
     find_path_internally_avoiding,
-    is_strongly_connected,
     reachable_avoiding,
 )
 from .instances import SSCInstance
@@ -24,6 +23,7 @@ from .perfect import (
     augment_to_perfect,
     check_round,
     contract_rounds,
+    stars_along,
 )
 from .report import BIG_ONE_CUT, TWO_CUTS, RunCheckError, RunReport, build_report
 
@@ -59,13 +59,6 @@ def build_simple_cycle(li: LiveInstance, advisor: Advisor | None = None) -> Simp
     return SimpleCycle(tuple(path[anchor:]), end)
 
 
-def _stars_along(li: LiveInstance, advisor: Advisor, arcs) -> set[int]:
-    return {
-        advisor.choose("arc-star", li.stars_with_arc(a, b), li.partition)
-        for a, b in arcs
-    }
-
-
 def _blocked_reach(g, cycle_set, start: int) -> frozenset[int]:
     """Vertices reachable from start without using arcs internal to the
     cycle's vertex set."""
@@ -81,18 +74,18 @@ def find_perfect_set(li: LiveInstance, advisor: Advisor | None = None):
     "big-one-cut" carries one cut and at least four stars, kind "two-cuts"
     carries two star-disjoint cuts. The cycle is re-grown in place whenever
     a longer detour is found, so the loop runs at most n times. The round
-    is checked before it is returned (`check_round`).
+    is checked before it is returned (`check_round`). The live instance is
+    strongly connected: `LiveInstance.from_instance` checks it once per run,
+    and contraction keeps it.
     """
     advisor = advisor or Advisor()
     if li.current_count < 2:
         raise ValueError("need at least two current vertices")
-    if not is_strongly_connected(li):
-        raise ValueError("the live digraph must be strongly connected")
     cycle = list(build_simple_cycle(li, advisor).cycle_vertices)
     for _ in range(li.current_count + 1):
         if len(cycle) >= 4:
             arcs = list(zip(cycle, cycle[1:] + cycle[:1]))
-            q = augment_to_perfect(li, _stars_along(li, advisor, arcs), advisor)
+            q = augment_to_perfect(li, stars_along(li, advisor, arcs), advisor)
             outcome = q, ({cycle[-1]},)
         elif len(cycle) == 3:
             outcome = _triangle_case(li, advisor, cycle)
@@ -127,7 +120,7 @@ def _escape_star(li: LiveInstance, advisor: Advisor, label: str, arcs, cycle_set
         return None
     star = advisor.choose(label, escaping, li.partition)
     rest = [(a, b) for a, b in arcs if a != li.source_of(star)]
-    q0 = {star} | _stars_along(li, advisor, rest)
+    q0 = {star} | stars_along(li, advisor, rest)
     return augment_to_perfect(li, q0, advisor), ({end},)
 
 
@@ -152,11 +145,11 @@ def _triangle_case(li: LiveInstance, advisor: Advisor, cycle: list[int]):
     first_to_end = find_path_internally_avoiding(li, first, end, cycle_set)
     closes_back = li.has_arc(end, second)
     if back_to_first is None:
-        return _stars_along(li, advisor, forward), ({end}, _blocked_reach(li, cycle_set, second))
+        return stars_along(li, advisor, forward), ({end}, _blocked_reach(li, cycle_set, second))
     if first_to_end is None:
-        return _stars_along(li, advisor, forward), ({end}, _blocked_reach(li, cycle_set, first))
+        return stars_along(li, advisor, forward), ({end}, _blocked_reach(li, cycle_set, first))
     if not closes_back:
-        return _stars_along(li, advisor, forward), (
+        return stars_along(li, advisor, forward), (
             {end},
             frozenset((end,)) | _blocked_reach(li, cycle_set, first),
         )
@@ -177,7 +170,7 @@ def _triangle_case(li: LiveInstance, advisor: Advisor, cycle: list[int]):
     outcome = _escape_star(li, advisor, "reversed-outward-star", reverse, cycle_set, end)
     if outcome is not None:
         return outcome
-    return _stars_along(li, advisor, forward), ({end}, _blocked_reach(li, cycle_set, first))
+    return stars_along(li, advisor, forward), ({end}, _blocked_reach(li, cycle_set, first))
 
 
 def _two_cycle_case(li: LiveInstance, advisor: Advisor, cycle: list[int]):
@@ -195,7 +188,7 @@ def _two_cycle_case(li: LiveInstance, advisor: Advisor, cycle: list[int]):
         if len(li.sinks_of(sid)) >= 2
     ]
     if not fat:
-        q = _stars_along(li, advisor, [(end, first), (first, end)])
+        q = stars_along(li, advisor, [(end, first), (first, end)])
         return q, ({end}, frozenset(li.vertices()) - {end})
     wide = advisor.choose("f1-star", fat, li.partition)
     partner = advisor.choose(
@@ -203,7 +196,7 @@ def _two_cycle_case(li: LiveInstance, advisor: Advisor, cycle: list[int]):
     )
     detour = find_nontrivial_path(li, partner, first, {end})
     if detour is not None:
-        q0 = {wide} | _stars_along(
+        q0 = {wide} | stars_along(
             li, advisor, [(end, first)] + list(zip(detour, detour[1:]))
         )
         return augment_to_perfect(li, q0, advisor), ({end},)

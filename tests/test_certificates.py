@@ -4,7 +4,6 @@ import pytest
 
 from dualcut import (
     Cut,
-    Digraph,
     DualCertificate,
     IterationRecord,
     Multigraph,
@@ -58,14 +57,14 @@ def test_crossing_edges():
 
 
 def test_verify_certificate_feasible_star_family():
-    s = mscs_to_ssc(Digraph(4, [(1, 2), (2, 3), (3, 4), (4, 1)]))
+    s = mscs_to_ssc(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
     cert = DualCertificate(SSC, (Cut(frozenset({1})), Cut(frozenset({3}))))
     feasible, objective, violations = verify_certificate(s, cert)
     assert feasible and objective == 2 and violations == []
 
 
 def test_verify_certificate_reports_shared_crossers():
-    s = mscs_to_ssc(Digraph(3, [(1, 2), (2, 3), (3, 1)]))
+    s = mscs_to_ssc(3, [(1, 2), (2, 3), (3, 1)])
     # Star 0 (arc 1->2) crosses both {1} and {1,3}.
     cert = DualCertificate(SSC, (Cut(frozenset({1})), Cut(frozenset({1, 3}))))
     feasible, objective, violations = verify_certificate(s, cert)
@@ -82,7 +81,7 @@ def test_verify_certificate_edge_objective_doubles():
 
 
 def test_verify_certificate_kind_mismatch():
-    s = mscs_to_ssc(Digraph(2, [(1, 2), (2, 1)]))
+    s = mscs_to_ssc(2, [(1, 2), (2, 1)])
     with pytest.raises(ValueError):
         verify_certificate(s, DualCertificate(TWOECS, ()))
     with pytest.raises(TypeError):
@@ -92,7 +91,7 @@ def test_verify_certificate_kind_mismatch():
 def test_lower_bounds_combines_objective_and_vertex_count():
     assert lower_bounds(4, 2) == (4, 4)
     assert lower_bounds(1, 0) == (0, 0)
-    s = mscs_to_ssc(Digraph(4, [(1, 2), (2, 3), (3, 4), (4, 1)]))
+    s = mscs_to_ssc(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
 
     def bounds(*sides):
         cuts = tuple(Cut(frozenset(side)) for side in sides)

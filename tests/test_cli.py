@@ -81,6 +81,18 @@ def test_same_instance_through_the_bidirected_solver(gk1, capsys):
     assert "gap: 6/5 ≈ 1.2000" in out
 
 
+@pytest.mark.parametrize("family", ["random-ssc", "random-bidirected", "random-2ecs"])
+@pytest.mark.parametrize("factor", ["inf", "-inf", "nan", "-1"])
+def test_gen_rejects_an_unusable_extra_factor(family, factor, tmp_path, capsys):
+    path = tmp_path / "r.txt"
+    code, out, err = run(
+        capsys, "gen", family, "--n", "5", f"--extra-factor={factor}", "--out", str(path)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: extra factor must be finite and >= 0")
+    assert not path.exists()
+
+
 def test_general_family_gap_is_unreduced(tmp_path, capsys):
     path = tmp_path / "tk2.txt"
     code, _, _ = run(capsys, "gen", "tk", "--k", "2", "--out", str(path))

@@ -23,8 +23,11 @@ from dualcut import (
     is_internal_cut,
     is_perfect,
     mscs_to_ssc,
+    ssc_to_dpa,
+    verify_run,
 )
-from dualcut.graphs import Digraph
+import dualcut.dpa as dpa_module
+import dualcut.report as report_module
 
 
 def S(i, src, *sinks):
@@ -37,13 +40,10 @@ def sides(report):
     ]
 
 
-def test_rotation_cycle_requires_bidirected_and_three_vertices():
-    li = LiveInstance.from_instance(mscs_to_ssc(Digraph(3, [(1, 2), (2, 3), (3, 1)])))
+def test_rotation_cycle_requires_three_vertices():
+    li = LiveInstance.from_instance(mscs_to_ssc(2, [(1, 2), (2, 1)]))
     with pytest.raises(ValueError):
         build_rotation_cycle(li)
-    li2 = LiveInstance.from_instance(mscs_to_ssc(Digraph(2, [(1, 2), (2, 1)])))
-    with pytest.raises(ValueError):
-        build_rotation_cycle(li2)
 
 
 def test_rotation_cycle_invariants_on_random_instances():
@@ -67,7 +67,7 @@ def test_rotation_cycle_invariants_on_random_instances():
 
 
 def test_two_vertex_degenerate_pair():
-    inst = mscs_to_ssc(Digraph(2, [(1, 2), (2, 1)]))
+    inst = mscs_to_ssc(2, [(1, 2), (2, 1)])
     report = approx_dpa(inst)
     assert report.cost == 2
     assert sides(report) == [([1], [2])]
@@ -131,9 +131,22 @@ def test_power_instance_run_is_consistent():
 
 def test_rejects_unusable_inputs():
     with pytest.raises(ValueError):
-        approx_dpa(mscs_to_ssc(Digraph(3, [(1, 2), (2, 3), (3, 1)])))
+        approx_dpa(mscs_to_ssc(3, [(1, 2), (2, 3), (3, 1)]))
     with pytest.raises(TypeError):
         approx_dpa(42)
+
+
+def test_power_solve_and_verify_each_derive_the_star_form_once(monkeypatch):
+    # `approx_dpa` hands its star form to `build_report`'s check;
+    # `verify_run` derives its own.
+    calls = []
+    counting = lambda d: calls.append(d) or dpa_to_ssc(d)
+    monkeypatch.setattr(dpa_module, "dpa_to_ssc", counting)
+    monkeypatch.setattr(report_module, "dpa_to_ssc", counting)
+    d = ssc_to_dpa(gen_random_bidirected(12, 0.5, 2, seed=5).instance)
+    report = approx_dpa(d)
+    assert report.k > 1 and len(calls) == 1
+    assert verify_run("dpa", d, report) == [] and len(calls) == 2
 
 
 def test_round_outputs_satisfy_contracts():

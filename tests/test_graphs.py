@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualcut import LiveInstance, mscs_to_ssc
+from dualcut import LiveInstance, gen_random_bidirected, mscs_to_ssc
 from dualcut.graphs import (
     Digraph,
     Multigraph,
@@ -61,8 +61,9 @@ def test_partition_compose_and_lift():
 
 
 def test_contract_digraph_drops_internal_arcs():
-    g = Digraph(4, [(1, 2), (2, 3), (3, 4), (4, 1), (2, 1)])
-    li = LiveInstance.from_instance(mscs_to_ssc(g)).contract({1, 2})
+    li = LiveInstance.from_instance(
+        mscs_to_ssc(4, [(1, 2), (2, 3), (3, 4), (4, 1), (2, 1)])
+    ).contract({1, 2})
     # The merged vertex is labelled 1; the others keep their labels.
     assert li.current_count == 3 and li.vertices() == (1, 3, 4)
     assert li.partition.current_of(1) == li.partition.current_of(2) == 1
@@ -166,7 +167,7 @@ def test_live_strong_connectivity_matches_networkx_after_contractions():
         arcs = {(v, v % n + 1) for v in range(1, n + 1)}
         arcs |= {(rng.randint(1, n), rng.randint(1, n)) for _ in range(n)}
         li = LiveInstance.from_instance(
-            mscs_to_ssc(Digraph(n, sorted((u, v) for u, v in arcs if u != v)))
+            mscs_to_ssc(n, sorted((u, v) for u, v in arcs if u != v))
         )
         while li.current_count > 1:
             assert is_strongly_connected(li) == nx.is_strongly_connected(
@@ -295,12 +296,28 @@ def _sc_digraphs(draw):
 @settings(max_examples=60, deadline=None)
 def test_contraction_preserves_strong_connectivity(g, data):
     assert is_strongly_connected(g)
-    li = LiveInstance.from_instance(mscs_to_ssc(g))
+    li = LiveInstance.from_instance(mscs_to_ssc(g.vertex_count, g.arcs))
     while li.current_count > 1:
         block = data.draw(st.sets(
             st.sampled_from(li.vertices()), min_size=2, max_size=li.current_count,
         ))
         assert is_strongly_connected(li.contract(block))
+
+
+@given(
+    n=st.integers(2, 15), fan=st.integers(1, 3), seed=st.integers(0, 10_000),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_contraction_preserves_bidirectedness(n, fan, seed, data):
+    # Multi-sink stars included: a star may lose some sinks and keep others.
+    li = LiveInstance.from_instance(gen_random_bidirected(n, 0.8, fan, seed).instance)
+    while li.current_count > 1:
+        block = data.draw(st.sets(
+            st.sampled_from(li.vertices()), min_size=2, max_size=li.current_count,
+        ))
+        arcs = set(li.contract(block).arcs)
+        assert all((v, u) in arcs for u, v in arcs)
 
 
 @st.composite

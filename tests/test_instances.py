@@ -127,16 +127,22 @@ def test_dpa_to_ssc_matches_the_per_vertex_scan():
 
 
 def test_mscs_to_ssc_orders_stars_by_arc():
-    g = Digraph(3, [(1, 2), (2, 3), (3, 1)])
-    s = mscs_to_ssc(g)
+    s = mscs_to_ssc(3, [(1, 2), (2, 3), (3, 1)])
     assert [(st.source, tuple(st.sinks)) for st in s.stars] == [
         (1, (2,)), (2, (3,)), (3, (1,)),
     ]
 
 
+def test_mscs_to_ssc_keeps_repeated_arcs_apart():
+    s = mscs_to_ssc(2, [(1, 2), (2, 1), (1, 2)])
+    assert [(st.id, st.source, st.sinks) for st in s.stars] == [
+        (0, 1, {2}), (1, 2, {1}), (2, 1, {2}),
+    ]
+
+
 def test_ssc_to_dpa_round_trip_preserves_solutions():
     arcs = [(1, 2), (2, 1), (2, 3), (3, 2), (3, 1), (1, 3)]
-    s = mscs_to_ssc(Digraph(3, arcs))
+    s = mscs_to_ssc(3, arcs)
     d = ssc_to_dpa(s)
     assert d.vertex_count == len(s.stars)
     sol = frozenset({0, 2, 4})  # directed triangle
@@ -146,7 +152,7 @@ def test_ssc_to_dpa_round_trip_preserves_solutions():
 
 
 def test_ssc_to_dpa_requires_bidirected():
-    s = mscs_to_ssc(Digraph(3, [(1, 2), (2, 3), (3, 1)]))
+    s = mscs_to_ssc(3, [(1, 2), (2, 3), (3, 1)])
     with pytest.raises(ValueError):
         ssc_to_dpa(s)
 

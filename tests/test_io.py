@@ -25,7 +25,6 @@ from dualcut import (
     write_advice,
     write_instance,
 )
-from dualcut.graphs import Digraph
 
 
 def roundtrip(instance, kind=None):
@@ -166,7 +165,7 @@ def test_too_few_records_for_the_declared_vertices_fail_in_little_memory(text, m
 
 
 def test_natural_kind_and_digest_stability():
-    inst = mscs_to_ssc(Digraph(2, [(1, 2), (2, 1)]))
+    inst = mscs_to_ssc(2, [(1, 2), (2, 1)])
     assert natural_kind(inst) == "ssc"
     d1 = instance_digest(inst)
     # The digest is tied to the instance, not the file kind it traveled in.
@@ -204,6 +203,6 @@ def test_advice_roundtrip():
 def test_witness_comment_roundtrip():
     line = witness_comment({4, 0, 2})
     assert line == "# opt-witness: 0 2 4\n"
-    body = write_instance(mscs_to_ssc(Digraph(2, [(1, 2), (2, 1)])))
+    body = write_instance(mscs_to_ssc(2, [(1, 2), (2, 1)]))
     assert extract_witness(body + line) == (0, 2, 4)
     assert extract_witness(body) is None

@@ -23,7 +23,6 @@ from dualcut import (
     mscs_to_ssc,
 )
 from dualcut.certificates import SSC
-from dualcut.graphs import Digraph
 
 
 def S(i, src, *sinks):
@@ -31,7 +30,7 @@ def S(i, src, *sinks):
 
 
 def test_directed_four_cycle_needs_every_star():
-    inst = mscs_to_ssc(Digraph(4, [(1, 2), (2, 3), (3, 4), (4, 1)]))
+    inst = mscs_to_ssc(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
     res = exact_ssc(inst)
     assert res.optimum == 4 and res.method == "search"
     assert check_feasible(inst, res.witness)
@@ -89,7 +88,7 @@ def test_exact_dpa_mixed_costs():
 
 
 def test_search_limits_raise():
-    big_m = mscs_to_ssc(Digraph(30, [(i, i % 30 + 1) for i in range(1, 31)]))
+    big_m = mscs_to_ssc(30, [(i, i % 30 + 1) for i in range(1, 31)])
     with pytest.raises(ValueError):
         exact_ssc(big_m)
     with pytest.raises(ValueError):
@@ -104,7 +103,7 @@ def test_search_limits_raise():
 
 
 def test_enumerate_internal_cuts_triangle():
-    inst = mscs_to_ssc(Digraph(3, [(1, 2), (2, 3), (3, 1)]))
+    inst = mscs_to_ssc(3, [(1, 2), (2, 3), (3, 1)])
     li = LiveInstance.from_instance(inst)
     cuts = enumerate_internal_cuts(li, [0, 1, 2])
     # Every proper nonempty side is internal when all stars are chosen.
@@ -123,7 +122,7 @@ def test_certify_by_bound_accepts_tight_witness():
 
 
 def test_certify_by_bound_rejects_slack_witness():
-    inst = mscs_to_ssc(Digraph(3, [(1, 2), (2, 3), (3, 1), (2, 1)]))
+    inst = mscs_to_ssc(3, [(1, 2), (2, 3), (3, 1), (2, 1)])
     # All four stars are feasible but cost 4 > n, so the bound cannot match.
     assert not certify_exact_by_bound(inst, frozenset((0, 1, 2, 3)))
     # The minimal cycle cover has cost n and is certified by the vertex bound.
@@ -142,7 +141,7 @@ def test_certify_by_bound_uses_certificate():
 
 
 def test_certify_by_bound_raises_on_bad_inputs():
-    inst = mscs_to_ssc(Digraph(3, [(1, 2), (2, 3), (3, 1)]))
+    inst = mscs_to_ssc(3, [(1, 2), (2, 3), (3, 1)])
     with pytest.raises(ValueError):
         certify_exact_by_bound(inst, frozenset((0,)))
     witness = frozenset((0, 1, 2))
@@ -162,7 +161,7 @@ def test_certify_dpa_goes_through_derived_instance():
 
 
 def test_exact_results_record_exploration():
-    inst = mscs_to_ssc(Digraph(3, [(1, 2), (2, 3), (3, 1)]))
+    inst = mscs_to_ssc(3, [(1, 2), (2, 3), (3, 1)])
     res = exact_ssc(inst)
     assert res.explored >= 1
     assert res.method == "search"

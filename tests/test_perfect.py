@@ -30,14 +30,14 @@ from dualcut import (
 import dualcut
 import dualcut.dpa as dpa_module
 import dualcut.perfect as perfect_module
-from dualcut import approx_dpa, approx_ssc, gen_random_bidirected
+from dualcut import approx_dpa, approx_ssc, gen_random_bidirected, ssc_to_dpa
 from test_report import _run_optimized
 
 
 def live_cycle(n):
     """Directed n-cycle with one singleton star per arc."""
     return LiveInstance.from_instance(
-        mscs_to_ssc(Digraph(n, [(v, v % n + 1) for v in range(1, n + 1)]))
+        mscs_to_ssc(n, [(v, v % n + 1) for v in range(1, n + 1)])
     )
 
 
@@ -244,6 +244,42 @@ def test_each_round_checks_its_set_once(monkeypatch):
         report = solve(inst)
         assert report.k > 1
         assert len(calls) == report.k
+
+
+def test_each_star_run_checks_strong_connectivity_once(monkeypatch):
+    # Contraction keeps the live instance strongly connected, so only the
+    # start of a run asks.
+    calls = []
+    real = perfect_module.is_strongly_connected
+    monkeypatch.setattr(
+        perfect_module, "is_strongly_connected", lambda g: calls.append(g) or real(g)
+    )
+    for solve, inst in (
+        (approx_ssc, gen_random_ssc(12, 1.0, 2, seed=5).instance),
+        (approx_dpa, gen_random_bidirected(12, 0.5, 2, seed=5).instance),
+        (approx_dpa, ssc_to_dpa(gen_random_bidirected(12, 0.5, 2, seed=5).instance)),
+    ):
+        calls.clear()
+        assert solve(inst).k > 1
+        assert len(calls) == 1
+
+
+def test_strong_connectivity_check_survives_python_O():
+    script = textwrap.dedent("""
+        import dualcut.perfect as perfect
+        from dualcut import RunCheckError, approx_ssc, gen_random_ssc
+        assert False, "assert statements must be stripped here"
+        perfect.is_strongly_connected = lambda g: False
+        try:
+            approx_ssc(gen_random_ssc(8, 1.0, 2, seed=0).instance)
+        except RunCheckError as exc:
+            print(*exc.problems, sep="\\n")
+        else:
+            print("accepted")
+    """)
+    assert _run_optimized(script).splitlines() == [
+        "the live digraph is not strongly connected"
+    ]
 
 
 def test_each_dpa_round_finds_its_leaves_once(monkeypatch):

@@ -72,7 +72,7 @@ def bidirected_instances(draw):
     arcs = sorted(
         a for e in edges for a in (tuple(sorted(e)), tuple(sorted(e, reverse=True)))
     )
-    return mscs_to_ssc(Digraph(n, arcs))
+    return mscs_to_ssc(n, arcs)
 
 
 scripts = st.lists(st.integers(0, 8), max_size=20)

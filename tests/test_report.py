@@ -30,7 +30,6 @@ from dualcut import (
     report_to_json,
     verify_run,
 )
-from dualcut.graphs import Digraph
 from dualcut.report import _indented, report_to_dict
 
 
@@ -216,7 +215,7 @@ def test_build_report_digests_the_instance_once(monkeypatch):
 
 def _three_cycle_report_args(breakage):
     """build_report arguments for a 3-cycle run, broken by `breakage`."""
-    inst = mscs_to_ssc(Digraph(3, [(1, 2), (2, 3), (3, 1)]))
+    inst = mscs_to_ssc(3, [(1, 2), (2, 3), (3, 1)])
     good = approx_ssc(inst)
     args = dict(
         problem="ssc",

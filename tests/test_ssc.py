@@ -30,7 +30,7 @@ def S(i, src, *sinks):
 
 
 def cycle_instance(n):
-    return mscs_to_ssc(Digraph(n, [(i, i % n + 1) for i in range(1, n + 1)]))
+    return mscs_to_ssc(n, [(i, i % n + 1) for i in range(1, n + 1)])
 
 
 def sides(report):
