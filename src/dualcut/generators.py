@@ -249,9 +249,12 @@ def gen_random_dpa(
     n: int, zero_cost_prob: float = 0.4, seed: int = 0, max_edges: int = 12
 ) -> GeneratedInstance:
     """Random connected power-assignment instance: spanning cycle (deduped,
-    so n = 2 yields a single edge) plus random extra pairs, costs 0/1."""
+    so n = 2 yields a single edge) plus random extra pairs, costs 0/1;
+    each edge is free with probability `zero_cost_prob`, in [0, 1]."""
     if n < 2:
         raise ValueError("n must be >= 2")
+    if not 0 <= zero_cost_prob <= 1:
+        raise ValueError(f"zero-cost probability must be in [0, 1], got {zero_cost_prob}")
     rng = random.Random(seed)
     order = list(range(1, n + 1))
     rng.shuffle(order)

@@ -113,6 +113,22 @@ class Multigraph:
 
 
 # Reference helpers, unused by the solvers: the benchmark traces them, tests compare.
+def is_connected(g: Multigraph) -> bool:
+    n = g.vertex_count
+    seen = bytearray(n + 1)
+    seen[1] = 1
+    stack = [1]
+    count = 1
+    while stack:
+        v = stack.pop()
+        for _, w in g.incident(v):
+            if not seen[w]:
+                seen[w] = 1
+                count += 1
+                stack.append(w)
+    return count == n
+
+
 @dataclass(frozen=True)
 class VertexPartition:
     """Maps original vertex ids to current (contracted) vertex ids.
@@ -199,7 +215,8 @@ def is_strongly_connected(g: Digraph) -> bool:
     """True iff every ordered vertex pair has a directed path.
 
     Works on any graph with Digraph's queries whose `vertices()` ascend,
-    such as a live instance, whose vertices need not be dense."""
+    such as a live instance, whose vertices need not be dense; neighbour
+    queries may return any iterable, in any order."""
     vertices = g.vertices()
     n = len(vertices)
     if n == 1:
@@ -241,74 +258,54 @@ def _reach_count(step: Callable[[int], Sequence[int]], start: int, largest: int)
     return count
 
 
-def is_connected(g: Multigraph) -> bool:
-    n = g.vertex_count
-    seen = bytearray(n + 1)
-    seen[1] = 1
-    stack = [1]
-    count = 1
-    while stack:
-        v = stack.pop()
-        for _, w in g.incident(v):
-            if not seen[w]:
-                seen[w] = 1
-                count += 1
-                stack.append(w)
-    return count == n
-
-
 def is_two_edge_connected(g: Multigraph) -> bool:
     """Connected and bridgeless; a parallel pair counts, a single vertex too.
     Then every degree is two or more, so fewer edges than vertices fail
-    before any per-vertex array is allocated."""
-    if g.vertex_count == 1:
-        return True
-    if len(g.edges) < g.vertex_count:
-        return False
-    if not is_connected(g):
-        return False
-    return not _has_bridge(g)
-
-
-def _has_bridge(g: Multigraph) -> bool:
-    # Iterative DFS lowpoint computation; parallel edges enter by edge id, so
-    # a doubled edge to the parent is correctly not a bridge.
+    before any per-vertex array is allocated. One depth-first search from
+    vertex 1 decides both: it must meet no bridge and reach every vertex."""
     n = g.vertex_count
-    disc = [0] * (n + 1)
-    low = [0] * (n + 1)
-    timer = 1
-    for root in range(1, n + 1):
-        if disc[root]:
-            continue
-        # stack holds (vertex, entering edge id, iterator over incident pairs)
-        stack: list[tuple[int, int, Iterator[tuple[int, int]]]] = [
-            (root, -1, iter(g.incident(root)))
-        ]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            v, in_eid, it = stack[-1]
-            advanced = False
-            for eid, w in it:
-                if eid == in_eid:
-                    continue
-                if disc[w]:
-                    low[v] = min(low[v], disc[w])
-                    continue
-                disc[w] = low[w] = timer
-                timer += 1
-                stack.append((w, eid, iter(g.incident(w))))
-                advanced = True
-                break
-            if advanced:
+    if n == 1:
+        return True
+    if len(g.edges) < n:
+        return False
+    return _reached_without_bridge(g) == n
+
+
+def _reached_without_bridge(g: Multigraph) -> int:
+    """Vertices a depth-first search from vertex 1 reaches, or 0 once a tree
+    edge turns out to be a bridge. Iterative lowpoint computation; parallel
+    edges enter by edge id, so a doubled edge to the parent is correctly
+    not a bridge."""
+    disc = [0] * (g.vertex_count + 1)
+    low = [0] * (g.vertex_count + 1)
+    disc[1] = low[1] = timer = 1
+    # stack holds (vertex, entering edge id, iterator over incident pairs)
+    stack: list[tuple[int, int, Iterator[tuple[int, int]]]] = [
+        (1, -1, iter(g.incident(1)))
+    ]
+    while stack:
+        v, in_eid, it = stack[-1]
+        advanced = False
+        for eid, w in it:
+            if eid == in_eid:
                 continue
-            stack.pop()
-            if stack:
-                parent = stack[-1][0]
-                low[parent] = min(low[parent], low[v])
-                if low[v] > disc[parent]:
-                    return True
-    return False
+            if disc[w]:
+                low[v] = min(low[v], disc[w])
+                continue
+            timer += 1
+            disc[w] = low[w] = timer
+            stack.append((w, eid, iter(g.incident(w))))
+            advanced = True
+            break
+        if advanced:
+            continue
+        stack.pop()
+        if stack:
+            parent = stack[-1][0]
+            low[parent] = min(low[parent], low[v])
+            if low[v] > disc[parent]:
+                return 0
+    return timer
 
 
 def reachable_avoiding(

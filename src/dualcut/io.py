@@ -29,9 +29,11 @@ def _significant_lines(text: str) -> list[tuple[int, list[str]]]:
     """(line number, tokens) for every non-blank, non-comment line."""
     out = []
     for no, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            out.append((no, body.split()))
+        if "#" in raw:
+            raw = raw[: raw.index("#")]
+        tokens = raw.split()
+        if tokens:
+            out.append((no, tokens))
     return out
 
 
@@ -39,7 +41,11 @@ def _ints(tokens: list[str], no: int) -> list[int]:
     try:
         return list(map(int, tokens))
     except ValueError:
-        raise ParseError(f"expected integers, got {' '.join(tokens)!r}", no) from None
+        raise _not_ints(tokens, no) from None
+
+
+def _not_ints(tokens: list[str], no: int) -> ParseError:
+    return ParseError(f"expected integers, got {' '.join(tokens)!r}", no)
 
 
 def parse_instance(text: str):
@@ -74,18 +80,22 @@ def parse_instance(text: str):
 
 
 def _build_instance(kind: str, n: int, body: list[tuple[int, list[str]]]):
+    # Each record's numbers are read by position; a token that is not an
+    # integer raises the message `_ints` gives for the same tokens.
     if kind == "ssc":
         stars = []
         for idx, (lno, tok) in enumerate(body):
             if tok[0] != "s" or len(tok) < 4:
                 raise ParseError("star line must be 's <source> <fan> <sinks...>'", lno)
-            vals = _ints(tok[1:], lno)
-            source, fan, sinks = vals[0], vals[1], vals[2:]
-            if fan != len(sinks):
+            try:
+                source, fan, sinks = int(tok[1]), int(tok[2]), frozenset(map(int, tok[3:]))
+            except ValueError:
+                raise _not_ints(tok[1:], lno) from None
+            if fan != len(tok) - 3:
                 raise ParseError(
-                    f"fan {fan} does not match {len(sinks)} listed sinks", lno
+                    f"fan {fan} does not match {len(tok) - 3} listed sinks", lno
                 )
-            stars.append(Star(idx, source, frozenset(sinks)))
+            stars.append(Star(idx, source, sinks))
         return SSCInstance(n, tuple(stars))
 
     if kind == "mscs":
@@ -93,7 +103,10 @@ def _build_instance(kind: str, n: int, body: list[tuple[int, list[str]]]):
         for idx, (lno, tok) in enumerate(body):
             if tok[0] != "a" or len(tok) != 3:
                 raise ParseError("arc line must be 'a <u> <v>'", lno)
-            u, v = _ints(tok[1:], lno)
+            try:
+                u, v = int(tok[1]), int(tok[2])
+            except ValueError:
+                raise _not_ints(tok[1:], lno) from None
             stars.append(Star(idx, u, frozenset((v,))))
         return SSCInstance(n, tuple(stars))
 
@@ -102,16 +115,20 @@ def _build_instance(kind: str, n: int, body: list[tuple[int, list[str]]]):
         for lno, tok in body:
             if tok[0] != "e" or len(tok) != 4:
                 raise ParseError("edge line must be 'e <u> <v> <cost>'", lno)
-            u, v, cost = _ints(tok[1:], lno)
-            edges.append((u, v, cost))
+            try:
+                edges.append((int(tok[1]), int(tok[2]), int(tok[3])))
+            except ValueError:
+                raise _not_ints(tok[1:], lno) from None
         return DPAInstance(n, tuple(edges))
 
     edges2 = []
     for lno, tok in body:
         if tok[0] != "e" or len(tok) != 3:
             raise ParseError("edge line must be 'e <u> <v>'", lno)
-        u, v = _ints(tok[1:], lno)
-        edges2.append((u, v))
+        try:
+            edges2.append((int(tok[1]), int(tok[2])))
+        except ValueError:
+            raise _not_ints(tok[1:], lno) from None
     return TwoECSInstance(Multigraph(n, tuple(edges2)))
 
 
@@ -154,8 +171,7 @@ def write_instance(instance, kind: str | None = None) -> str:
             raise TypeError("2ecs format needs a multigraph instance")
         g = instance.graph
         lines = [f"p 2ecs {g.vertex_count} {len(g.edges)}"]
-        for u, v in g.edges:
-            lines.append(f"e {min(u, v)} {max(u, v)}")
+        lines += [f"e {u} {v}" if u < v else f"e {v} {u}" for u, v in g.edges]
     else:
         raise ValueError(f"unknown problem kind {kind!r}")
     return "\n".join(lines) + "\n"

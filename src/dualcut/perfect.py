@@ -100,17 +100,18 @@ class LiveInstance:
         self._out_sorted: dict[int, tuple[int, ...]] = {}
         self._nbrs_sorted: dict[int, tuple[int, ...]] = {}
         self._vertices: tuple[int, ...] | None = None
+        live, link = self.live, self._link
         for rid, src, sinks in records:
-            self.live[rid] = (src, sinks)
-            self._link(rid, src, sinks)
+            live[rid] = (src, sinks)
+            link(rid, src, sinks)
 
     @staticmethod
     def from_instance(base: SSCInstance) -> "LiveInstance":
         """The live view a star run starts from, checked once to be strongly
         connected: contraction keeps that, so no round checks it again."""
-        stars = [(st.id, st.source, st.sinks) for st in base.stars]
+        stars = ((st.id, st.source, st.sinks) for st in base.stars)
         li = LiveInstance(base.vertex_count, stars)
-        if not is_strongly_connected(li):
+        if not is_strongly_connected(_IndexView(li)):
             raise RunCheckError(["the live digraph is not strongly connected"])
         return li
 
@@ -195,8 +196,10 @@ class LiveInstance:
         label; records shrink, and those with every end in the block die.
         Returns this instance.
 
-        Only records with an end among the other block members change: each
-        is unlinked from its old arcs and linked at its new ends."""
+        Only arcs at the other block members change: each goes from the
+        index, and the records carrying them are linked at their new ends.
+        A block of every current vertex, as in a run's last round, kills
+        every record, so the index is dropped whole."""
         block = set(block)
         if not block:
             raise ValueError("block must be nonempty")
@@ -205,30 +208,38 @@ class LiveInstance:
             if v not in members:
                 raise ValueError(f"block vertex {v} is not a current vertex")
         anchor = min(block)
+        if len(block) == len(members):
+            self.live.clear()
+            self._out, self._in = {anchor: {}}, {anchor: {}}
+            self._out_sorted.clear()
+            self._nbrs_sorted.clear()
+            self._vertices = None
+            self.partition.merge(block, anchor)
+            return self
         gone = block - {anchor}
         live, out, inc = self.live, self._out, self._in
         touched: set[int] = set()
-        for v in gone:
-            touched.update(*out[v].values(), *inc[v].values())
-        # Vertices whose sorted neighbour tuples may change.
+        # Vertices whose sorted neighbour tuples may change: the block and
+        # every vertex with an arc to or from a member that goes.
         stale = set(block)
+        for v in gone:
+            for ends, back in ((out.pop(v), inc), (inc.pop(v), out)):
+                for w, ids in ends.items():
+                    touched.update(ids)
+                    if w not in gone:
+                        del back[w][v]
+                        stale.add(w)
         for rid in touched:
             src, sinks = live[rid]
-            self._unlink(rid, src, sinks)
-            stale.add(src)
             if src in block:
-                new_src = anchor
-                stale.update(sinks)
-            else:
-                new_src = src
-            new_sinks = frozenset([anchor if t in gone else t for t in sinks]) - {new_src}
-            if new_sinks:
-                live[rid] = (new_src, new_sinks)
-                self._link(rid, new_src, new_sinks)
-            else:
-                del live[rid]
-        for v in gone:
-            del out[v], inc[v]
+                if sinks <= block:
+                    del live[rid]
+                    continue
+                src = anchor
+            # Some end lies outside the block, so the record keeps a sink.
+            sinks = frozenset([anchor if t in gone else t for t in sinks]) - {src}
+            live[rid] = (src, sinks)
+            self._link(rid, src, sinks)
         self._vertices = None
         for cache in (self._out_sorted, self._nbrs_sorted):
             for v in stale:
@@ -241,22 +252,28 @@ class LiveInstance:
         for t in sinks:
             ids = heads.get(t)
             if ids is None:
-                ids = heads[t] = inc[t][src] = set()
-            ids.add(rid)
-
-    def _unlink(self, rid: int, src: int, sinks) -> None:
-        heads, inc = self._out[src], self._in
-        for t in sinks:
-            ids = heads[t]
-            ids.remove(rid)
-            if not ids:
-                del heads[t], inc[t][src]
+                heads[t] = inc[t][src] = {rid}
+            else:
+                ids.add(rid)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"LiveInstance(current={self.current_count}, "
             f"live_stars={len(self.live)})"
         )
+
+
+class _IndexView:
+    """A live instance's index read as a digraph whose neighbour lists are
+    dict keys, unsorted: reachability needs no order, so the run-start
+    check sorts nothing."""
+
+    __slots__ = ("vertices", "out_neighbors", "in_neighbors")
+
+    def __init__(self, li: LiveInstance):
+        self.vertices = li.vertices
+        self.out_neighbors = li._out.__getitem__
+        self.in_neighbors = li._in.__getitem__
 
 
 def is_quasiperfect(li: LiveInstance, star_ids) -> bool:

@@ -88,13 +88,20 @@ ITERATION_CUTS = {
 }
 ITERATION_KINDS = frozenset(k for kinds in ITERATION_CUTS.values() for k in kinds)
 SELECTION_KINDS = frozenset(("edges", "stars", "power"))
+# Report problem tag -> the instance kinds a report of it can belong to.
+COMPATIBLE_KINDS = {
+    "2ecs": frozenset(("2ecs",)),
+    "ssc": frozenset(("ssc", "mscs")),
+    "dpa": frozenset(("dpa", "ssc", "mscs")),
+}
 
 
 def convex_bound_for(problem: str, n: int, k: int, dual_objective: int) -> Fraction:
-    """Blend of the two lower bounds matching each guarantee's tight mix."""
+    """Blend of the two lower bounds matching each guarantee's tight mix:
+    (2n + D)/3 for 2ecs and dpa, (3(n - 1) + D)/4 for ssc."""
     if problem in ("2ecs", "dpa"):
-        return Fraction(2, 3) * n + Fraction(1, 3) * dual_objective
-    return Fraction(3, 4) * (n - 1) + Fraction(1, 4) * dual_objective
+        return Fraction(2 * n + dual_objective, 3)
+    return Fraction(3 * (n - 1) + dual_objective, 4)
 
 
 class RunCheckError(Exception):
@@ -244,6 +251,13 @@ def _cuts(sides, field: str) -> tuple[Cut, ...]:
 
 
 def report_to_dict(report: RunReport) -> dict:
+    # Each cut side is sorted once: the certificate repeats the iterations'
+    # cuts, and gets copies of their sorted sides.
+    sorted_sides: dict[frozenset[int], list[int]] = {}
+    for rec in report.iterations:
+        for c in rec.cuts:
+            if c.side not in sorted_sides:
+                sorted_sides[c.side] = sorted(c.side)
     return {
         "problem": report.problem,
         "n": report.n,
@@ -262,13 +276,16 @@ def report_to_dict(report: RunReport) -> dict:
                 "index": rec.index,
                 "kind": rec.kind,
                 "selected": list(rec.selected),
-                "cuts": [sorted(c.side) for c in rec.cuts],
+                "cuts": [sorted_sides[c.side] for c in rec.cuts],
             }
             for rec in report.iterations
         ],
         "certificate": {
             "problem": report.certificate.problem,
-            "cuts": [sorted(c.side) for c in report.certificate.cuts],
+            "cuts": [
+                sorted_sides[c.side][:] if c.side in sorted_sides else sorted(c.side)
+                for c in report.certificate.cuts
+            ],
         },
         "bounds": {
             "dual_objective": report.bounds.dual_objective,
@@ -289,10 +306,18 @@ def report_to_json(report: RunReport) -> str:
 def _indented(value, pad: str) -> str:
     """`json.dumps(value, indent=2)` for JSON data with string keys, nested
     `pad` deep, in one pass: with an indent, `json.dumps` never uses its C
-    encoder, and report lists of ints are long."""
+    encoder, and report lists of ints are long. Ints, strings and None are
+    written here; other scalars (bools, floats) go to `json.dumps`."""
+    kind = type(value)
+    if kind is int:
+        return str(value)
+    if kind is str:
+        return _ascii(value)
+    if value is None:
+        return "null"
     inner = pad + "  "
     sep = ",\n" + inner
-    if type(value) is list:
+    if kind is list:
         if not value:
             return "[]"
         if set(map(type, value)) == {int}:
@@ -300,15 +325,13 @@ def _indented(value, pad: str) -> str:
         else:
             body = sep.join([_indented(item, inner) for item in value])
         return "[\n" + inner + body + "\n" + pad + "]"
-    if type(value) is dict:
+    if kind is dict:
         if not value:
             return "{}"
         body = sep.join(
             [_ascii(key) + ": " + _indented(item, inner) for key, item in value.items()]
         )
         return "{\n" + inner + body + "\n" + pad + "}"
-    if type(value) is str:
-        return _ascii(value)
     return json.dumps(value)
 
 
@@ -413,11 +436,9 @@ def _check_run(
         report.instance_digest == digest,
         "instance digest does not match the report",
     )
-    compatible = {"2ecs": {"2ecs"}, "ssc": {"ssc", "mscs"}, "dpa": {"dpa", "ssc", "mscs"}}
-    need(
-        kind in compatible[report.problem],
-        f"a {report.problem} report cannot belong to a {kind} instance",
-    )
+    # Findings that format values are built only when their check fails.
+    if kind not in COMPATIBLE_KINDS[report.problem]:
+        problems.append(f"a {report.problem} report cannot belong to a {kind} instance")
 
     # Check the selection only against an instance whose ids it can name,
     # and pick the instance the certificate refers to.
@@ -453,11 +474,11 @@ def _check_run(
         selection_kind = "power"
     else:
         selection_kind = "stars"
-    need(
-        report.selection_kind == selection_kind,
-        f"selection kind {report.selection_kind!r} does not fit "
-        f"a {report.problem} run on a {kind} instance",
-    )
+    if report.selection_kind != selection_kind:
+        problems.append(
+            f"selection kind {report.selection_kind!r} does not fit "
+            f"a {report.problem} run on a {kind} instance"
+        )
 
     expected_problem = TWOECS if report.problem == "2ecs" else SSC
     if report.certificate.problem != expected_problem:
@@ -472,7 +493,8 @@ def _check_run(
         except (TypeError, ValueError) as exc:
             need(False, f"certificate check failed: {exc}")
         else:
-            need(feasible, f"certificate infeasible: {violations[:3]}")
+            if not feasible:
+                problems.append(f"certificate infeasible: {violations[:3]}")
             need(
                 objective == report.bounds.dual_objective,
                 "dual objective differs from certificate",
@@ -491,23 +513,23 @@ def _check_run(
     need(sum(i * a for i, a in hist.items()) == cost, "histogram cost identity fails")
     need(cost == n + k - 1, "cost identity n+k-1 fails")
 
-    from_iters: Counter[frozenset[int]] = Counter()
     picked: set[int] = set()
     kinds = ITERATION_CUTS[report.problem]
     for rec in report.iterations:
         picked.update(rec.selected)
-        from_iters.update(c.side for c in rec.cuts)
         if rec.kind not in kinds:
-            need(False, f"iteration {rec.index}: no {report.problem} run has kind {rec.kind!r}")
-        else:
-            need(
-                len(rec.cuts) == kinds[rec.kind],
-                f"iteration {rec.index}: {rec.kind} needs {kinds[rec.kind]} cut(s)",
+            problems.append(
+                f"iteration {rec.index}: no {report.problem} run has kind {rec.kind!r}"
+            )
+        elif len(rec.cuts) != kinds[rec.kind]:
+            problems.append(
+                f"iteration {rec.index}: {rec.kind} needs {kinds[rec.kind]} cut(s)"
             )
     # Compared as multisets of sides: sorting would raise on a hostile
     # side that mixes types.
     need(
-        from_iters == Counter(c.side for c in report.certificate.cuts),
+        Counter(c.side for rec in report.iterations for c in rec.cuts)
+        == Counter(c.side for c in report.certificate.cuts),
         "certificate cuts differ from iteration cuts",
     )
     expected_selected = (

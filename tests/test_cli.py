@@ -93,6 +93,28 @@ def test_gen_rejects_an_unusable_extra_factor(family, factor, tmp_path, capsys):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("prob", ["1.5", "-0.1", "nan", "inf"])
+def test_gen_rejects_an_unusable_zero_cost_prob(prob, tmp_path, capsys):
+    path = tmp_path / "r.txt"
+    code, out, err = run(
+        capsys, "gen", "random-dpa", "--n", "5", f"--zero-cost-prob={prob}", "--out", str(path)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: zero-cost probability must be in [0, 1]")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("prob", ["0", "1"])
+def test_gen_accepts_a_zero_cost_prob_at_either_end(prob, tmp_path, capsys):
+    path = tmp_path / "r.txt"
+    code, _, _ = run(
+        capsys, "gen", "random-dpa", "--n", "5", f"--zero-cost-prob={prob}", "--out", str(path)
+    )
+    assert code == 0 and path.exists()
+    code, _, _ = run(capsys, "solve", "--problem", "dpa", "--input", str(path))
+    assert code == 0
+
+
 def test_general_family_gap_is_unreduced(tmp_path, capsys):
     path = tmp_path / "tk2.txt"
     code, _, _ = run(capsys, "gen", "tk", "--k", "2", "--out", str(path))

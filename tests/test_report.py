@@ -30,7 +30,7 @@ from dualcut import (
     report_to_json,
     verify_run,
 )
-from dualcut.report import _indented, report_to_dict
+from dualcut.report import ITERATION_CUTS, _indented, convex_bound_for, report_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +75,43 @@ def test_report_encoder_matches_json_dumps(value):
 def test_report_encoder_matches_json_dumps_on_edge_shapes():
     for value in ([], {}, [[]], {"": {}}, [True, 1], ["é", "\u2603", None], {"é": [1, -2]}):
         assert _indented(value, "") == json.dumps(value, indent=2)
+
+
+def test_report_encoding_does_not_rest_on_shared_cut_objects(runs):
+    # The encoder sorts each side once for the iteration and certificate
+    # entries; cuts that are equal but not the same objects, and a
+    # certificate that reorders or adds cuts, must encode the same way.
+    for _kind, _inst, report in runs:
+        iterations = tuple(
+            dataclasses.replace(rec, cuts=tuple(dataclasses.replace(c) for c in rec.cuts))
+            for rec in report.iterations
+        )
+        ours = [c for rec in iterations for c in rec.cuts]
+        assert all(a is not b for a, b in zip(ours, report.certificate.cuts))
+        variants = [
+            dataclasses.replace(report, iterations=iterations),
+            dataclasses.replace(
+                report,
+                certificate=DualCertificate(
+                    report.certificate.problem,
+                    report.certificate.cuts[::-1] + (Cut(frozenset({2, 1})),),
+                ),
+            ),
+        ]
+        for r in variants:
+            assert report_to_json(r) == json.dumps(report_to_dict(r), indent=2) + "\n"
+        assert report_to_json(variants[0]) == report_to_json(report)
+
+
+def test_convex_bound_matches_the_two_product_formula():
+    for problem in ITERATION_CUTS:
+        for n in range(1, 61):
+            for D in range(121):
+                if problem in ("2ecs", "dpa"):
+                    old = Fraction(2, 3) * n + Fraction(1, 3) * D
+                else:
+                    old = Fraction(3, 4) * (n - 1) + Fraction(1, 4) * D
+                assert all(convex_bound_for(problem, n, k, D) == old for k in range(61))
 
 
 def test_fractions_serialize_as_ratio_strings(runs):

@@ -164,6 +164,35 @@ def test_live_lookups_match_scans_after_contractions(n, fan, seed, data):
     seed=st.integers(0, 10_000),
     data=st.data(),
 )
+def test_contracting_every_current_vertex_leaves_one_bare_vertex(n, fan, seed, data):
+    # A run's last round contracts every current vertex at once: every
+    # record dies, and no index entry or cached neighbour tuple survives.
+    for kind in ("stars", "edges"):
+        _records, li = base_records(kind, n, fan, seed)
+        while li.current_count > 2 and data.draw(st.booleans()):
+            labels = li.vertices()
+            li.contract(
+                data.draw(st.sets(st.sampled_from(labels), min_size=2, max_size=len(labels) - 1))
+            )
+        for u in li.vertices():
+            li.out_neighbors(u), li.neighbors(u)
+        assert li.contract(li.vertices()) is li
+        assert li.current_count == 1 and li.vertices() == (1,)
+        assert li.live == {}
+        assert li.out_neighbors(1) == () and li.in_neighbors(1) == ()
+        assert li.neighbors(1) == () and li.stars_at(1) == ()
+        assert li.degree(1) == 0
+        assert all(li.partition.current_of(v) == 1 for v in range(1, n + 1))
+        assert li.lift({1}) == frozenset(range(1, n + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 25),
+    fan=st.integers(1, 3),
+    seed=st.integers(0, 10_000),
+    data=st.data(),
+)
 def test_live_crossing_stars_match_the_definition_after_contractions(n, fan, seed, data):
     # Sides with more than half the current vertices are answered from the
     # vertices outside them; each side is also tried as its complement.
