@@ -6,64 +6,28 @@ power assignment (DPA), and star strong connectivity (SSC) -- with
 contraction-based approximation algorithms that emit integer dual
 certificates: families of vertex cuts whose feasibility independently proves
 a lower bound on the optimum.
+
+The names below are the documented entry points. Everything else is
+reached through its own module, e.g. `dualcut.perfect.LiveInstance`.
 """
 
-from dualcut.graphs import (
-    Digraph,
-    Multigraph,
-    find_nontrivial_path,
-    find_path_internally_avoiding,
-    is_strongly_connected,
-    is_two_edge_connected,
-    reachable_avoiding,
-)
+from dualcut.graphs import Multigraph
 from dualcut.instances import (
     DPAInstance,
     InfeasibleInstanceError,
     SSCInstance,
     Star,
     TwoECSInstance,
-    check_cut_feasible,
     check_feasible,
-    dpa_induced_graph,
     dpa_to_ssc,
     mscs_to_ssc,
-    ssc_to_dpa,
 )
-from dualcut.certificates import (
-    Cut,
-    DualCertificate,
-    crossing_edges,
-    crossing_stars,
-    verify_certificate,
-)
+from dualcut.certificates import verify_certificate
 from dualcut.advisor import Advisor, PlannedAdvisor, ScriptedAdvisor
-from dualcut.perfect import (
-    LiveInstance,
-    are_star_disjoint,
-    augment_to_perfect,
-    contract_perfect,
-    is_internal_cut,
-    is_perfect,
-    is_quasiperfect,
-    live_crossing_stars,
-)
-from dualcut.twoecs import CycleWitness, approx_2ecs, find_cycle_with_internal_cut
-from dualcut.dpa import (
-    RotationCycle,
-    approx_dpa,
-    build_rotation_cycle,
-    find_perfect_two_cuts,
-)
-from dualcut.ssc import SimpleCycle, approx_ssc, build_simple_cycle, find_perfect_set
-from dualcut.oracles import (
-    ExactResult,
-    certify_exact_by_bound,
-    enumerate_internal_cuts,
-    exact_2ecs,
-    exact_dpa,
-    exact_ssc,
-)
+from dualcut.twoecs import approx_2ecs
+from dualcut.dpa import approx_dpa
+from dualcut.ssc import approx_ssc
+from dualcut.oracles import certify_exact_by_bound, exact_2ecs, exact_dpa, exact_ssc
 from dualcut.generators import (
     ExpectedCosts,
     GeneratedInstance,
@@ -74,103 +38,11 @@ from dualcut.generators import (
     gen_random_ssc,
     gen_ssc_tight,
 )
-from dualcut.io import (
-    ParseError,
-    extract_witness,
-    instance_digest,
-    natural_kind,
-    parse_advice,
-    parse_instance,
-    witness_comment,
-    write_advice,
-    write_instance,
-)
+from dualcut.io import ParseError, parse_instance, write_instance
 from dualcut.report import (
-    Bounds,
-    IterationRecord,
     RunCheckError,
     RunReport,
-    build_report,
     report_from_json,
     report_to_json,
     verify_run,
 )
-
-__all__ = [
-    "Digraph",
-    "Multigraph",
-    "is_strongly_connected",
-    "is_two_edge_connected",
-    "reachable_avoiding",
-    "find_path_internally_avoiding",
-    "find_nontrivial_path",
-    "Star",
-    "SSCInstance",
-    "DPAInstance",
-    "TwoECSInstance",
-    "InfeasibleInstanceError",
-    "dpa_to_ssc",
-    "ssc_to_dpa",
-    "mscs_to_ssc",
-    "dpa_induced_graph",
-    "check_feasible",
-    "check_cut_feasible",
-    "Cut",
-    "DualCertificate",
-    "crossing_stars",
-    "crossing_edges",
-    "verify_certificate",
-    "Advisor",
-    "ScriptedAdvisor",
-    "PlannedAdvisor",
-    "LiveInstance",
-    "is_quasiperfect",
-    "is_perfect",
-    "augment_to_perfect",
-    "is_internal_cut",
-    "are_star_disjoint",
-    "live_crossing_stars",
-    "contract_perfect",
-    "CycleWitness",
-    "approx_2ecs",
-    "find_cycle_with_internal_cut",
-    "RotationCycle",
-    "approx_dpa",
-    "build_rotation_cycle",
-    "find_perfect_two_cuts",
-    "SimpleCycle",
-    "approx_ssc",
-    "build_simple_cycle",
-    "find_perfect_set",
-    "ExactResult",
-    "exact_ssc",
-    "exact_2ecs",
-    "exact_dpa",
-    "enumerate_internal_cuts",
-    "certify_exact_by_bound",
-    "ExpectedCosts",
-    "GeneratedInstance",
-    "gen_dpa_tight",
-    "gen_ssc_tight",
-    "gen_random_ssc",
-    "gen_random_bidirected",
-    "gen_random_2ecs",
-    "gen_random_dpa",
-    "ParseError",
-    "parse_instance",
-    "write_instance",
-    "natural_kind",
-    "instance_digest",
-    "parse_advice",
-    "write_advice",
-    "witness_comment",
-    "extract_witness",
-    "Bounds",
-    "IterationRecord",
-    "RunCheckError",
-    "RunReport",
-    "build_report",
-    "report_to_json",
-    "report_from_json",
-    "verify_run",
-]

@@ -37,7 +37,14 @@ from .io import (
     write_instance,
 )
 from .oracles import certify_exact_by_bound, exact_2ecs, exact_dpa, exact_ssc
-from .report import RunCheckError, _ratio, report_from_json, report_to_json, verify_run
+from .report import (
+    COMPATIBLE_KINDS,
+    RunCheckError,
+    _ratio,
+    report_from_json,
+    report_to_json,
+    verify_run,
+)
 from .ssc import approx_ssc
 from .twoecs import approx_2ecs
 
@@ -135,31 +142,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
 
+def _read_text(path: str) -> str:
+    """The file's text; bytes that do not decode are a ParseError."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def _load_instance(problem: str, path: str):
     """Parse the file and check the problem flag can consume its kind.
 
     Returns (kind, instance, raw text) or raises _UsageError.
     """
-    text = Path(path).read_text()
+    text = _read_text(path)
     kind, instance = parse_instance(text)
-    if problem == "2ecs":
-        ok = kind == "2ecs"
-    elif problem == "dpa":
-        if kind == "dpa":
-            ok = True
-        elif kind in ("ssc", "mscs"):
-            ok = instance.is_bidirected()
-            if not ok:
-                raise _UsageError(
-                    f"--problem dpa needs a bidirected instance; "
-                    f"{path} (kind {kind}) is not"
-                )
-        else:
-            ok = False
-    else:  # ssc / mscs
-        ok = kind in ("ssc", "mscs")
-    if not ok:
+    tag = "ssc" if problem == "mscs" else problem
+    if kind not in COMPATIBLE_KINDS[tag]:
         raise _UsageError(f"--problem {problem} cannot consume a {kind} instance")
+    if tag == "dpa" and kind != "dpa" and not instance.is_bidirected():
+        raise _UsageError(
+            f"--problem dpa needs a bidirected instance; "
+            f"{path} (kind {kind}) is not"
+        )
     return kind, instance, text
 
 
@@ -178,7 +183,7 @@ def _run_solver(problem: str, instance, advisor):
 def _read_advice(path: Optional[str]) -> list[int]:
     if not path:
         return []
-    return parse_advice(Path(path).read_text())
+    return parse_advice(_read_text(path))
 
 
 def _print_summary(report) -> None:
@@ -246,8 +251,7 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _text = Path(args.input).read_text()
-    kind, instance = parse_instance(_text)
+    kind, instance = parse_instance(_read_text(args.input))
     try:
         report = report_from_json(Path(args.report).read_text())
     except (KeyError, TypeError, ValueError) as exc:

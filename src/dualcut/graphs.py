@@ -1,18 +1,24 @@
-"""Directed and undirected multigraph primitives, reachability, and the
-reference contraction helpers.
+"""Undirected multigraphs, reachability and graph search.
 
-Vertex ids are dense integers 1..vertex_count. Arc ids and edge ids are
-0-based positions in the construction order. The algorithms contract in
-place through `perfect.LiveInstance`; the reference helpers here
-(`VertexPartition`, `contraction_mapping`, `contract_multigraph`) never
-mutate in place: they return a new graph plus the id mapping.
+Vertex ids are dense integers 1..vertex_count. Edge ids are 0-based
+positions in the construction order. The searches run on a
+`perfect.LiveInstance`, or on any view with the same queries; the
+algorithms contract in place through it.
+
+`Digraph`, `VertexPartition` and `contract_multigraph` (with its
+`contraction_mapping`) serve no solver: the benchmark traces them by name
+(`bench/layers.py`, `bench/test_smoke.py`), so they stay until its revision
+(ROADMAP item 1) lands.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+
+if TYPE_CHECKING:
+    from .perfect import LiveInstance
 
 
 class RecordError(ValueError):
@@ -27,7 +33,8 @@ class RecordError(ValueError):
 
 
 class Digraph:
-    """Simple digraph: no self-loops, duplicate arcs merged."""
+    """Simple digraph: no self-loops, duplicate arcs merged. Pinned by the
+    benchmark until ROADMAP item 1 lands; tests use it as the reference."""
 
     __slots__ = ("vertex_count", "arcs", "_out", "_in")
 
@@ -112,23 +119,7 @@ class Multigraph:
         return f"Multigraph(n={self.vertex_count}, m={len(self.edges)})"
 
 
-# Reference helpers, unused by the solvers: the benchmark traces them, tests compare.
-def is_connected(g: Multigraph) -> bool:
-    n = g.vertex_count
-    seen = bytearray(n + 1)
-    seen[1] = 1
-    stack = [1]
-    count = 1
-    while stack:
-        v = stack.pop()
-        for _, w in g.incident(v):
-            if not seen[w]:
-                seen[w] = 1
-                count += 1
-                stack.append(w)
-    return count == n
-
-
+# Pinned by the benchmark until ROADMAP item 1 lands; no solver calls these.
 @dataclass(frozen=True)
 class VertexPartition:
     """Maps original vertex ids to current (contracted) vertex ids.
@@ -211,12 +202,12 @@ def contract_multigraph(
     return Multigraph(new_n, edges), mapping, tuple(origin)
 
 
-def is_strongly_connected(g: Digraph) -> bool:
+def is_strongly_connected(g: LiveInstance) -> bool:
     """True iff every ordered vertex pair has a directed path.
 
-    Works on any graph with Digraph's queries whose `vertices()` ascend,
-    such as a live instance, whose vertices need not be dense; neighbour
-    queries may return any iterable, in any order."""
+    Works on any view with a live instance's `vertices()`, `out_neighbors`
+    and `in_neighbors` whose `vertices()` ascend; vertices need not be
+    dense, and neighbour queries may return any iterable, in any order."""
     vertices = g.vertices()
     n = len(vertices)
     if n == 1:
@@ -235,7 +226,7 @@ def spans_strongly(
 
     `out_lists[v]` holds the heads of v's arcs and `in_lists[v]` their
     tails (index 0 unused; repeats are harmless), so callers can decide
-    strong connectivity straight from their records without a Digraph."""
+    strong connectivity straight from their records without a graph object."""
     if n == 1:
         return True
     if _reach_count(out_lists.__getitem__, 1, n) != n:
@@ -309,7 +300,7 @@ def _reached_without_bridge(g: Multigraph) -> int:
 
 
 def reachable_avoiding(
-    g: Digraph, start: int, forbidden: Callable[[int, int], bool] | None = None
+    g: LiveInstance, start: int, forbidden: Callable[[int, int], bool] | None = None
 ) -> frozenset[int]:
     """Vertices reachable from start (inclusive) skipping forbidden arcs."""
     seen = {start}
@@ -326,7 +317,7 @@ def reachable_avoiding(
 
 
 def find_path_internally_avoiding(
-    g: Digraph, src: int, dst: int, avoid: Iterable[int]
+    g: LiveInstance, src: int, dst: int, avoid: Iterable[int]
 ) -> list[int] | None:
     """Shortest src->dst path whose internal vertices avoid `avoid`.
 
@@ -357,7 +348,7 @@ def find_path_internally_avoiding(
 
 
 def find_nontrivial_path(
-    g: Digraph, src: int, dst: int, avoid: Iterable[int]
+    g: LiveInstance, src: int, dst: int, avoid: Iterable[int]
 ) -> list[int] | None:
     """A src->dst path with >= 2 arcs, internal vertices avoiding `avoid`.
 

@@ -5,23 +5,16 @@ Instances validate their own feasibility on construction (strong connectivity
 or 2-edge-connectivity of the underlying graph), so algorithms may assume it.
 Strong connectivity, of an instance and of a selection alike, is decided by
 reachability over adjacency lists read straight from the stars or edges; no
-Digraph is built on the way. An invalid star or edge raises a `RecordError`
+graph object is built on the way. An invalid star or edge raises a `RecordError`
 (a ValueError) that names its position.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
-from .graphs import (
-    Digraph,
-    Multigraph,
-    RecordError,
-    is_two_edge_connected,
-    spans_strongly,
-)
+from .graphs import Multigraph, RecordError, is_two_edge_connected, spans_strongly
 
 
 class InfeasibleInstanceError(Exception):
@@ -164,8 +157,8 @@ def _stars_span(n: int, stars: Sequence[Star]) -> bool:
 
 def _power_spans(d: DPAInstance, high) -> bool:
     """The digraph that the vertices in `high` (a container) at high power
-    induce is strongly connected; same arcs as `dpa_induced_graph`. Two or
-    more vertices need a connected graph, so fewer than n - 1 edges fail
+    induce is strongly connected: an edge gives the arc u->v when it is free
+    or u is at high power. Two or more vertices need a connected graph, so fewer than n - 1 edges fail
     before any per-vertex list is allocated."""
     n = d.vertex_count
     if n >= 2 and len(d.edges) < n - 1:
@@ -180,19 +173,6 @@ def _power_spans(d: DPAInstance, high) -> bool:
             out[v].append(u)
             inc[u].append(v)
     return spans_strongly(n, out, inc)
-
-
-def dpa_induced_graph(d: DPAInstance, high: Iterable[int]) -> Digraph:
-    """Digraph a power assignment induces: arc u->v iff the edge exists and
-    is free or u transmits at high power."""
-    high_set = set(high)
-    arcs: list[tuple[int, int]] = []
-    for u, v, c in d.edges:
-        if c == 0 or u in high_set:
-            arcs.append((u, v))
-        if c == 0 or v in high_set:
-            arcs.append((v, u))
-    return Digraph(d.vertex_count, arcs)
 
 
 def dpa_to_ssc(d: DPAInstance) -> tuple[SSCInstance, dict[int, int]]:
@@ -253,32 +233,6 @@ def dpa_to_ssc(d: DPAInstance) -> tuple[SSCInstance, dict[int, int]]:
     return inst, mapping
 
 
-def ssc_to_dpa(s: SSCInstance) -> DPAInstance:
-    """Reduce a bidirected SSC instance to DPA: one vertex per star, free
-    cycle edges within same-source groups, unit edges per reverse arc pair."""
-    if not s.is_bidirected():
-        raise ValueError("ssc_to_dpa requires a bidirected instance")
-    edges: list[tuple[int, int, int]] = []
-    by_source: dict[int, list[Star]] = {}
-    for st in s.stars:
-        by_source.setdefault(st.source, []).append(st)
-    for source in sorted(by_source):
-        group = sorted(by_source[source], key=lambda st: st.id)
-        if len(group) >= 2:
-            # A 2-cycle over 2 vertices would need a parallel pair; one free
-            # edge suffices for the same connectivity.
-            for a, b in zip(group, group[1:]):
-                edges.append((a.id + 1, b.id + 1, 0))
-            if len(group) > 2:
-                edges.append((group[-1].id + 1, group[0].id + 1, 0))
-    for f1, f2 in combinations(s.stars, 2):
-        if f1.source == f2.source:
-            continue
-        if f2.source in f1.sinks and f1.source in f2.sinks:
-            edges.append((f1.id + 1, f2.id + 1, 1))
-    return DPAInstance(len(s.stars), edges)
-
-
 def mscs_to_ssc(n: int, arcs: Iterable[tuple[int, int]]) -> SSCInstance:
     """View the arcs (u, v) of a digraph on vertices 1..n as SSC with one
     singleton star per arc, in arc order; a repeated arc stays its own star,
@@ -316,29 +270,3 @@ def check_feasible(instance, selected: Iterable[int]) -> bool:
                 raise ValueError(f"unknown vertex id {v}")
         return _power_spans(instance, ids)
     raise TypeError(f"unsupported instance type {type(instance).__name__}")
-
-
-def check_cut_feasible(
-    s: SSCInstance, selected: Iterable[int], exhaustive_limit: int = 12
-) -> bool:
-    """Cut-covering semantics: every nonempty proper vertex subset must have a
-    selected star with source inside and a sink outside. Exhaustive over all
-    2^n - 2 cuts, so only for small instances."""
-    n = s.vertex_count
-    if n > exhaustive_limit:
-        raise ValueError(
-            f"vertex count {n} exceeds exhaustive limit {exhaustive_limit}"
-        )
-    ids = frozenset(selected)
-    for sid in ids:
-        if not (0 <= sid < len(s.stars)):
-            raise ValueError(f"unknown star id {sid}")
-    chosen = [s.stars[sid] for sid in sorted(ids)]
-    for bits in range(1, (1 << n) - 1):
-        side = {v for v in range(1, n + 1) if bits >> (v - 1) & 1}
-        if not any(
-            st.source in side and any(t not in side for t in st.sinks)
-            for st in chosen
-        ):
-            return False
-    return True

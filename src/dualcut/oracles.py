@@ -1,4 +1,4 @@
-"""Exact solvers and exhaustive cut enumeration for cross-checking.
+"""Exact solvers and optimality certification for cross-checking.
 
 These are deliberately independent of the approximation code paths: subsets
 are enumerated smallest-first with cheap pruning, so the first feasible hit
@@ -10,17 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .certificates import Cut, lower_bounds, verify_certificate
-from .graphs import Multigraph, is_strongly_connected, is_two_edge_connected
+from .certificates import lower_bounds, verify_certificate
+from .graphs import Multigraph, is_two_edge_connected
 from .instances import (
     DPAInstance,
     SSCInstance,
     TwoECSInstance,
     check_feasible,
-    dpa_induced_graph,
     dpa_to_ssc,
 )
-from .perfect import LiveInstance, is_internal_cut
 
 SEARCH = "search"
 
@@ -127,24 +125,9 @@ def exact_dpa(instance: DPAInstance, limit: int = 22) -> ExactResult:
     for size in range(0, n + 1):
         for combo in combinations(range(1, n + 1), size):
             explored += 1
-            induced = dpa_induced_graph(instance, set(combo))
-            if is_strongly_connected(induced):
+            if check_feasible(instance, combo):
                 return ExactResult(size, frozenset(combo), SEARCH, explored)
     raise AssertionError("a valid instance is feasible at full power")
-
-
-def enumerate_internal_cuts(li: LiveInstance, star_ids, size_limit: int = 16) -> list[Cut]:
-    """Every cut over current vertices that is internal to the star set."""
-    vertices = li.vertices()
-    n = len(vertices)
-    if n > size_limit:
-        raise ValueError(f"{n} current vertices exceeds the limit {size_limit}")
-    found = []
-    for mask in range(1, (1 << n) - 1):
-        side = frozenset(v for i, v in enumerate(vertices) if mask >> i & 1)
-        if is_internal_cut(li, star_ids, side):
-            found.append(Cut(side))
-    return found
 
 
 def certify_exact_by_bound(instance, witness: frozenset[int], certificate=None) -> bool:

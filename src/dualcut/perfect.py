@@ -76,10 +76,11 @@ class LiveInstance:
     with their current source and sinks, and one index over them.
 
     The index maps each arc u->v between current vertices to the ids of the
-    live records carrying it, and answers the queries of `graphs.Digraph`
-    itself. Vertices are labels, not dense ids. Sorted out- and undirected
-    neighbour tuples are built on demand and kept until a contraction changes
-    that vertex's arcs.
+    live records carrying it. The instance answers from it the digraph
+    queries that the `graphs` searches make (`vertices`, `out_neighbors`,
+    `in_neighbors`, ...). Vertices are labels, not dense ids. Sorted out- and
+    undirected neighbour tuples are built on demand and kept until a
+    contraction changes that vertex's arcs.
     """
 
     __slots__ = (
@@ -431,8 +432,9 @@ def _dfs_path_to(li: LiveInstance, start: int, targets: set[int], advisor: Advis
 
 def contract_perfect(li: LiveInstance, star_ids) -> LiveInstance:
     """Contract the sources of a perfect set into one supervertex."""
-    # Runs contract through `contract_rounds`; this stays for hand-driven
-    # round loops in tests and for the benchmark's per-layer trace.
+    # Runs contract through `contract_rounds`. The benchmark traces this by
+    # name, so it stays until ROADMAP item 1 lands; tests drive round loops
+    # by hand with it.
     if not is_perfect(li, star_ids):
         raise ValueError("contract_perfect requires a perfect star set")
     return li.contract(li.sources(star_ids))

@@ -194,12 +194,26 @@ def _fraction_str(f: Fraction) -> str:
 
 
 def _fraction_from(s: str) -> Fraction:
+    """The fraction `_fraction_str` writes as `s`; any other text, even an
+    equal value such as "2/2" or "1.0", raises ValueError."""
     if not isinstance(s, str):
         raise ValueError(f"a ratio must be a string 'p/q', not {s!r}")
     try:
-        return Fraction(s)
+        f = Fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"ratio {s!r} has a zero denominator") from None
+    if _fraction_str(f) != s:
+        raise ValueError(f"ratio {s!r} is not written 'p/q' in lowest terms")
+    return f
+
+
+def _histogram_key(key: str) -> int:
+    """The int whose `str` is `key`; `int` alone would also read " 3 ",
+    "0_3" and non-ASCII digits, which the encoder never writes."""
+    value = int(key)
+    if str(value) != key:
+        raise ValueError(f"histogram key {key!r} is not an integer as str writes it")
+    return value
 
 
 def _int(value, field: str) -> int:
@@ -348,9 +362,10 @@ def _iteration_from(rec) -> IterationRecord:
 def report_from_dict(data: dict) -> RunReport:
     """Decode a report; raises KeyError when a field is missing and
     ValueError when a field has the wrong shape: a container that is not a
-    list or object, a non-integer in an integer field or id list, or a
-    label that is not a string the package emits. Cut vertices are left to
-    the certificate check."""
+    list or object, a non-integer in an integer field or id list, a label
+    that is not a string the package emits, or a histogram key or ratio not
+    written the way the encoder writes it. Cut vertices are left to the
+    certificate check."""
     _dict(data, "report")
     iterations = tuple(
         map(_iteration_from, _list(data["iterations"], "iterations"))
@@ -376,7 +391,7 @@ def report_from_dict(data: dict) -> RunReport:
         selection_kind=_label(data["selection_kind"], "selection_kind", SELECTION_KINDS),
         selected=_ints(data["selected"], "selected"),
         histogram={
-            int(i): _int(a, "histogram count")
+            _histogram_key(i): _int(a, "histogram count")
             for i, a in _dict(data["histogram"], "histogram").items()
         },
         iterations=iterations,

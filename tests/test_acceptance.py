@@ -16,38 +16,38 @@ import pytest
 
 from dualcut import (
     Advisor,
-    LiveInstance,
     ScriptedAdvisor,
     approx_2ecs,
     approx_dpa,
     approx_ssc,
-    are_star_disjoint,
     certify_exact_by_bound,
-    check_cut_feasible,
     check_feasible,
-    contract_perfect,
     dpa_to_ssc,
-    enumerate_internal_cuts,
     exact_2ecs,
     exact_dpa,
     exact_ssc,
-    find_perfect_set,
-    find_perfect_two_cuts,
     gen_dpa_tight,
     gen_random_2ecs,
     gen_random_bidirected,
     gen_random_dpa,
     gen_random_ssc,
     gen_ssc_tight,
-    is_internal_cut,
-    is_perfect,
     report_from_json,
-    ssc_to_dpa,
     verify_certificate,
-    write_advice,
     write_instance,
 )
 from dualcut.cli import main
+from dualcut.dpa import find_perfect_two_cuts
+from dualcut.io import write_advice
+from dualcut.perfect import (
+    LiveInstance,
+    are_star_disjoint,
+    contract_perfect,
+    is_internal_cut,
+    is_perfect,
+)
+from dualcut.ssc import find_perfect_set
+from reference import check_cut_feasible, enumerate_internal_cuts, ssc_to_dpa
 
 
 # Each stored run: (problem, cert_instance, report, optimum, seconds).

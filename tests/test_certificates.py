@@ -3,22 +3,24 @@
 import pytest
 
 from dualcut import (
-    Cut,
-    DualCertificate,
-    IterationRecord,
     Multigraph,
     RunCheckError,
     SSCInstance,
     Star,
     TwoECSInstance,
-    build_report,
-    crossing_edges,
-    crossing_stars,
     mscs_to_ssc,
     verify_certificate,
 )
-from dualcut.certificates import SSC, TWOECS, lower_bounds
-from dualcut.report import TWO_CUTS
+from dualcut.certificates import (
+    SSC,
+    TWOECS,
+    Cut,
+    DualCertificate,
+    crossing_edges,
+    crossing_stars,
+    lower_bounds,
+)
+from dualcut.report import TWO_CUTS, IterationRecord, build_report
 
 
 def test_cut_must_be_nonempty():

@@ -285,6 +285,41 @@ def test_rejected_records_exit_two_with_their_line(
     assert err == f"error: line {line}: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "command, bad_file",
+    [
+        ("solve", "input"),
+        ("exact", "input"),
+        ("verify", "input"),
+        ("gap", "input"),
+        ("solve", "advice"),
+        ("gap", "advice"),
+    ],
+)
+def test_undecodable_input_files_exit_two(gk1, tmp_path, capsys, command, bad_file):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"p ssc 2 2\xff\n" if bad_file == "input" else b"0 \xff 1\n")
+    instance = bad if bad_file == "input" else gk1
+    args = ["--input", str(instance)]
+    if command == "verify":
+        args += ["--report", str(tmp_path / "report.json")]
+    else:
+        args += ["--problem", "ssc"]
+    if bad_file == "advice":
+        args += ["--advice", str(bad)]
+    code, out, err = run(capsys, command, *args)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {bad}: ") and "0xff" in err
+    assert err.count("\n") == 1
+
+
+def test_undecodable_report_fails_verification(gk1, tmp_path, capsys):
+    bad = tmp_path / "report.json"
+    bad.write_bytes(b'{"problem": "\xff"}')
+    code, out, _ = run(capsys, "verify", "--input", str(gk1), "--report", str(bad))
+    assert code == 1 and out.startswith("FAIL: malformed report: ")
+
+
 def test_infeasible_instance_exits_one(tmp_path, capsys):
     oneway = tmp_path / "oneway.txt"
     oneway.write_text("p mscs 2 1\na 1 2\n")
@@ -334,15 +369,34 @@ def test_verify_rejects_fractional_cut_vertices(tmp_path, capsys):
     assert len(big) >= 3
     n, dual = data["n"], len(data["certificate"]["cuts"])
     best = max(n, dual)
+    convex = Fraction(3, 4) * (n - 1) + Fraction(dual, 4)
     data["bounds"] = {
         "dual_objective": dual,
         "n_bound": n,
         "best": best,
-        "convex_bound": str(Fraction(3, 4) * (n - 1) + Fraction(dual, 4)),
+        "convex_bound": f"{convex.numerator}/{convex.denominator}",
     }
     data["ratio_vs_best"] = f"{data['cost']}/{best}"
     assert best == 20 and "# opt-witness:" in inst.read_text()
     _verify_fails(capsys, inst, report_path, data)
+
+
+ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def _rekey_histogram(data, rename):
+    data["histogram"] = {rename(k): v for k, v in data["histogram"].items()}
+
+
+def _scaled_ratio(text, factor):
+    p, q = map(int, text.split("/"))
+    return f"{p * factor}/{q * factor}"
+
+
+def _decimal(text):
+    decimal = str(float(Fraction(text)))
+    assert Fraction(decimal) == Fraction(text)  # same value, other text
+    return decimal
 
 
 @pytest.mark.parametrize(
@@ -356,6 +410,13 @@ def test_verify_rejects_fractional_cut_vertices(tmp_path, capsys):
         lambda d: d.__setitem__("histogram", list(d["histogram"].values())),
         lambda d: d.__setitem__("problem", [d["problem"]]),
         lambda d: d["certificate"]["cuts"][0].append([1]),
+        # Text that decodes to the right value, but that the encoder never
+        # writes: keys are `str(int)`, ratios are 'p/q' in lowest terms.
+        lambda d: _rekey_histogram(d, lambda k: "0_" + k),
+        lambda d: _rekey_histogram(d, lambda k: f" {k} "),
+        lambda d: _rekey_histogram(d, lambda k: k.translate(ARABIC_INDIC_DIGITS)),
+        lambda d: d.__setitem__("ratio_vs_best", _scaled_ratio(d["ratio_vs_best"], 2)),
+        lambda d: d["bounds"].__setitem__("convex_bound", _decimal(d["bounds"]["convex_bound"])),
     ],
     ids=[
         "string-star-id",
@@ -366,6 +427,11 @@ def test_verify_rejects_fractional_cut_vertices(tmp_path, capsys):
         "list-histogram",
         "list-problem",
         "list-cut-vertex",
+        "underscored-histogram-key",
+        "padded-histogram-key",
+        "arabic-indic-histogram-key",
+        "unreduced-ratio",
+        "decimal-convex-bound",
     ],
 )
 def test_verify_fails_cleanly_on_type_confused_reports(gk1, tmp_path, capsys, mutate):

@@ -6,28 +6,29 @@ import pytest
 
 from dualcut import (
     DPAInstance,
-    LiveInstance,
     SSCInstance,
     ScriptedAdvisor,
     Star,
     approx_dpa,
-    are_star_disjoint,
-    build_rotation_cycle,
     check_feasible,
-    contract_perfect,
     dpa_to_ssc,
     exact_dpa,
-    find_perfect_two_cuts,
     gen_random_bidirected,
     gen_random_dpa,
-    is_internal_cut,
-    is_perfect,
     mscs_to_ssc,
-    ssc_to_dpa,
     verify_run,
 )
 import dualcut.dpa as dpa_module
 import dualcut.report as report_module
+from dualcut.dpa import build_rotation_cycle, find_perfect_two_cuts
+from dualcut.perfect import (
+    LiveInstance,
+    are_star_disjoint,
+    contract_perfect,
+    is_internal_cut,
+    is_perfect,
+)
+from reference import ssc_to_dpa
 
 
 def S(i, src, *sinks):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualcut import LiveInstance, gen_random_bidirected, mscs_to_ssc
+from dualcut import gen_random_bidirected, mscs_to_ssc
 from dualcut.graphs import (
     Digraph,
     Multigraph,
@@ -18,11 +18,11 @@ from dualcut.graphs import (
     contraction_mapping,
     find_nontrivial_path,
     find_path_internally_avoiding,
-    is_connected,
     is_strongly_connected,
     is_two_edge_connected,
     reachable_avoiding,
 )
+from dualcut.perfect import LiveInstance
 
 
 def test_digraph_merges_duplicates_and_sorts():
@@ -200,14 +200,21 @@ def test_two_edge_connectivity_matches_networkx_on_large_multigraphs():
     assert outcomes == {True, False}
 
 
+def _connected(n: int, edges) -> bool:
+    graph = nx.MultiGraph()
+    graph.add_nodes_from(range(1, n + 1))
+    graph.add_edges_from(edges)
+    return nx.is_connected(graph)
+
+
 def _two_edge_connected_brute(g: Multigraph) -> bool:
     if g.vertex_count == 1:
         return True
-    if not is_connected(g):
+    if not _connected(g.vertex_count, g.edges):
         return False
     for drop in range(len(g.edges)):
         rest = [e for i, e in enumerate(g.edges) if i != drop]
-        if not is_connected(Multigraph(g.vertex_count, rest)):
+        if not _connected(g.vertex_count, rest):
             return False
     return True
 

@@ -5,21 +5,19 @@ import pytest
 import networkx as nx
 
 from dualcut import (
-    Digraph,
     DPAInstance,
     InfeasibleInstanceError,
     Multigraph,
     SSCInstance,
     Star,
     TwoECSInstance,
-    check_cut_feasible,
     check_feasible,
-    dpa_induced_graph,
     dpa_to_ssc,
     gen_random_dpa,
     mscs_to_ssc,
-    ssc_to_dpa,
 )
+from dualcut.graphs import Digraph
+from reference import check_cut_feasible, dpa_induced_graph, ssc_to_dpa
 
 
 def star(i, src, *sinks):

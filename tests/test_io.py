@@ -12,18 +12,20 @@ from dualcut import (
     SSCInstance,
     Star,
     TwoECSInstance,
-    extract_witness,
     gen_random_2ecs,
     gen_random_dpa,
     gen_random_ssc,
-    instance_digest,
     mscs_to_ssc,
+    parse_instance,
+    write_instance,
+)
+from dualcut.io import (
+    extract_witness,
+    instance_digest,
     natural_kind,
     parse_advice,
-    parse_instance,
     witness_comment,
     write_advice,
-    write_instance,
 )
 
 

@@ -1,28 +1,32 @@
 """Tests for the exhaustive solvers and the optimality certifier."""
 
+from itertools import combinations
+
 import pytest
 
 from dualcut import (
-    Cut,
     DPAInstance,
-    DualCertificate,
-    LiveInstance,
     Multigraph,
     SSCInstance,
     Star,
     TwoECSInstance,
+    approx_dpa,
     certify_exact_by_bound,
     check_feasible,
     dpa_to_ssc,
-    enumerate_internal_cuts,
     exact_2ecs,
     exact_dpa,
     exact_ssc,
     gen_dpa_tight,
+    gen_random_bidirected,
+    gen_random_dpa,
     gen_ssc_tight,
     mscs_to_ssc,
 )
-from dualcut.certificates import SSC
+from dualcut.certificates import SSC, Cut, DualCertificate
+from dualcut.graphs import is_strongly_connected
+from dualcut.perfect import LiveInstance
+from reference import dpa_induced_graph, enumerate_internal_cuts, ssc_to_dpa
 
 
 def S(i, src, *sinks):
@@ -85,6 +89,30 @@ def test_exact_dpa_mixed_costs():
     # endpoint of (1,3) is unnecessary since the path is already two-way free.
     inst = DPAInstance(3, [(1, 2, 0), (2, 3, 0), (1, 3, 1)])
     assert exact_dpa(inst).optimum == 0
+
+
+def _exact_dpa_reference(d: DPAInstance):
+    """Smallest-first search over high-power sets, in `exact_dpa`'s order,
+    deciding each set on the `Digraph` of the arcs it induces."""
+    n = d.vertex_count
+    for size in range(n + 1):
+        for combo in combinations(range(1, n + 1), size):
+            if is_strongly_connected(dpa_induced_graph(d, combo)):
+                return size, frozenset(combo)
+
+
+def test_exact_dpa_matches_the_induced_digraph_search():
+    pool = [gen_random_dpa(6 + i % 5, 0.2 + 0.1 * (i % 4), seed=900 + i).instance for i in range(40)]
+    # Random power instances almost always finish in one round; power forms
+    # of sparse bidirected star instances sometimes take two.
+    for seed in range(40):
+        stars = gen_random_bidirected(5 + seed % 4, 0.3, 2, seed=seed).instance
+        if len(stars.stars) <= 11:
+            pool.append(ssc_to_dpa(stars))
+    assert any(approx_dpa(d).k >= 2 for d in pool)
+    for d in pool:
+        result = exact_dpa(d)
+        assert (result.optimum, result.witness) == _exact_dpa_reference(d)
 
 
 def test_search_limits_raise():

@@ -10,27 +10,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dualcut
+import dualcut.dpa as dpa_module
+import dualcut.perfect as perfect_module
 from dualcut import (
-    Digraph,
-    LiveInstance,
     RunCheckError,
     SSCInstance,
     Star,
-    augment_to_perfect,
+    approx_dpa,
+    approx_ssc,
+    gen_random_bidirected,
+    gen_random_ssc,
+    mscs_to_ssc,
+)
+from dualcut.graphs import Digraph, is_strongly_connected
+from dualcut.perfect import (
+    LiveInstance,
     are_star_disjoint,
+    augment_to_perfect,
     contract_perfect,
     is_internal_cut,
     is_perfect,
     is_quasiperfect,
-    gen_random_ssc,
-    is_strongly_connected,
     live_crossing_stars,
-    mscs_to_ssc,
 )
-import dualcut
-import dualcut.dpa as dpa_module
-import dualcut.perfect as perfect_module
-from dualcut import approx_dpa, approx_ssc, gen_random_bidirected, ssc_to_dpa
+from reference import ssc_to_dpa
 from test_report import _run_optimized
 
 

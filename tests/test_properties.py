@@ -5,21 +5,18 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from dualcut import (
-    LiveInstance,
     SSCInstance,
     ScriptedAdvisor,
     Star,
     approx_dpa,
     approx_ssc,
-    augment_to_perfect,
-    check_cut_feasible,
     check_feasible,
-    is_perfect,
     mscs_to_ssc,
-    ssc_to_dpa,
     verify_run,
 )
 from dualcut.graphs import Digraph
+from dualcut.perfect import LiveInstance, augment_to_perfect, is_perfect
+from reference import check_cut_feasible, ssc_to_dpa
 
 
 @st.composite

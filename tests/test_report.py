@@ -15,13 +15,10 @@ from hypothesis import strategies as st
 
 import dualcut
 from dualcut import (
-    Cut,
-    DualCertificate,
     RunCheckError,
     approx_2ecs,
     approx_dpa,
     approx_ssc,
-    build_report,
     gen_random_2ecs,
     gen_random_dpa,
     gen_random_ssc,
@@ -30,7 +27,14 @@ from dualcut import (
     report_to_json,
     verify_run,
 )
-from dualcut.report import ITERATION_CUTS, _indented, convex_bound_for, report_to_dict
+from dualcut.certificates import Cut, DualCertificate
+from dualcut.report import (
+    ITERATION_CUTS,
+    _indented,
+    build_report,
+    convex_bound_for,
+    report_to_dict,
+)
 
 
 @pytest.fixture(scope="module")
@@ -298,7 +302,7 @@ def test_build_report_check_survives_python_O(breakage):
         import sys
         sys.path.insert(0, {str(Path(__file__).parent)!r})
         from test_report import _three_cycle_report_args, {breakage}
-        from dualcut import RunCheckError, build_report
+        from dualcut.report import RunCheckError, build_report
         assert False, "assert statements must be stripped here"
         try:
             build_report(**_three_cycle_report_args({breakage}))
@@ -319,8 +323,9 @@ def test_instance_checks_survive_python_O():
         from test_report import _three_cycle_report_args, _dropped_star
         from dualcut import (
             DPAInstance, InfeasibleInstanceError, RunCheckError,
-            SSCInstance, Star, build_report, check_feasible,
+            SSCInstance, Star, check_feasible,
         )
+        from dualcut.report import build_report
         assert False, "assert statements must be stripped here"
         for build in (
             lambda: SSCInstance(3, [Star(0, 1, {{2}}), Star(1, 2, {{1}})]),

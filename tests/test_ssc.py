@@ -5,24 +5,25 @@ import random
 import pytest
 
 from dualcut import (
-    LiveInstance,
     SSCInstance,
     ScriptedAdvisor,
     Star,
     approx_ssc,
-    are_star_disjoint,
-    build_simple_cycle,
     check_feasible,
-    contract_perfect,
     exact_ssc,
-    find_perfect_set,
     gen_random_ssc,
-    is_internal_cut,
-    is_perfect,
     mscs_to_ssc,
     verify_certificate,
 )
 from dualcut.graphs import Digraph
+from dualcut.perfect import (
+    LiveInstance,
+    are_star_disjoint,
+    contract_perfect,
+    is_internal_cut,
+    is_perfect,
+)
+from dualcut.ssc import build_simple_cycle, find_perfect_set
 
 
 def S(i, src, *sinks):

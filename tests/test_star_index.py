@@ -10,15 +10,9 @@ answer is a candidate list offered to an advisor.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualcut import (
-    Cut,
-    LiveInstance,
-    crossing_edges,
-    crossing_stars,
-    gen_random_2ecs,
-    gen_random_ssc,
-    live_crossing_stars,
-)
+from dualcut import gen_random_2ecs, gen_random_ssc
+from dualcut.certificates import Cut, crossing_edges, crossing_stars
+from dualcut.perfect import LiveInstance, live_crossing_stars
 
 
 def brute_crossing_stars(s, cut):

@@ -7,21 +7,21 @@ from collections.abc import Sequence
 import pytest
 
 from dualcut import (
-    LiveInstance,
     Multigraph,
     PlannedAdvisor,
     ScriptedAdvisor,
     TwoECSInstance,
     approx_2ecs,
     check_feasible,
-    crossing_edges,
     exact_2ecs,
-    find_cycle_with_internal_cut,
     gen_random_2ecs,
     verify_certificate,
 )
 from dualcut import graphs
 import dualcut.twoecs as twoecs_module
+from dualcut.certificates import crossing_edges
+from dualcut.perfect import LiveInstance
+from dualcut.twoecs import find_cycle_with_internal_cut
 
 
 def k4():

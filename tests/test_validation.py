@@ -12,19 +12,17 @@ import networkx as nx
 from hypothesis import given, settings, strategies as st
 
 from dualcut import (
-    Digraph,
     DPAInstance,
     InfeasibleInstanceError,
     SSCInstance,
     Star,
     check_feasible,
-    dpa_induced_graph,
     gen_random_bidirected,
     gen_random_dpa,
     gen_random_ssc,
-    is_strongly_connected,
 )
-from dualcut.graphs import spans_strongly
+from dualcut.graphs import Digraph, is_strongly_connected, spans_strongly
+from reference import dpa_induced_graph
 
 
 def strongly_connected(n, arcs):
