@@ -125,7 +125,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleInstanceError as exc:
@@ -150,10 +150,14 @@ def _read_text(path: str) -> str:
         raise ParseError(f"{path}: {exc}") from None
 
 
+class _UsageError(Exception):
+    """A flag that does not fit the input it is given; `main` exits 2."""
+
+
 def _load_instance(problem: str, path: str):
     """Parse the file and check the problem flag can consume its kind.
 
-    Returns (kind, instance, raw text) or raises _UsageError.
+    Returns (instance, raw text) or raises _UsageError.
     """
     text = _read_text(path)
     kind, instance = parse_instance(text)
@@ -165,11 +169,7 @@ def _load_instance(problem: str, path: str):
             f"--problem dpa needs a bidirected instance; "
             f"{path} (kind {kind}) is not"
         )
-    return kind, instance, text
-
-
-class _UsageError(Exception):
-    pass
+    return instance, text
 
 
 def _run_solver(problem: str, instance, advisor):
@@ -211,11 +211,7 @@ def _ids(values) -> str:
 
 
 def _cmd_solve(args) -> int:
-    try:
-        _kind, instance, _text = _load_instance(args.problem, args.input)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    instance, _text = _load_instance(args.problem, args.input)
     advisor = ScriptedAdvisor(_read_advice(args.advice))
     report = _run_solver(args.problem, instance, advisor)
     _print_summary(report)
@@ -234,11 +230,7 @@ def _exact_result(problem: str, instance, limit: int):
 
 
 def _cmd_exact(args) -> int:
-    try:
-        _kind, instance, _text = _load_instance(args.problem, args.input)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    instance, _text = _load_instance(args.problem, args.input)
     try:
         result = _exact_result(args.problem, instance, args.limit)
     except ValueError as exc:
@@ -315,11 +307,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_gap(args) -> int:
-    try:
-        _kind, instance, text = _load_instance(args.problem, args.input)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    instance, text = _load_instance(args.problem, args.input)
     advisor = ScriptedAdvisor(_read_advice(args.advice))
     report = _run_solver(args.problem, instance, advisor)
     optimum = None

@@ -46,10 +46,9 @@ def _leaves_of(g) -> frozenset[int]:
     return frozenset(v for v in g.vertices() if len(g.neighbors(v)) == 1)
 
 
-def build_rotation_cycle(li: LiveInstance, advisor: Advisor | None = None) -> RotationCycle:
+def build_rotation_cycle(li: LiveInstance, advisor: Advisor) -> RotationCycle:
     """Grow a path among non-leaves, rotating at dead ends, until both the
     endpoint and the pivot successor are stuck; then close the cycle."""
-    advisor = advisor or Advisor()
     if li.current_count < 3:
         raise ValueError("rotation cycles need at least three vertices")
     leaves = _leaves_of(li)
@@ -119,16 +118,16 @@ def _check_rotation_cycle(g, rc: RotationCycle) -> None:
         raise RunCheckError(problems)
 
 
-def find_perfect_two_cuts(li: LiveInstance, advisor: Advisor | None = None):
+def find_perfect_two_cuts(li: LiveInstance, advisor: Advisor):
     """One round of the bidirected algorithm.
 
     Returns (star ids, (cut side, cut side), "perfect") over current
     vertices: a perfect set plus two star-disjoint cuts internal to it,
     checked before it is returned (`check_round`). The live instance is
-    strongly connected and bidirected: each is checked once per run
-    (`LiveInstance.from_instance`, `approx_dpa`), and contraction keeps both.
+    strongly connected and bidirected: `SSCInstance` proves the first on
+    construction, `approx_dpa` checks the second once per run, and
+    contraction keeps both.
     """
-    advisor = advisor or Advisor()
     if li.current_count < 2:
         raise ValueError("need at least two current vertices")
     q, sides = _two_cuts(li, advisor)
@@ -254,7 +253,7 @@ def approx_dpa(instance, advisor: Advisor | None = None) -> RunReport:
     with the selection mapped back to vertices) or a bidirected star
     instance used as-is.
     """
-    advisor = advisor or Advisor()
+    advisor = Advisor() if advisor is None else advisor
     if isinstance(instance, DPAInstance):
         star_form = dpa_to_ssc(instance)
         derived = star_form[0]

@@ -5,10 +5,10 @@ positions in the construction order. The searches run on a
 `perfect.LiveInstance`, or on any view with the same queries; the
 algorithms contract in place through it.
 
-`Digraph`, `VertexPartition` and `contract_multigraph` (with its
-`contraction_mapping`) serve no solver: the benchmark traces them by name
-(`bench/layers.py`, `bench/test_smoke.py`), so they stay until its revision
-(ROADMAP item 1) lands.
+`Digraph`, `VertexPartition`, `contract_multigraph` (with its
+`contraction_mapping`) and `is_strongly_connected` serve no solver: the
+benchmark traces them by name (`bench/layers.py`, `bench/test_smoke.py`),
+so they stay until its revision (ROADMAP item 1) lands.
 """
 
 from __future__ import annotations
@@ -202,12 +202,12 @@ def contract_multigraph(
     return Multigraph(new_n, edges), mapping, tuple(origin)
 
 
-def is_strongly_connected(g: LiveInstance) -> bool:
+def is_strongly_connected(g: Digraph) -> bool:
     """True iff every ordered vertex pair has a directed path.
 
-    Works on any view with a live instance's `vertices()`, `out_neighbors`
-    and `in_neighbors` whose `vertices()` ascend; vertices need not be
-    dense, and neighbour queries may return any iterable, in any order."""
+    Works on any view with a `Digraph`'s `vertices()`, `out_neighbors` and
+    `in_neighbors` whose `vertices()` ascend; vertices need not be dense,
+    and neighbour queries may return any iterable, in any order."""
     vertices = g.vertices()
     n = len(vertices)
     if n == 1:
@@ -300,7 +300,7 @@ def _reached_without_bridge(g: Multigraph) -> int:
 
 
 def reachable_avoiding(
-    g: LiveInstance, start: int, forbidden: Callable[[int, int], bool] | None = None
+    g: LiveInstance, start: int, forbidden: Callable[[int, int], bool]
 ) -> frozenset[int]:
     """Vertices reachable from start (inclusive) skipping forbidden arcs."""
     seen = {start}
@@ -308,7 +308,7 @@ def reachable_avoiding(
     while queue:
         v = queue.popleft()
         for w in g.out_neighbors(v):
-            if forbidden is not None and forbidden(v, w):
+            if forbidden(v, w):
                 continue
             if w not in seen:
                 seen.add(w)

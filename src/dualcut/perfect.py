@@ -21,7 +21,7 @@ from typing import Iterable
 
 from .advisor import Advisor
 from .certificates import Cut
-from .graphs import Multigraph, is_strongly_connected
+from .graphs import Multigraph
 from .instances import SSCInstance
 from .report import IterationRecord, RunCheckError
 
@@ -78,7 +78,7 @@ class LiveInstance:
     The index maps each arc u->v between current vertices to the ids of the
     live records carrying it. The instance answers from it the digraph
     queries that the `graphs` searches make (`vertices`, `out_neighbors`,
-    `in_neighbors`, ...). Vertices are labels, not dense ids. Sorted out- and
+    `neighbors`, ...). Vertices are labels, not dense ids. Sorted out- and
     undirected neighbour tuples are built on demand and kept until a
     contraction changes that vertex's arcs.
     """
@@ -108,13 +108,12 @@ class LiveInstance:
 
     @staticmethod
     def from_instance(base: SSCInstance) -> "LiveInstance":
-        """The live view a star run starts from, checked once to be strongly
-        connected: contraction keeps that, so no round checks it again."""
+        """The live view a star run starts from. It needs no check: every
+        caller passes an `SSCInstance`, whose constructor proved its stars
+        strongly connected, and a quotient of a strongly connected digraph is
+        strongly connected, so no round checks it again."""
         stars = ((st.id, st.source, st.sinks) for st in base.stars)
-        li = LiveInstance(base.vertex_count, stars)
-        if not is_strongly_connected(_IndexView(li)):
-            raise RunCheckError(["the live digraph is not strongly connected"])
-        return li
+        return LiveInstance(base.vertex_count, stars)
 
     @staticmethod
     def from_multigraph(g: Multigraph) -> "LiveInstance":
@@ -137,9 +136,6 @@ class LiveInstance:
         if found is None:
             found = self._out_sorted[v] = tuple(sorted(self._out[v]))
         return found
-
-    def in_neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self._in[v]))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Undirected neighbor set (union of in- and out-neighbors), sorted."""
@@ -187,10 +183,6 @@ class LiveInstance:
 
     def sources(self, star_ids) -> frozenset[int]:
         return frozenset(self.source_of(sid) for sid in star_ids)
-
-    def lift(self, current_vertices) -> frozenset[int]:
-        """Original vertices behind a set of current vertices."""
-        return self.partition.lift(current_vertices)
 
     def contract(self, block) -> "LiveInstance":
         """Merge a block of current vertices, in place, into its smallest
@@ -262,19 +254,6 @@ class LiveInstance:
             f"LiveInstance(current={self.current_count}, "
             f"live_stars={len(self.live)})"
         )
-
-
-class _IndexView:
-    """A live instance's index read as a digraph whose neighbour lists are
-    dict keys, unsorted: reachability needs no order, so the run-start
-    check sorts nothing."""
-
-    __slots__ = ("vertices", "out_neighbors", "in_neighbors")
-
-    def __init__(self, li: LiveInstance):
-        self.vertices = li.vertices
-        self.out_neighbors = li._out.__getitem__
-        self.in_neighbors = li._in.__getitem__
 
 
 def is_quasiperfect(li: LiveInstance, star_ids) -> bool:
@@ -367,7 +346,7 @@ def are_star_disjoint(li: LiveInstance, side1, side2) -> bool:
     )
 
 
-def augment_to_perfect(li: LiveInstance, star_ids, advisor: Advisor | None = None) -> frozenset[int]:
+def augment_to_perfect(li: LiveInstance, star_ids, advisor: Advisor) -> frozenset[int]:
     """Grow a quasiperfect set into a perfect one.
 
     While some chosen star has a sink u outside the current source set, walk
@@ -376,7 +355,6 @@ def augment_to_perfect(li: LiveInstance, star_ids, advisor: Advisor | None = Non
     star per path arc. Each added star is sourced at a path vertex, so the
     set grows strictly and the loop terminates.
     """
-    advisor = advisor or Advisor()
     result = set(star_ids)
     if not is_quasiperfect(li, result):
         raise ValueError("augment_to_perfect requires a quasiperfect star set")
@@ -468,7 +446,7 @@ def contract_rounds(li: LiveInstance, find_round, advisor: Advisor) -> tuple[Ite
     iterations: list[IterationRecord] = []
     while li.current_count > 1:
         q, sides, kind = find_round(li, advisor)
-        cuts = tuple(Cut(li.lift(side)) for side in sides)
+        cuts = tuple(Cut(li.partition.lift(side)) for side in sides)
         ends = li.sources(q).union(*(li.sinks_of(rid) for rid in q))
         li.contract(ends)
         iterations.append(IterationRecord(len(iterations), kind, tuple(sorted(q)), cuts))

@@ -12,7 +12,6 @@ checked in floating point.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _ascii
@@ -96,7 +95,7 @@ COMPATIBLE_KINDS = {
 }
 
 
-def convex_bound_for(problem: str, n: int, k: int, dual_objective: int) -> Fraction:
+def convex_bound_for(problem: str, n: int, dual_objective: int) -> Fraction:
     """Blend of the two lower bounds matching each guarantee's tight mix:
     (2n + D)/3 for 2ecs and dpa, (3(n - 1) + D)/4 for ssc."""
     if problem in ("2ecs", "dpa"):
@@ -176,7 +175,7 @@ def build_report(
             dual_objective=objective,
             n_bound=n_bound,
             best=best,
-            convex_bound=convex_bound_for(problem, n, k, objective),
+            convex_bound=convex_bound_for(problem, n, objective),
         ),
         ratio_vs_best=_ratio(cost, best),
         advisor_fallbacks=advisor_fallbacks,
@@ -483,6 +482,7 @@ def _check_run(
         except ValueError as exc:
             need(False, f"selection invalid: {exc}")
     need(len(report.selected) == report.cost, "cost differs from selection size")
+    need(report.advisor_fallbacks >= 0, "advisor fallback count is negative")
     if report.problem == "2ecs":
         selection_kind = "edges"
     elif report.problem == "dpa" and isinstance(instance, DPAInstance):
@@ -494,6 +494,8 @@ def _check_run(
             f"selection kind {report.selection_kind!r} does not fit "
             f"a {report.problem} run on a {kind} instance"
         )
+    if selection_kind != "power":
+        need(report.selected_stars is None, "only a power report carries a star selection")
 
     expected_problem = TWOECS if report.problem == "2ecs" else SSC
     if report.certificate.problem != expected_problem:
@@ -530,22 +532,24 @@ def _check_run(
 
     picked: set[int] = set()
     kinds = ITERATION_CUTS[report.problem]
-    for rec in report.iterations:
+    for position, rec in enumerate(report.iterations):
         picked.update(rec.selected)
+        if rec.index != position:
+            problems.append(f"iteration {position} is numbered {rec.index!r}")
         if rec.kind not in kinds:
             problems.append(
-                f"iteration {rec.index}: no {report.problem} run has kind {rec.kind!r}"
+                f"iteration {position}: no {report.problem} run has kind {rec.kind!r}"
             )
         elif len(rec.cuts) != kinds[rec.kind]:
             problems.append(
-                f"iteration {rec.index}: {rec.kind} needs {kinds[rec.kind]} cut(s)"
+                f"iteration {position}: {rec.kind} needs {kinds[rec.kind]} cut(s)"
             )
-    # Compared as multisets of sides: sorting would raise on a hostile
-    # side that mixes types.
+    # Sides compare as frozensets, in order: sorting would raise on a
+    # hostile side that mixes types.
     need(
-        Counter(c.side for rec in report.iterations for c in rec.cuts)
-        == Counter(c.side for c in report.certificate.cuts),
-        "certificate cuts differ from iteration cuts",
+        [c.side for rec in report.iterations for c in rec.cuts]
+        == [c.side for c in report.certificate.cuts],
+        "certificate cuts differ, in order, from iteration cuts",
     )
     expected_selected = (
         set(report.selected_stars or ())
@@ -565,7 +569,7 @@ def _check_run(
     need(report.bounds.best == best, "best bound is not the max of the two")
     need(
         report.bounds.convex_bound
-        == convex_bound_for(report.problem, n, k, D),
+        == convex_bound_for(report.problem, n, D),
         "convex bound formula mismatch",
     )
     need(

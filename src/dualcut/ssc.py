@@ -37,10 +37,9 @@ class SimpleCycle:
     closing_end: int
 
 
-def build_simple_cycle(li: LiveInstance, advisor: Advisor | None = None) -> SimpleCycle:
+def build_simple_cycle(li: LiveInstance, advisor: Advisor) -> SimpleCycle:
     """Grow a path along unvisited out-neighbors until stuck, then close it
     at the earliest path vertex the endpoint reaches."""
-    advisor = advisor or Advisor()
     if li.current_count < 2:
         raise ValueError("need at least two current vertices")
     tail, head = advisor.choose("initial-arc", li.arcs, li.partition)
@@ -67,7 +66,7 @@ def _blocked_reach(g, cycle_set, start: int) -> frozenset[int]:
     )
 
 
-def find_perfect_set(li: LiveInstance, advisor: Advisor | None = None):
+def find_perfect_set(li: LiveInstance, advisor: Advisor):
     """One round of the general algorithm.
 
     Returns (star ids, cut sides, kind) over current vertices: kind
@@ -75,10 +74,9 @@ def find_perfect_set(li: LiveInstance, advisor: Advisor | None = None):
     carries two star-disjoint cuts. The cycle is re-grown in place whenever
     a longer detour is found, so the loop runs at most n times. The round
     is checked before it is returned (`check_round`). The live instance is
-    strongly connected: `LiveInstance.from_instance` checks it once per run,
-    and contraction keeps it.
+    strongly connected: `SSCInstance` proves it on construction, and
+    contraction keeps it.
     """
-    advisor = advisor or Advisor()
     if li.current_count < 2:
         raise ValueError("need at least two current vertices")
     cycle = list(build_simple_cycle(li, advisor).cycle_vertices)
@@ -218,7 +216,7 @@ def approx_ssc(instance: SSCInstance, advisor: Advisor | None = None) -> RunRepo
     """Run the general star-cover algorithm, producing a verified report."""
     if not isinstance(instance, SSCInstance):
         raise TypeError("approx_ssc needs a star instance")
-    advisor = advisor or Advisor()
+    advisor = Advisor() if advisor is None else advisor
     return build_report(
         problem="ssc",
         instance=instance,

@@ -82,7 +82,7 @@ class OrientedEdges(Sequence):
                 yield (v, w, eid)
 
 
-def find_cycle_with_internal_cut(li: LiveInstance, advisor: Advisor | None = None) -> CycleWitness:
+def find_cycle_with_internal_cut(li: LiveInstance, advisor: Advisor) -> CycleWitness:
     """Grow a path greedily; when stuck, close it into a cycle.
 
     Requires a live edge instance (`LiveInstance.from_multigraph`) whose
@@ -91,7 +91,6 @@ def find_cycle_with_internal_cut(li: LiveInstance, advisor: Advisor | None = Non
     edge that entered the endpoint, so two parallel edges close a legal
     2-cycle.
     """
-    advisor = advisor or Advisor()
     if li.current_count < 2:
         raise ValueError("need at least two vertices to find a cycle")
     tail, head, first_eid = advisor.choose("initial-edge", OrientedEdges(li), li.partition)
@@ -139,7 +138,7 @@ def approx_2ecs(instance: TwoECSInstance, advisor: Advisor | None = None) -> Run
     must be pairwise edge-disjoint for the doubled dual to be feasible;
     `build_report` checks that, and the selection, through `verify_run`.
     """
-    advisor = advisor or Advisor()
+    advisor = Advisor() if advisor is None else advisor
     return build_report(
         problem="2ecs",
         instance=instance,

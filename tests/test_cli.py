@@ -8,6 +8,7 @@ import pytest
 import dualcut.report as report_module
 from dualcut.certificates import DualCertificate
 from dualcut.cli import main
+from test_report import UNEMITTED_EDITS
 
 
 def run(capsys, *argv):
@@ -444,6 +445,21 @@ def test_verify_fails_cleanly_on_type_confused_reports(gk1, tmp_path, capsys, mu
     data = json.loads(report_path.read_text())
     mutate(data)
     _verify_fails(capsys, gk1, report_path, data)
+
+
+@pytest.mark.parametrize("edit", UNEMITTED_EDITS)
+def test_verify_fails_on_report_forms_the_encoder_never_writes(tmp_path, capsys, edit):
+    inst, report_path = tmp_path / "r.txt", tmp_path / "r.json"
+    run(
+        capsys, "gen", "random-ssc", "--n", "12", "--seed", "5",
+        "--extra-factor", "1.0", "--fan", "2", "--out", str(inst),
+    )
+    code, _, _ = run(capsys, "solve", "--problem", "ssc", "--input", str(inst), "--out", str(report_path))
+    assert code == 0
+    data = json.loads(report_path.read_text())
+    mutate, finding = UNEMITTED_EDITS[edit]
+    mutate(data)
+    assert f"FAIL: {finding}" in _verify_fails(capsys, inst, report_path, data)
 
 
 def test_solve_exits_one_when_its_report_fails_verification(gk1, capsys, monkeypatch):

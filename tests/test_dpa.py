@@ -5,6 +5,7 @@ import random
 import pytest
 
 from dualcut import (
+    Advisor,
     DPAInstance,
     SSCInstance,
     ScriptedAdvisor,
@@ -44,7 +45,7 @@ def sides(report):
 def test_rotation_cycle_requires_three_vertices():
     li = LiveInstance.from_instance(mscs_to_ssc(2, [(1, 2), (2, 1)]))
     with pytest.raises(ValueError):
-        build_rotation_cycle(li)
+        build_rotation_cycle(li, Advisor())
 
 
 def test_rotation_cycle_invariants_on_random_instances():

@@ -22,6 +22,8 @@ UNUSED_BY_DESIGN = {
     # Bench-pinned: traced by bench/layers.py.
     "graphs.contract_multigraph",
     # Bench-pinned: traced by bench/layers.py.
+    "graphs.is_strongly_connected",
+    # Bench-pinned: traced by bench/layers.py.
     "perfect.contract_perfect",
 }
 

@@ -14,6 +14,7 @@ import dualcut
 import dualcut.dpa as dpa_module
 import dualcut.perfect as perfect_module
 from dualcut import (
+    Advisor,
     RunCheckError,
     SSCInstance,
     Star,
@@ -34,7 +35,6 @@ from dualcut.perfect import (
     is_quasiperfect,
     live_crossing_stars,
 )
-from reference import ssc_to_dpa
 from test_report import _run_optimized
 
 
@@ -79,7 +79,7 @@ def test_contract_remaps_and_drops_empty_stars():
     # Star 0 now goes from merged vertex 1 to vertex 3, which keeps its label.
     assert shrunk.vertices() == (1, 3)
     assert shrunk.source_of(0) == 1 and shrunk.sinks_of(0) == frozenset({3})
-    assert shrunk.lift({1}) == frozenset({1, 2})
+    assert shrunk.partition.lift({1}) == frozenset({1, 2})
     # Stars fully inside the block are gone.
     assert 1 not in shrunk.live
 
@@ -159,7 +159,7 @@ def test_are_star_disjoint():
 
 def test_augment_pulls_every_external_sink_in():
     li = fat_instance()
-    q = augment_to_perfect(li, {0})
+    q = augment_to_perfect(li, {0}, Advisor())
     assert is_perfect(li, q)
     assert 0 in q and li.sources(q) == frozenset({1, 2, 3})
 
@@ -167,9 +167,9 @@ def test_augment_pulls_every_external_sink_in():
 def test_augment_requires_quasiperfect():
     li = live_cycle(3)
     with pytest.raises(ValueError):
-        augment_to_perfect(li, {0, 1})
+        augment_to_perfect(li, {0, 1}, Advisor())
     with pytest.raises(ValueError):
-        augment_to_perfect(li, set())
+        augment_to_perfect(li, set(), Advisor())
 
 
 def test_augment_walks_long_detours():
@@ -182,7 +182,7 @@ def test_augment_walks_long_detours():
         Star(4, 1, frozenset({3})),
         Star(5, 3, frozenset({1})),
     ]))
-    q = augment_to_perfect(li, {0, 1})
+    q = augment_to_perfect(li, {0, 1}, Advisor())
     assert is_perfect(li, q)
     assert {0, 1, 2, 3} <= set(q)
 
@@ -208,7 +208,7 @@ def test_algorithm_modules_hold_no_assert_statements():
     [
         # A faulty augmentation hands the round a set that is not perfect.
         (
-            "ssc.augment_to_perfect = lambda li, ids, advisor=None: frozenset(ids)",
+            "ssc.augment_to_perfect = lambda li, ids, advisor: frozenset(ids)",
             "is not perfect",
         ),
         ("perfect.is_internal_cut = lambda li, ids, side: False", "is not internal"),
@@ -250,39 +250,31 @@ def test_each_round_checks_its_set_once(monkeypatch):
         assert len(calls) == report.k
 
 
-def test_each_star_run_checks_strong_connectivity_once(monkeypatch):
-    # Contraction keeps the live instance strongly connected, so only the
-    # start of a run asks.
-    calls = []
-    real = perfect_module.is_strongly_connected
-    monkeypatch.setattr(
-        perfect_module, "is_strongly_connected", lambda g: calls.append(g) or real(g)
-    )
-    for solve, inst in (
-        (approx_ssc, gen_random_ssc(12, 1.0, 2, seed=5).instance),
-        (approx_dpa, gen_random_bidirected(12, 0.5, 2, seed=5).instance),
-        (approx_dpa, ssc_to_dpa(gen_random_bidirected(12, 0.5, 2, seed=5).instance)),
-    ):
-        calls.clear()
-        assert solve(inst).k > 1
-        assert len(calls) == 1
-
-
-def test_strong_connectivity_check_survives_python_O():
+def test_star_runs_start_only_from_proven_instances_under_python_O():
+    # No run re-checks strong connectivity: `SSCInstance` proves it with
+    # explicit code, and both star solvers take nothing else.
     script = textwrap.dedent("""
-        import dualcut.perfect as perfect
-        from dualcut import RunCheckError, approx_ssc, gen_random_ssc
+        from dualcut import (
+            InfeasibleInstanceError, SSCInstance, Star, approx_dpa, approx_ssc,
+        )
         assert False, "assert statements must be stripped here"
-        perfect.is_strongly_connected = lambda g: False
+        one_way = [Star(0, 1, {2}), Star(1, 2, {3}), Star(2, 3, {2})]
         try:
-            approx_ssc(gen_random_ssc(8, 1.0, 2, seed=0).instance)
-        except RunCheckError as exc:
-            print(*exc.problems, sep="\\n")
-        else:
-            print("accepted")
+            SSCInstance(3, one_way)
+        except InfeasibleInstanceError as exc:
+            print(exc)
+
+        class Unchecked:
+            vertex_count, stars = 3, one_way
+
+        for solve in (approx_ssc, approx_dpa):
+            try:
+                solve(Unchecked())
+            except TypeError:
+                print("TypeError")
     """)
     assert _run_optimized(script).splitlines() == [
-        "the live digraph is not strongly connected"
+        "union of all stars is not strongly connected", "TypeError", "TypeError",
     ]
 
 
@@ -291,7 +283,7 @@ def test_each_dpa_round_finds_its_leaves_once(monkeypatch):
     leaf_calls, rounds = [], []
     real_leaves, real_round = dpa_module._leaves_of, dpa_module.find_perfect_two_cuts
 
-    def counting_round(li, advisor=None):
+    def counting_round(li, advisor):
         before, count = len(leaf_calls), li.current_count
         outcome = real_round(li, advisor)
         rounds.append((count, len(leaf_calls) - before))
@@ -309,4 +301,4 @@ def test_augmentation_without_a_path_back_is_a_run_check_failure():
     # Star 1 leaves for vertex 3, which has no way back to the sources.
     li = LiveInstance(3, [(0, 1, frozenset({2})), (1, 2, frozenset({1, 3}))])
     with pytest.raises(RunCheckError, match="no directed path leads from 3"):
-        augment_to_perfect(li, {0, 1})
+        augment_to_perfect(li, {0, 1}, Advisor())

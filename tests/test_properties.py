@@ -5,6 +5,7 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from dualcut import (
+    Advisor,
     SSCInstance,
     ScriptedAdvisor,
     Star,
@@ -102,7 +103,7 @@ def test_runs_are_reproducible(inst, script):
 def test_augmenting_a_singleton_yields_a_perfect_superset(inst, data):
     li = LiveInstance.from_instance(inst)
     sid = data.draw(st.sampled_from(sorted(li.live)))
-    q = augment_to_perfect(li, frozenset((sid,)))
+    q = augment_to_perfect(li, frozenset((sid,)), Advisor())
     assert sid in q
     assert is_perfect(li, q)
 

@@ -115,7 +115,7 @@ def test_convex_bound_matches_the_two_product_formula():
                     old = Fraction(2, 3) * n + Fraction(1, 3) * D
                 else:
                     old = Fraction(3, 4) * (n - 1) + Fraction(1, 4) * D
-                assert all(convex_bound_for(problem, n, k, D) == old for k in range(61))
+                assert convex_bound_for(problem, n, D) == old
 
 
 def test_fractions_serialize_as_ratio_strings(runs):
@@ -192,6 +192,42 @@ def test_verify_run_reports_foreign_labels_instead_of_raising(runs, tamper, find
     kind, inst, report = runs[0]
     problems = verify_run(kind, inst, tamper(report))
     assert problems == [f"{finding} is not one the package emits"]
+
+
+# Edits to a report's JSON that the encoder never writes, each with the
+# finding it must draw; test_cli runs the same edits through `dualcut verify`.
+UNEMITTED_EDITS = {
+    "renumbered-iterations": (
+        lambda d: [rec.__setitem__("index", 7) for rec in d["iterations"]],
+        "iteration 0 is numbered 7",
+    ),
+    "reversed-iterations": (
+        lambda d: d["iterations"].reverse(),
+        "iteration 0 is numbered",
+    ),
+    "reversed-certificate-cuts": (
+        lambda d: d["certificate"]["cuts"].reverse(),
+        "certificate cuts differ, in order, from iteration cuts",
+    ),
+    "star-selection-on-ssc": (
+        lambda d: d.__setitem__("selected_stars", [999]),
+        "only a power report carries a star selection",
+    ),
+    "negative-fallbacks": (
+        lambda d: d.__setitem__("advisor_fallbacks", -5),
+        "advisor fallback count is negative",
+    ),
+}
+
+
+@pytest.mark.parametrize("edit", UNEMITTED_EDITS)
+def test_verify_rejects_report_forms_the_encoder_never_writes(edit):
+    mutate, finding = UNEMITTED_EDITS[edit]
+    inst = gen_random_ssc(12, 1.0, 2, seed=5).instance
+    data = json.loads(report_to_json(approx_ssc(inst)))
+    mutate(data)
+    problems = verify_run("ssc", inst, report_from_json(json.dumps(data)))
+    assert any(p.startswith(finding) for p in problems), problems
 
 
 def test_verify_catches_missing_star_selection(runs):

@@ -1,6 +1,7 @@
 """Tests for the general star-cover approximation algorithm."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +14,9 @@ from dualcut import (
     exact_ssc,
     gen_random_ssc,
     mscs_to_ssc,
+    parse_instance,
     verify_certificate,
+    verify_run,
 )
 from dualcut.graphs import Digraph
 from dualcut.perfect import (
@@ -23,7 +26,11 @@ from dualcut.perfect import (
     is_internal_cut,
     is_perfect,
 )
+from dualcut.io import parse_advice
+from dualcut.report import TWO_CUTS
 from dualcut.ssc import build_simple_cycle, find_perfect_set
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def S(i, src, *sinks):
@@ -135,3 +142,43 @@ def test_single_vertex_instance():
 def test_rejects_non_star_input():
     with pytest.raises(TypeError):
         approx_ssc(Digraph(2, [(1, 2), (2, 1)]))
+
+
+class _LabelRecorder(ScriptedAdvisor):
+    """Records the label of every choice, single-candidate ones included,
+    one list per round: each ssc round opens with `initial-arc`."""
+
+    def __init__(self, script):
+        super().__init__(script)
+        self.rounds = []
+
+    def choose(self, label, candidates, partition=None):
+        if label == "initial-arc":
+            self.rounds.append([])
+        self.rounds[-1].append(label)
+        return super().choose(label, candidates, partition)
+
+
+# Each fixture's branch, told from the labels of one round and its kind.
+BRANCH_FIRED = {
+    "reversed-outward-star": lambda labels, kind: "reversed-outward-star" in labels,
+    "f2-star": lambda labels, kind: "f2-star" in labels,
+    # The f1-star branch that finds no detour and returns two cuts.
+    "f1-two-cuts": lambda labels, kind: (
+        kind == TWO_CUTS and "f1-sink" in labels and "f2-star" not in labels
+    ),
+}
+
+
+@pytest.mark.parametrize("branch", BRANCH_FIRED)
+def test_multi_sink_branches_fire_on_their_fixtures(branch):
+    path = FIXTURES / f"ssc_{branch}.txt"
+    _, inst = parse_instance(path.read_text())
+    advisor = _LabelRecorder(parse_advice(Path(f"{path}.advice").read_text()))
+    report = approx_ssc(inst, advisor)
+    assert len(advisor.rounds) == report.k
+    assert any(
+        BRANCH_FIRED[branch](labels, rec.kind) for labels, rec in zip(advisor.rounds, report.iterations)
+    )
+    assert verify_run("ssc", inst, report) == []
+    assert 5 * report.cost <= 6 * (report.n - 1) + 2 * report.bounds.dual_objective

@@ -7,6 +7,7 @@ from collections.abc import Sequence
 import pytest
 
 from dualcut import (
+    Advisor,
     Multigraph,
     PlannedAdvisor,
     ScriptedAdvisor,
@@ -31,7 +32,7 @@ def k4():
 
 
 def test_cycle_witness_structure_on_k4():
-    w = find_cycle_with_internal_cut(LiveInstance.from_multigraph(k4().graph))
+    w = find_cycle_with_internal_cut(LiveInstance.from_multigraph(k4().graph), Advisor())
     verts = w.cycle_vertices
     assert len(verts) == len(set(verts)) >= 2
     assert len(w.cycle_edges) == len(verts)
@@ -45,13 +46,13 @@ def test_cycle_witness_structure_on_k4():
 
 def test_cycle_closing_edge_differs_from_entry_on_parallel_pair():
     g = Multigraph(2, [(1, 2), (1, 2)])
-    w = find_cycle_with_internal_cut(LiveInstance.from_multigraph(g))
+    w = find_cycle_with_internal_cut(LiveInstance.from_multigraph(g), Advisor())
     assert sorted(w.cycle_edges) == [0, 1]
 
 
 def test_single_vertex_is_rejected_by_cycle_finder():
     with pytest.raises(ValueError):
-        find_cycle_with_internal_cut(LiveInstance.from_multigraph(Multigraph(1, [])))
+        find_cycle_with_internal_cut(LiveInstance.from_multigraph(Multigraph(1, [])), Advisor())
 
 
 def test_k4_run():
