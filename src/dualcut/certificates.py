@@ -18,13 +18,19 @@ TWOECS = "2ecs"
 
 @dataclass(frozen=True)
 class Cut:
-    """A nonempty proper subset of the vertices."""
+    """A nonempty proper subset of the vertices: `side` itself, or, when
+    `complement` is set, every vertex outside `side`. Runs store the half
+    with fewer original vertices, so a side near the whole vertex set costs
+    what its complement does."""
 
     side: frozenset[int]
+    complement: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "side", frozenset(self.side))
-        if not self.side:
+        # An empty complemented side (every vertex) decodes, so that a report
+        # carrying one fails the certificate check rather than the decoder.
+        if not self.side and not self.complement:
             raise ValueError("cut side must be nonempty")
 
 
@@ -68,14 +74,26 @@ def _check_cut(side: frozenset[int], n: int) -> None:
         for v in side:
             if type(v) is not int or not 1 <= v <= n:
                 raise ValueError(f"cut vertex {v!r} is not a vertex id in 1..{n}")
-    if len(side) >= n:
-        raise ValueError("cut side must be a proper subset of the vertices")
+    # A side and its complement are both nonempty exactly when the stored
+    # half is, so this test reads the same for either half.
+    if not 0 < len(side) < n:
+        raise ValueError("cut side must be a nonempty proper subset of the vertices")
 
 
 def crossing_stars(s: SSCInstance, cut: Cut) -> frozenset[int]:
-    """Stars with source inside the cut and at least one sink outside."""
+    """Stars with source inside the cut and at least one sink outside. For a
+    complemented cut these are the stars with a sink in the stored side and
+    their source outside it."""
     _check_cut(cut.side, s.vertex_count)
     side = cut.side
+    if cut.complement:
+        by_sink = s.stars_by_sink()
+        return frozenset(
+            st.id
+            for t in side
+            for st in by_sink.get(t, ())
+            if st.source not in side
+        )
     by_source = s.stars_by_source()
     return frozenset(
         st.id
@@ -86,7 +104,7 @@ def crossing_stars(s: SSCInstance, cut: Cut) -> frozenset[int]:
 
 
 def crossing_edges(t: TwoECSInstance, cut: Cut) -> frozenset[int]:
-    """Edge ids with exactly one endpoint inside the cut."""
+    """Edge ids with exactly one endpoint inside the cut (either half)."""
     g = t.graph
     _check_cut(cut.side, g.vertex_count)
     side = cut.side

@@ -46,7 +46,7 @@ class SSCInstance:
     """Star strong connectivity: pick fewest stars whose arcs span strong
     connectivity over all vertices."""
 
-    __slots__ = ("vertex_count", "stars", "_by_source")
+    __slots__ = ("vertex_count", "stars", "_by_source", "_by_sink")
 
     def __init__(self, vertex_count: int, stars: Sequence[Star]):
         if vertex_count < 1:
@@ -68,6 +68,7 @@ class SSCInstance:
                 "union of all stars is not strongly connected"
             )
         self._by_source: dict[int, tuple[Star, ...]] | None = None
+        self._by_sink: dict[int, tuple[Star, ...]] | None = None
 
     def is_bidirected(self) -> bool:
         """Every star arc u->v has its reverse v->u in some star."""
@@ -82,6 +83,17 @@ class SSCInstance:
                 index.setdefault(st.source, []).append(st)
             self._by_source = {v: tuple(group) for v, group in index.items()}
         return self._by_source
+
+    def stars_by_sink(self) -> dict[int, tuple[Star, ...]]:
+        """Sink vertex -> the stars with it among their sinks, in id order
+        (built once)."""
+        if self._by_sink is None:
+            index: dict[int, list[Star]] = {}
+            for st in self.stars:
+                for t in st.sinks:
+                    index.setdefault(t, []).append(st)
+            self._by_sink = {v: tuple(group) for v, group in index.items()}
+        return self._by_sink
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SSCInstance(n={self.vertex_count}, stars={len(self.stars)})"

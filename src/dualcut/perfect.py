@@ -34,9 +34,10 @@ class Labels:
     list of its original members, so `lift` costs the size of its output.
     """
 
-    __slots__ = ("_parent", "_label", "members")
+    __slots__ = ("vertex_count", "_parent", "_label", "members")
 
     def __init__(self, n: int):
+        self.vertex_count = n
         self._parent = list(range(n + 1))
         self._label = list(range(n + 1))  # union-find root -> label
         self.members: dict[int, list[int]] = {v: [v] for v in range(1, n + 1)}
@@ -55,6 +56,15 @@ class Labels:
         """Original vertices behind a set of current vertices."""
         members = self.members
         return frozenset(chain.from_iterable(members[c] for c in current_vertices))
+
+    def cut(self, side) -> Cut:
+        """The cut over original vertices behind a side of current vertices,
+        stored by whichever half holds at most half the original vertices;
+        the other half is never lifted."""
+        members = self.members
+        if 2 * sum([len(members[c]) for c in side]) <= self.vertex_count:
+            return Cut(self.lift(side))
+        return Cut(self.lift([c for c in members if c not in side]), complement=True)
 
     def merge(self, block: set[int], anchor: int) -> None:
         """Merge the current vertices of `block` into one labelled `anchor`,
@@ -441,12 +451,13 @@ def check_round(li: LiveInstance, star_ids, sides) -> None:
 def contract_rounds(li: LiveInstance, find_round, advisor: Advisor) -> tuple[IterationRecord, ...]:
     """The round loop of every algorithm: until one vertex is left, take
     `find_round(li, advisor)`'s (record ids, cut sides, kind), lift the
-    sides to cuts over original vertices, and contract the ends of the
-    records (their sources and sinks) into one vertex."""
+    sides to cuts over original vertices (each by its smaller half), and
+    contract the ends of the records (their sources and sinks) into one
+    vertex."""
     iterations: list[IterationRecord] = []
     while li.current_count > 1:
         q, sides, kind = find_round(li, advisor)
-        cuts = tuple(Cut(li.partition.lift(side)) for side in sides)
+        cuts = tuple(map(li.partition.cut, sides))
         ends = li.sources(q).union(*(li.sinks_of(rid) for rid in q))
         li.contract(ends)
         iterations.append(IterationRecord(len(iterations), kind, tuple(sorted(q)), cuts))

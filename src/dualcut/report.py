@@ -14,7 +14,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _ascii
+from operator import lt
 
 from .certificates import (
     SSC,
@@ -222,11 +224,23 @@ def _int(value, field: str) -> int:
     return value
 
 
+def _ascending(values: list) -> bool:
+    """Whether `values` is strictly ascending; values that do not compare
+    are not."""
+    try:
+        return len(values) < 2 or all(map(lt, values, islice(values, 1, None)))
+    except TypeError:
+        return False
+
+
 def _ints(values, field: str) -> tuple[int, ...]:
-    values = tuple(_list(values, field))
+    """An id list as the encoder writes it: integers, strictly ascending."""
+    values = _list(values, field)
     if not set(map(type, values)) <= {int}:
         raise ValueError(f"{field} must hold integers only")
-    return values
+    if not _ascending(values):
+        raise ValueError(f"{field} must be strictly ascending")
+    return tuple(values)
 
 
 def _list(value, field: str) -> list:
@@ -254,23 +268,41 @@ def _label(value, field: str, known) -> str:
 
 
 def _cuts(sides, field: str) -> tuple[Cut, ...]:
-    """Cut sides as decoded; their vertices are left to the certificate check."""
+    """Cuts as decoded: a list `[0, v1, v2, ...]` is every vertex but the
+    ones after the 0, any other list the vertices it holds. Each list must
+    be strictly ascending after its marker; which vertices it names is left
+    to the certificate check."""
     if not set(map(type, _list(sides, field))) <= {list}:
         raise ValueError(f"{field} must be a list of lists")
+    cuts = []
     try:
-        return tuple(Cut(frozenset(side)) for side in sides)
+        for side in sides:
+            # The marker is an int 0 in first place; False is no vertex id.
+            complement = bool(side) and type(side[0]) is int and side[0] == 0
+            if complement:
+                side = side[1:]
+            if not _ascending(side):
+                raise ValueError(f"{field} must be strictly ascending")
+            cuts.append(Cut(frozenset(side), complement))
     except TypeError:
         raise ValueError(f"{field} holds an unhashable vertex") from None
+    return tuple(cuts)
+
+
+def _cut_list(cut: Cut) -> list[int]:
+    """The list `_cuts` decodes back to `cut`."""
+    side = sorted(cut.side)
+    return [0, *side] if cut.complement else side
 
 
 def report_to_dict(report: RunReport) -> dict:
-    # Each cut side is sorted once: the certificate repeats the iterations'
-    # cuts, and gets copies of their sorted sides.
-    sorted_sides: dict[frozenset[int], list[int]] = {}
+    # Each cut is written once: the certificate repeats the iterations'
+    # cuts, and gets copies of their lists.
+    cut_lists: dict[Cut, list[int]] = {}
     for rec in report.iterations:
         for c in rec.cuts:
-            if c.side not in sorted_sides:
-                sorted_sides[c.side] = sorted(c.side)
+            if c not in cut_lists:
+                cut_lists[c] = _cut_list(c)
     return {
         "problem": report.problem,
         "n": report.n,
@@ -289,14 +321,14 @@ def report_to_dict(report: RunReport) -> dict:
                 "index": rec.index,
                 "kind": rec.kind,
                 "selected": list(rec.selected),
-                "cuts": [sorted_sides[c.side] for c in rec.cuts],
+                "cuts": [cut_lists[c] for c in rec.cuts],
             }
             for rec in report.iterations
         ],
         "certificate": {
             "problem": report.certificate.problem,
             "cuts": [
-                sorted_sides[c.side][:] if c.side in sorted_sides else sorted(c.side)
+                cut_lists[c][:] if c in cut_lists else _cut_list(c)
                 for c in report.certificate.cuts
             ],
         },
@@ -361,18 +393,28 @@ def _iteration_from(rec) -> IterationRecord:
 def report_from_dict(data: dict) -> RunReport:
     """Decode a report; raises KeyError when a field is missing and
     ValueError when a field has the wrong shape: a container that is not a
-    list or object, a non-integer in an integer field or id list, a label
-    that is not a string the package emits, or a histogram key or ratio not
-    written the way the encoder writes it. Cut vertices are left to the
-    certificate check."""
+    list or object, a non-integer in an integer field or id list, an id or
+    cut list that is not strictly ascending, a label that is not a string
+    the package emits, or a histogram key or ratio not written the way the
+    encoder writes it. Cut vertices are left to the certificate check."""
     _dict(data, "report")
-    iterations = tuple(
-        map(_iteration_from, _list(data["iterations"], "iterations"))
-    )
+    records = _list(data["iterations"], "iterations")
+    iterations = tuple(map(_iteration_from, records))
     c = _dict(data["certificate"], "certificate")
+    # The encoder writes the iterations' cuts again as the certificate, so
+    # equal lists reuse the iteration cuts. Lists also compare equal across
+    # types (0 == False == 0.0), so reuse also needs the certificate's
+    # entries to be ints; an iteration entry that is not one stays in the
+    # reused cut, where the certificate check finds it.
+    cert_lists = _list(c["cuts"], "certificate cuts")
+    if cert_lists == [side for rec in records for side in rec["cuts"]] and set(
+        map(type, chain.from_iterable(cert_lists))
+    ) <= {int}:
+        cert_cuts = tuple(cut for rec in iterations for cut in rec.cuts)
+    else:
+        cert_cuts = _cuts(cert_lists, "certificate cuts")
     cert = DualCertificate(
-        _label(c["problem"], "certificate problem", (SSC, TWOECS)),
-        _cuts(c["cuts"], "certificate cuts"),
+        _label(c["problem"], "certificate problem", (SSC, TWOECS)), cert_cuts
     )
     b = _dict(data["bounds"], "bounds")
     bounds = Bounds(
@@ -544,11 +586,11 @@ def _check_run(
             problems.append(
                 f"iteration {position}: {rec.kind} needs {kinds[rec.kind]} cut(s)"
             )
-    # Sides compare as frozensets, in order: sorting would raise on a
-    # hostile side that mixes types.
+    # Cuts compare as (side, complement) pairs, in order: sorting would
+    # raise on a hostile side that mixes types.
     need(
-        [c.side for rec in report.iterations for c in rec.cuts]
-        == [c.side for c in report.certificate.cuts],
+        [c for rec in report.iterations for c in rec.cuts]
+        == list(report.certificate.cuts),
         "certificate cuts differ, in order, from iteration cuts",
     )
     expected_selected = (

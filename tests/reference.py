@@ -3,20 +3,23 @@
 Nothing under `src/` calls these. Each restates a definition plainly, or
 exhaustively, so a test can check the package's own code against it:
 cut-covering feasibility over every vertex subset, the digraph a power
-assignment induces, every internal cut of a star set, and the reduction
-from bidirected SSC to DPA that builds power instances from star ones.
+assignment induces, every internal cut of a star set, the reduction from
+bidirected SSC to DPA that builds power instances from star ones, and a
+report with every complemented cut written out as the side it stands for.
 Tests import them with `from reference import ...`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from itertools import combinations
 from typing import Iterable
 
-from dualcut.certificates import Cut
+from dualcut.certificates import Cut, DualCertificate
 from dualcut.graphs import Digraph
 from dualcut.instances import DPAInstance, SSCInstance, Star
 from dualcut.perfect import LiveInstance, is_internal_cut
+from dualcut.report import RunReport
 
 
 def dpa_induced_graph(d: DPAInstance, high: Iterable[int]) -> Digraph:
@@ -96,3 +99,27 @@ def enumerate_internal_cuts(li: LiveInstance, star_ids, size_limit: int = 16) ->
         if is_internal_cut(li, star_ids, side):
             found.append(Cut(side))
     return found
+
+
+def cut_vertices(cut: Cut, n: int) -> frozenset[int]:
+    """The vertices of 1..n a cut stands for: its side, or every vertex
+    outside it when the cut is complemented."""
+    return frozenset(range(1, n + 1)) - cut.side if cut.complement else cut.side
+
+
+def expanded_report(report: RunReport) -> RunReport:
+    """The same report with each complemented cut written out as a plain
+    one: the report as encoders without the complement form wrote it."""
+
+    def expand(cuts):
+        return tuple(Cut(cut_vertices(c, report.n)) for c in cuts)
+
+    return dataclasses.replace(
+        report,
+        iterations=tuple(
+            dataclasses.replace(rec, cuts=expand(rec.cuts)) for rec in report.iterations
+        ),
+        certificate=DualCertificate(
+            report.certificate.problem, expand(report.certificate.cuts)
+        ),
+    )

@@ -28,6 +28,15 @@ def test_cut_must_be_nonempty():
         Cut(frozenset())
 
 
+def test_an_empty_complemented_side_decodes_but_is_no_cut():
+    # `[0]` in a report: every vertex. It constructs, so that the report
+    # decodes, and the certificate check rejects it.
+    cut = Cut(frozenset(), complement=True)
+    s = mscs_to_ssc(2, [(1, 2), (2, 1)])
+    with pytest.raises(ValueError, match="nonempty proper subset"):
+        crossing_stars(s, cut)
+
+
 def test_certificate_kind_checked():
     with pytest.raises(ValueError):
         DualCertificate("nope", ())

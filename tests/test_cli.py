@@ -8,7 +8,12 @@ import pytest
 import dualcut.report as report_module
 from dualcut.certificates import DualCertificate
 from dualcut.cli import main
-from test_report import UNEMITTED_EDITS
+from test_report import (
+    HOSTILE_CUT_LISTS,
+    UNEMITTED_EDITS,
+    UNSORTED_EDITS,
+    _with_first_cut,
+)
 
 
 def run(capsys, *argv):
@@ -447,8 +452,8 @@ def test_verify_fails_cleanly_on_type_confused_reports(gk1, tmp_path, capsys, mu
     _verify_fails(capsys, gk1, report_path, data)
 
 
-@pytest.mark.parametrize("edit", UNEMITTED_EDITS)
-def test_verify_fails_on_report_forms_the_encoder_never_writes(tmp_path, capsys, edit):
+def _solved_random_ssc(capsys, tmp_path):
+    """The report of the random-ssc instance the report tests edit."""
     inst, report_path = tmp_path / "r.txt", tmp_path / "r.json"
     run(
         capsys, "gen", "random-ssc", "--n", "12", "--seed", "5",
@@ -456,10 +461,31 @@ def test_verify_fails_on_report_forms_the_encoder_never_writes(tmp_path, capsys,
     )
     code, _, _ = run(capsys, "solve", "--problem", "ssc", "--input", str(inst), "--out", str(report_path))
     assert code == 0
-    data = json.loads(report_path.read_text())
+    return inst, report_path, json.loads(report_path.read_text())
+
+
+@pytest.mark.parametrize("edit", UNEMITTED_EDITS)
+def test_verify_fails_on_report_forms_the_encoder_never_writes(tmp_path, capsys, edit):
+    inst, report_path, data = _solved_random_ssc(capsys, tmp_path)
     mutate, finding = UNEMITTED_EDITS[edit]
     mutate(data)
     assert f"FAIL: {finding}" in _verify_fails(capsys, inst, report_path, data)
+
+
+@pytest.mark.parametrize("edit", UNSORTED_EDITS)
+def test_verify_fails_on_lists_out_of_order(tmp_path, capsys, edit):
+    inst, report_path, data = _solved_random_ssc(capsys, tmp_path)
+    mutate, field = UNSORTED_EDITS[edit]
+    mutate(data)
+    out = _verify_fails(capsys, inst, report_path, data)
+    assert out == f"FAIL: malformed report: {field} must be strictly ascending\n"
+
+
+@pytest.mark.parametrize("name", HOSTILE_CUT_LISTS)
+def test_verify_fails_on_hostile_cut_lists(tmp_path, capsys, name):
+    inst, report_path, data = _solved_random_ssc(capsys, tmp_path)
+    _with_first_cut(data, HOSTILE_CUT_LISTS[name])
+    assert "FAIL: certificate check failed" in _verify_fails(capsys, inst, report_path, data)
 
 
 def test_solve_exits_one_when_its_report_fails_verification(gk1, capsys, monkeypatch):

@@ -29,7 +29,7 @@ from dualcut.perfect import (
     is_internal_cut,
     is_perfect,
 )
-from reference import ssc_to_dpa
+from reference import cut_vertices, ssc_to_dpa
 
 
 def S(i, src, *sinks):
@@ -38,7 +38,8 @@ def S(i, src, *sinks):
 
 def sides(report):
     return [
-        tuple(sorted(sorted(c.side) for c in it.cuts)) for it in report.iterations
+        tuple(sorted(sorted(cut_vertices(c, report.n)) for c in it.cuts))
+        for it in report.iterations
     ]
 
 

@@ -2,12 +2,19 @@
 
 Each case runs the `dualcut solve --out` path in process (parse the instance
 text, run the approximation with an advice script, encode the report) and
-compares the SHA-256 of `report_to_json` with `golden_digests.json`, which
-was frozen from the reference implementation. A speed change that alters
-any selection, cut or advisor choice shows up here as a digest mismatch.
+compares SHA-256 digests of the report text with two fixtures:
 
-To regenerate the fixture (only for a deliberate report-format or algorithm
-change, to be recorded in CHANGES.md):
+- `golden_digests.json`, frozen from the reference implementation, pins the
+  report written with every cut as its full side (format 1, which had no
+  complement form): each complemented cut is expanded before encoding. A
+  speed change that alters any selection, cut or advisor choice shows up
+  here as a digest mismatch.
+- `golden_digests_complement.json` pins the bytes `report_to_json` writes
+  today, each cut stored by its smaller half.
+
+To regenerate the second fixture (only for a deliberate report-format or
+algorithm change, to be recorded in CHANGES.md; the first is never
+rewritten):
 
     PYTHONPATH=src python tests/test_golden_digests.py --regenerate
 """
@@ -19,6 +26,8 @@ import json
 import random
 import sys
 from pathlib import Path
+
+import pytest
 
 from dualcut import (
     ScriptedAdvisor,
@@ -32,12 +41,16 @@ from dualcut import (
     gen_random_ssc,
     gen_ssc_tight,
     parse_instance,
+    report_from_json,
     report_to_json,
+    verify_run,
     write_instance,
 )
 from dualcut.report import report_to_dict
+from reference import expanded_report
 
 FIXTURE = Path(__file__).with_name("golden_digests.json")
+COMPLEMENT_FIXTURE = Path(__file__).with_name("golden_digests_complement.json")
 
 SOLVERS = {"ssc": approx_ssc, "dpa": approx_dpa, "2ecs": approx_2ecs}
 
@@ -73,31 +86,67 @@ def _solve(problem: str, text: str, script):
     return SOLVERS[problem](instance, ScriptedAdvisor(script))
 
 
-def _digest(problem: str, text: str, script) -> str:
-    report = _solve(problem, text, script)
-    return hashlib.sha256(report_to_json(report).encode()).hexdigest()
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _all_digests() -> dict[str, str]:
-    return {
-        name: _digest(problem, text, script)
+def _solved():
+    """(name, instance text, report) for every case."""
+    return [
+        (name, text, _solve(problem, text, script))
         for name, problem, text, script in _cases()
-    }
+    ]
 
 
-def test_reports_match_golden_digests():
-    expected = json.loads(FIXTURE.read_text())
-    actual = _all_digests()
+@pytest.fixture(scope="module")
+def solved():
+    return _solved()
+
+
+def _complement_digests(solved) -> dict[str, str]:
+    return {name: _sha(report_to_json(report)) for name, _text, report in solved}
+
+
+def _assert_digests(actual: dict[str, str], fixture: Path) -> None:
+    expected = json.loads(fixture.read_text())
     assert sorted(actual) == sorted(expected)
     changed = [name for name in expected if actual[name] != expected[name]]
     assert not changed, f"report digests changed: {changed}"
 
 
-def test_reports_encode_as_json_dumps_would():
+def test_reports_match_golden_digests(solved):
+    _assert_digests(
+        {
+            name: _sha(report_to_json(expanded_report(report)))
+            for name, _text, report in solved
+        },
+        FIXTURE,
+    )
+
+
+def test_reports_match_complement_form_digests(solved):
+    _assert_digests(_complement_digests(solved), COMPLEMENT_FIXTURE)
+    # The fixture pins reports that use the complement form.
+    assert any(
+        c.complement for _name, _text, report in solved for c in report.certificate.cuts
+    )
+
+
+def test_format_1_reports_still_verify(solved):
+    # A report written before the complement form, every cut as its full
+    # side, decodes to the expanded report and passes the same check.
+    for name, text, report in solved:
+        old = expanded_report(report)
+        decoded = report_from_json(report_to_json(old))
+        assert decoded == old, name
+        kind, instance = parse_instance(text)
+        assert verify_run(kind, instance, decoded) == [], name
+
+
+def test_reports_encode_as_json_dumps_would(solved):
     # `report_to_json` writes its indented text itself; json.dumps is the
     # reference it must match byte for byte.
-    for name, problem, text, script in _cases():
-        report = _solve(problem, text, script)
+    for name, _text, report in solved:
         expected = json.dumps(report_to_dict(report), indent=2) + "\n"
         assert report_to_json(report) == expected, name
 
@@ -105,5 +154,6 @@ def test_reports_encode_as_json_dumps_would():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
         sys.exit("usage: python tests/test_golden_digests.py --regenerate")
-    FIXTURE.write_text(json.dumps(_all_digests(), indent=2, sort_keys=True) + "\n")
-    print(f"wrote {FIXTURE}")
+    digests = _complement_digests(_solved())
+    COMPLEMENT_FIXTURE.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {COMPLEMENT_FIXTURE}")

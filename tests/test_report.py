@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -228,6 +229,95 @@ def test_verify_rejects_report_forms_the_encoder_never_writes(edit):
     mutate(data)
     problems = verify_run("ssc", inst, report_from_json(json.dumps(data)))
     assert any(p.startswith(finding) for p in problems), problems
+
+
+def _every_cut_list(data):
+    return [
+        *(side for rec in data["iterations"] for side in rec["cuts"]),
+        *data["certificate"]["cuts"],
+    ]
+
+
+def _with_first_cut(data, side):
+    """Put `side` in place of the first cut of the first iteration and of
+    the certificate, so that the two still agree."""
+    data["iterations"][0]["cuts"][0] = list(side)
+    data["certificate"]["cuts"][0] = list(side)
+
+
+# Id and cut lists in an order the encoder never writes: it writes each one
+# strictly ascending (a cut list after its leading 0, if any). The decoder
+# rejects each as malformed, naming the list; test_cli runs the same edits
+# through `dualcut verify`.
+UNSORTED_EDITS = {
+    "reversed-selection": (lambda d: d["selected"].reverse(), "selected"),
+    "reversed-iteration-selection": (
+        lambda d: next(
+            rec["selected"] for rec in d["iterations"] if len(rec["selected"]) > 1
+        ).reverse(),
+        "iteration selection",
+    ),
+    "reversed-cut-lists": (
+        lambda d: [side.reverse() for side in _every_cut_list(d)],
+        "iteration cuts",
+    ),
+    "repeated-cut-vertex": (
+        lambda d: [side.append(side[-1]) for side in _every_cut_list(d)],
+        "iteration cuts",
+    ),
+    "mixed-type-cut-list": (
+        lambda d: _with_first_cut(d, [2, "3"]),
+        "iteration cuts",
+    ),
+    "mixed-type-complemented-cut-list": (
+        lambda d: d["certificate"]["cuts"].__setitem__(0, [0, 2, "3"]),
+        "certificate cuts",
+    ),
+}
+
+
+@pytest.mark.parametrize("edit", UNSORTED_EDITS)
+def test_decoder_rejects_lists_out_of_order(edit):
+    mutate, field = UNSORTED_EDITS[edit]
+    inst = gen_random_ssc(12, 1.0, 2, seed=5).instance
+    text = report_to_json(approx_ssc(inst))
+    data = json.loads(text)
+    mutate(data)
+    assert json.dumps(data) != json.dumps(json.loads(text))
+    with pytest.raises(ValueError, match=f"^{field} must be strictly ascending"):
+        report_from_json(json.dumps(data))
+
+
+# Cut lists that decode but stand for no nonempty proper subset of the
+# vertices (n = 12), put in place of the first iteration and certificate
+# cut. Each must surface from the certificate check as a finding; test_cli
+# runs the same edits through `dualcut verify`.
+HOSTILE_CUT_LISTS = {
+    "marker-only": [0],
+    "marker-twice": [0, 0],
+    "beyond-n": [0, 13],
+    "string-vertex": [0, "3"],
+    "float-vertex": [0, 1.5],
+    "false-marker": [False, 3],
+    "true-vertex": [0, True],
+    "complement-of-every-vertex": [0, *range(1, 13)],
+}
+
+
+@pytest.mark.parametrize("name", HOSTILE_CUT_LISTS)
+def test_verify_finds_hostile_cut_lists(name):
+    inst = gen_random_ssc(12, 1.0, 2, seed=5).instance
+    data = json.loads(report_to_json(approx_ssc(inst)))
+    _with_first_cut(data, HOSTILE_CUT_LISTS[name])
+    problems = verify_run("ssc", inst, report_from_json(json.dumps(data)))
+    assert any(p.startswith("certificate check failed") for p in problems), problems
+
+
+def test_decoding_reuses_the_iteration_cuts(runs):
+    for _kind, _inst, report in runs:
+        decoded = report_from_json(report_to_json(report))
+        iteration_cuts = [c for rec in decoded.iterations for c in rec.cuts]
+        assert all(map(operator.is_, decoded.certificate.cuts, iteration_cuts))
 
 
 def test_verify_catches_missing_star_selection(runs):

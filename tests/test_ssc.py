@@ -29,6 +29,7 @@ from dualcut.perfect import (
 from dualcut.io import parse_advice
 from dualcut.report import TWO_CUTS
 from dualcut.ssc import build_simple_cycle, find_perfect_set
+from reference import cut_vertices
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -43,7 +44,8 @@ def cycle_instance(n):
 
 def sides(report):
     return [
-        tuple(sorted(sorted(c.side) for c in it.cuts)) for it in report.iterations
+        tuple(sorted(sorted(cut_vertices(c, report.n)) for c in it.cuts))
+        for it in report.iterations
     ]
 
 

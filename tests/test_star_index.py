@@ -10,8 +10,16 @@ answer is a candidate list offered to an advisor.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualcut import gen_random_2ecs, gen_random_ssc
-from dualcut.certificates import Cut, crossing_edges, crossing_stars
+from dualcut import approx_2ecs, approx_ssc, gen_random_2ecs, gen_random_ssc
+from dualcut.certificates import (
+    SSC,
+    TWOECS,
+    Cut,
+    DualCertificate,
+    crossing_edges,
+    crossing_stars,
+    verify_certificate,
+)
 from dualcut.perfect import LiveInstance, live_crossing_stars
 
 
@@ -71,6 +79,59 @@ def test_crossing_edges_matches_brute_force(n, seed, data):
     for _ in range(5):
         cut = Cut(frozenset(data.draw(proper_sides(n))))
         assert crossing_edges(t, cut) == brute_crossing_edges(t, cut)
+
+
+def complemented(cut, n):
+    """The same cut written the other way: its other half, flagged."""
+    other = frozenset(range(1, n + 1)) - cut.side
+    return Cut(other, complement=not cut.complement)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 30),
+    fan=st.integers(1, 4),
+    seed=st.integers(0, 10_000),
+    data=st.data(),
+)
+def test_a_cut_crosses_the_same_items_from_either_half(n, fan, seed, data):
+    s = gen_random_ssc(n, 1.5, fan, seed).instance
+    t = gen_random_2ecs(n, 1.0, seed).instance
+    for _ in range(5):
+        cut = Cut(frozenset(data.draw(proper_sides(n))))
+        other = complemented(cut, n)
+        assert crossing_stars(s, other) == crossing_stars(s, cut)
+        assert crossing_edges(t, other) == crossing_edges(t, cut)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 30),
+    fan=st.integers(1, 3),
+    seed=st.integers(0, 10_000),
+    data=st.data(),
+)
+def test_a_certificate_checks_the_same_from_either_half(n, fan, seed, data):
+    s = gen_random_ssc(n, 1.5, fan, seed).instance
+    t = gen_random_2ecs(n, 1.0, seed).instance
+    drawn = tuple(
+        Cut(frozenset(side)) for side in data.draw(st.lists(proper_sides(n), max_size=5))
+    )
+    # Run certificates are feasible; random families mostly are not.
+    families = [
+        (s, approx_ssc(s).certificate.cuts, SSC),
+        (t, approx_2ecs(t).certificate.cuts, TWOECS),
+        (s, drawn, SSC),
+        (t, drawn, TWOECS),
+    ]
+    for instance, cuts, problem in families:
+        flips = data.draw(st.lists(st.booleans(), min_size=len(cuts), max_size=len(cuts)))
+        rewritten = tuple(
+            complemented(c, n) if flip else c for c, flip in zip(cuts, flips)
+        )
+        expected = verify_certificate(instance, DualCertificate(problem, cuts))
+        assert verify_certificate(instance, DualCertificate(problem, rewritten)) == expected
+    assert verify_certificate(s, DualCertificate(SSC, families[0][1]))[0]
 
 
 def brute_live(records, group_of):
