@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 from .advisor import ScriptedAdvisor
 from .dpa import approx_dpa
 from .generators import (
+    MAX_EXTRA_EDGES,
     gen_dpa_tight,
     gen_random_2ecs,
     gen_random_bidirected,
@@ -102,7 +103,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--extra-factor",
         type=float,
         default=None,
-        help="extra arcs/edges as a fraction of n",
+        help="extra arcs/edges as a fraction of n; random-ssc and "
+        "random-bidirected stop once every arc or pair is taken, and "
+        f"random-2ecs accepts at most {MAX_EXTRA_EDGES} extra edges",
     )
     gen.add_argument("--fan", type=int, default=3, help="max sinks per star")
     gen.add_argument("--zero-cost-prob", type=float, default=0.4)
@@ -132,8 +135,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"infeasible instance: {exc}", file=sys.stderr)
         return 1
     except RunCheckError as exc:
-        # A round failed its round check, or the finished run's own report
-        # failed verify_run: no result is printed.
+        # The finished run's own report failed verify_run, or a round guard
+        # stopped a run that could not go on: no result is printed.
         for problem in exc.problems:
             print(f"FAIL: {problem}", file=sys.stderr)
         return 1

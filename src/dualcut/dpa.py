@@ -19,11 +19,10 @@ from .instances import (
 from .perfect import (
     LiveInstance,
     augment_to_perfect,
-    check_round,
     contract_rounds,
     stars_along,
 )
-from .report import RunCheckError, RunReport, build_report
+from .report import RunReport, build_report
 
 
 @dataclass(frozen=True)
@@ -83,57 +82,24 @@ def build_rotation_cycle(li: LiveInstance, advisor: Advisor) -> RotationCycle:
         backward = path[x_pos : anchor_pos + 1][::-1]
         forward = path[anchor_pos + 1 : len(path) - 1]
         cycle = tuple([end] + backward + forward)
-        rc = RotationCycle(cycle, end, pivot, leaves)
-        _check_rotation_cycle(li, rc)
-        return rc
-
-
-def _check_rotation_cycle(g, rc: RotationCycle) -> None:
-    cyc, leaves = rc.cycle_vertices, rc.leaves
-    on_cycle = set(cyc)
-    ends = (rc.path_end, rc.pivot_end)
-    problems = [
-        f"rotation cycle {list(cyc)} {finding}"
-        for holds, finding in (
-            (len(cyc) == len(on_cycle) >= 2, "repeats a vertex or is too short"),
-            (cyc[0] == rc.path_end, "does not start at its path end"),
-            (rc.pivot_end in on_cycle, "misses its pivot end"),
-            (
-                (rc.path_end == rc.pivot_end) == (len(cyc) == 2),
-                "has ends that do not fit its length",
-            ),
-            (
-                all(g.has_arc(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])),
-                "misses a cycle arc",
-            ),
-            (not leaves.intersection(ends), "ends at a leaf"),
-            (
-                all(u in leaves or u in on_cycle for v in ends for u in g.neighbors(v)),
-                "has an end with a neighbour off the cycle that is not a leaf",
-            ),
-        )
-        if not holds
-    ]
-    if problems:
-        raise RunCheckError(problems)
+        return RotationCycle(cycle, end, pivot, leaves)
 
 
 def find_perfect_two_cuts(li: LiveInstance, advisor: Advisor):
     """One round of the bidirected algorithm.
 
     Returns (star ids, (cut side, cut side), "perfect") over current
-    vertices: a perfect set plus two star-disjoint cuts internal to it,
-    checked before it is returned (`check_round`). The live instance is
-    strongly connected and bidirected: `SSCInstance` proves the first on
-    construction, `approx_dpa` checks the second once per run, and
-    contraction keeps both.
+    vertices: a perfect set plus two star-disjoint cuts internal to it.
+    The round is not checked here: the finished run's `verify_run` checks
+    the certificate, identities and guarantee that these properties yield.
+    The live instance is strongly connected and bidirected: `SSCInstance`
+    proves the first on construction, `approx_dpa` checks the second once
+    per run, and contraction keeps both.
     """
     if li.current_count < 2:
         raise ValueError("need at least two current vertices")
     q, sides = _two_cuts(li, advisor)
-    q, sides = frozenset(q), tuple(map(frozenset, sides))
-    check_round(li, q, sides)
-    return q, sides, "perfect"
+    return frozenset(q), tuple(map(frozenset, sides)), "perfect"
 
 
 def _two_cuts(li: LiveInstance, advisor: Advisor):

@@ -172,12 +172,19 @@ def gen_ssc_tight(k: int) -> GeneratedInstance:
     )
 
 
+# Parallel edges let random-2ecs add any number of extra edges, so its count
+# is bounded here; the other families stop once no arc or pair is left.
+MAX_EXTRA_EDGES = 1_000_000
+
+
 def _extra_count(factor: float, n: int) -> int:
     """How many extra arcs or edges a random family adds: factor * n,
     rounded; the factor must be finite and nonnegative."""
     if not (math.isfinite(factor) and factor >= 0):
         raise ValueError(f"extra factor must be finite and >= 0, got {factor}")
-    return int(round(factor * n))
+    count = factor * n
+    # A finite factor can still overflow the product; it is then a whole number.
+    return int(round(count)) if math.isfinite(count) else int(factor) * n
 
 
 def gen_random_ssc(
@@ -198,6 +205,8 @@ def gen_random_ssc(
     arc_list = [(order[i], order[(i + 1) % n]) for i in range(n)]
     present = set(arc_list)
     for _ in range(_extra_count(extra_arc_factor, n)):
+        if len(present) == n * (n - 1):
+            break
         for _attempt in range(20):
             u = rng.randrange(1, n + 1)
             v = rng.randrange(1, n + 1)
@@ -229,14 +238,22 @@ def gen_random_2ecs(
     n: int, extra_edge_factor: float = 0.7, seed: int = 0
 ) -> GeneratedInstance:
     """Random 2-edge-connected multigraph: spanning cycle plus extra edges;
-    parallel edges are allowed (for n = 2 the cycle itself is a parallel pair)."""
+    parallel edges are allowed (for n = 2 the cycle itself is a parallel pair).
+    At most `MAX_EXTRA_EDGES` extra edges are added; a larger count raises
+    ValueError."""
     if n < 2:
         raise ValueError("n must be >= 2")
+    extra = _extra_count(extra_edge_factor, n)
+    if extra > MAX_EXTRA_EDGES:
+        raise ValueError(
+            f"random-2ecs adds at most {MAX_EXTRA_EDGES} extra edges, "
+            f"but extra factor {extra_edge_factor} asks for {extra}"
+        )
     rng = random.Random(seed)
     order = list(range(1, n + 1))
     rng.shuffle(order)
     edges = [(order[i], order[(i + 1) % n]) for i in range(n)]
-    for _ in range(_extra_count(extra_edge_factor, n)):
+    for _ in range(extra):
         u = rng.randrange(1, n + 1)
         v = rng.randrange(1, n + 1)
         while v == u:
@@ -290,6 +307,8 @@ def _random_edge_set(n: int, extra: int, rng: random.Random) -> list[tuple[int, 
             pairs.add(frozenset((u, v)))
             edges.append((u, v))
     for _ in range(extra):
+        if 2 * len(pairs) == n * (n - 1):
+            break
         for _attempt in range(20):
             u = rng.randrange(1, n + 1)
             v = rng.randrange(1, n + 1)

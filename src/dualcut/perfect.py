@@ -1,6 +1,12 @@
 """Live (contracted) instances, perfect sets, internal cuts, and the round
-loop that all algorithms share (`contract_rounds`) with the round check of
-the star algorithms (`check_round`).
+loop that all algorithms share (`contract_rounds`).
+
+No round is checked as it is found. A run is checked once, when it is done,
+by `build_report` running `verify_run` on its report: the certificate's
+feasibility against the input instance, the contraction and cost identities
+and the guarantee catch every round fault that could spoil the result. What
+stays here are guards that stop a crash or an endless loop (a sink with no
+path back to the sources) and `augment_to_perfect`'s precondition.
 
 A LiveInstance is the current contracted view of an instance; its records
 are stars, or edges as one-sink records. Each current vertex is labelled by
@@ -16,7 +22,7 @@ instance.
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import chain
 from typing import Iterable
 
 from .advisor import Advisor
@@ -349,13 +355,6 @@ def is_internal_cut(li: LiveInstance, star_ids, side) -> bool:
     )
 
 
-def are_star_disjoint(li: LiveInstance, side1, side2) -> bool:
-    """True when no live star crosses both cuts."""
-    return not (
-        live_crossing_stars(li, side1) & live_crossing_stars(li, side2)
-    )
-
-
 def augment_to_perfect(li: LiveInstance, star_ids, advisor: Advisor) -> frozenset[int]:
     """Grow a quasiperfect set into a perfect one.
 
@@ -426,26 +425,6 @@ def contract_perfect(li: LiveInstance, star_ids) -> LiveInstance:
     if not is_perfect(li, star_ids):
         raise ValueError("contract_perfect requires a perfect star set")
     return li.contract(li.sources(star_ids))
-
-
-def check_round(li: LiveInstance, star_ids, sides) -> None:
-    """Check one round of a star algorithm: the set is perfect, every cut
-    side is internal to it, and no live star crosses two of the sides.
-
-    Raises RunCheckError naming the first finding; the check is explicit
-    code, so it also runs under `python -O`."""
-    if not is_perfect(li, star_ids):
-        raise RunCheckError([f"round star set {sorted(star_ids)} is not perfect"])
-    for side in sides:
-        if not is_internal_cut(li, star_ids, side):
-            raise RunCheckError(
-                [f"round cut {sorted(side)} is not internal to star set {sorted(star_ids)}"]
-            )
-    for side1, side2 in combinations(sides, 2):
-        if not are_star_disjoint(li, side1, side2):
-            raise RunCheckError(
-                [f"round cuts {sorted(side1)} and {sorted(side2)} share a star"]
-            )
 
 
 def contract_rounds(li: LiveInstance, find_round, advisor: Advisor) -> tuple[IterationRecord, ...]:

@@ -106,8 +106,13 @@ def convex_bound_for(problem: str, n: int, dual_objective: int) -> Fraction:
 
 
 class RunCheckError(Exception):
-    """A round failed its round check, or a finished run failed
-    `verify_run`; `problems` lists the findings."""
+    """A finished run failed `verify_run`, the one check a solve makes;
+    `problems` lists the findings. A few guards that stop a round from
+    crashing or looping forever raise it too, with one finding: a sink with
+    no directed path back to the sources, a 2ecs cycle end joined to its
+    anchor by a bridge, live edge degrees that do not add up, and a cycle
+    enlargement that does not terminate. Generators raise it when a tight
+    family misses a claim of its construction."""
 
     def __init__(self, problems: list[str]):
         super().__init__("run failed its check: " + "; ".join(problems))

@@ -21,7 +21,6 @@ from .instances import SSCInstance
 from .perfect import (
     LiveInstance,
     augment_to_perfect,
-    check_round,
     contract_rounds,
     stars_along,
 )
@@ -73,9 +72,10 @@ def find_perfect_set(li: LiveInstance, advisor: Advisor):
     "big-one-cut" carries one cut and at least four stars, kind "two-cuts"
     carries two star-disjoint cuts. The cycle is re-grown in place whenever
     a longer detour is found, so the loop runs at most n times. The round
-    is checked before it is returned (`check_round`). The live instance is
-    strongly connected: `SSCInstance` proves it on construction, and
-    contraction keeps it.
+    is not checked here: the finished run's `verify_run` checks the
+    certificate, identities and guarantee that these properties yield. The
+    live instance is strongly connected: `SSCInstance` proves it on
+    construction, and contraction keeps it.
     """
     if li.current_count < 2:
         raise ValueError("need at least two current vertices")
@@ -93,11 +93,6 @@ def find_perfect_set(li: LiveInstance, advisor: Advisor):
             cycle = outcome
             continue
         q, sides = frozenset(outcome[0]), tuple(map(frozenset, outcome[1]))
-        if len(sides) == 1 and len(q) < 4:
-            raise RunCheckError(
-                [f"round star set {sorted(q)} carries one cut with fewer than four stars"]
-            )
-        check_round(li, q, sides)
         return q, sides, BIG_ONE_CUT if len(sides) == 1 else TWO_CUTS
     raise RunCheckError(["cycle enlargement failed to terminate"])
 

@@ -7,19 +7,30 @@ assignment induces, every internal cut of a star set, the reduction from
 bidirected SSC to DPA that builds power instances from star ones, and a
 report with every complemented cut written out as the side it stands for.
 Tests import them with `from reference import ...`.
+
+The round checks state the lemma-level properties of one round: a star
+round's set is perfect, its cuts are internal and star-disjoint, a one-cut
+round has at least four stars, a rotation cycle has the shape its branches
+rely on, and a 2ecs cycle's end has every neighbour on the cycle. A solve
+does not run them; it checks only its finished report (`verify_run`).
+`check_every_round` patches them into the solvers for a test's duration.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from itertools import combinations
 from typing import Iterable
 
+import dualcut.dpa as dpa_module
+import dualcut.ssc as ssc_module
+import dualcut.twoecs as twoecs_module
 from dualcut.certificates import Cut, DualCertificate
 from dualcut.graphs import Digraph
 from dualcut.instances import DPAInstance, SSCInstance, Star
-from dualcut.perfect import LiveInstance, is_internal_cut
-from dualcut.report import RunReport
+from dualcut.perfect import LiveInstance, is_internal_cut, is_perfect, live_crossing_stars
+from dualcut.report import BIG_ONE_CUT, TWO_CUTS, RunReport
 
 
 def dpa_induced_graph(d: DPAInstance, high: Iterable[int]) -> Digraph:
@@ -123,3 +134,131 @@ def expanded_report(report: RunReport) -> RunReport:
             report.certificate.problem, expand(report.certificate.cuts)
         ),
     )
+
+
+def are_star_disjoint(li: LiveInstance, side1, side2) -> bool:
+    """True when no live star crosses both cuts."""
+    return not (live_crossing_stars(li, side1) & live_crossing_stars(li, side2))
+
+
+def _fail(findings: list[str]) -> None:
+    if findings:
+        raise AssertionError("; ".join(findings))
+
+
+def check_round(li: LiveInstance, star_ids, sides) -> None:
+    """One star round: the set is perfect, every cut side is internal to
+    it, and no live star crosses two of the sides. Raises AssertionError
+    naming the first finding."""
+    if not is_perfect(li, star_ids):
+        raise AssertionError(f"round star set {sorted(star_ids)} is not perfect")
+    for side in sides:
+        if not is_internal_cut(li, star_ids, side):
+            raise AssertionError(
+                f"round cut {sorted(side)} is not internal to star set {sorted(star_ids)}"
+            )
+    for side1, side2 in combinations(sides, 2):
+        if not are_star_disjoint(li, side1, side2):
+            raise AssertionError(f"round cuts {sorted(side1)} and {sorted(side2)} share a star")
+
+
+def check_ssc_round(li: LiveInstance, star_ids, sides, kind: str) -> None:
+    """An ssc round: `check_round`, with one cut and at least four stars
+    for a big-one-cut round and two cuts for a two-cuts round."""
+    if kind == BIG_ONE_CUT and (len(sides) != 1 or len(star_ids) < 4):
+        raise AssertionError(
+            f"round star set {sorted(star_ids)} carries one cut with fewer than four stars"
+        )
+    if kind not in (BIG_ONE_CUT, TWO_CUTS) or (kind == TWO_CUTS and len(sides) != 2):
+        raise AssertionError(f"round of kind {kind!r} carries {len(sides)} cuts")
+    check_round(li, star_ids, sides)
+
+
+def check_dpa_round(li: LiveInstance, star_ids, sides, kind: str) -> None:
+    """A bidirected round: `check_round` with exactly two cuts."""
+    if kind != "perfect" or len(sides) != 2:
+        raise AssertionError(f"round of kind {kind!r} carries {len(sides)} cuts")
+    check_round(li, star_ids, sides)
+
+
+def check_rotation_cycle(li: LiveInstance, rc) -> None:
+    """A rotation cycle: distinct vertices joined by arcs, starting at its
+    path end, holding its pivot end, with ends that are not leaves and whose
+    every neighbour is on the cycle or is a leaf."""
+    cyc, leaves = rc.cycle_vertices, rc.leaves
+    on_cycle = set(cyc)
+    ends = (rc.path_end, rc.pivot_end)
+    _fail([
+        f"rotation cycle {list(cyc)} {finding}"
+        for holds, finding in (
+            (len(cyc) == len(on_cycle) >= 2, "repeats a vertex or is too short"),
+            (cyc[0] == rc.path_end, "does not start at its path end"),
+            (rc.pivot_end in on_cycle, "misses its pivot end"),
+            (
+                (rc.path_end == rc.pivot_end) == (len(cyc) == 2),
+                "has ends that do not fit its length",
+            ),
+            (
+                all(li.has_arc(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])),
+                "misses a cycle arc",
+            ),
+            (not leaves.intersection(ends), "ends at a leaf"),
+            (
+                all(u in leaves or u in on_cycle for v in ends for u in li.neighbors(v)),
+                "has an end with a neighbour off the cycle that is not a leaf",
+            ),
+        )
+        if not holds
+    ])
+
+
+def check_cycle_witness(li: LiveInstance, witness) -> None:
+    """A 2ecs round: distinct cycle vertices, each cycle edge a distinct live
+    edge joining consecutive vertices (wrapping), and a closing end whose
+    every neighbour is on the cycle, so only cycle edges cross its cut."""
+    cyc, eids, end = witness.cycle_vertices, witness.cycle_edges, witness.internal_cut_vertex
+    on_cycle = set(cyc)
+
+    def joins(eid, a, b):
+        u, sinks = li.live[eid]
+        return {u, *sinks} == {a, b}
+
+    _fail([
+        f"cycle {list(cyc)} {finding}"
+        for holds, finding in (
+            (len(cyc) == len(on_cycle) >= 2, "repeats a vertex or is too short"),
+            (len(eids) == len(set(eids)) == len(cyc), "does not have one edge per step"),
+            (
+                all(e in li.live for e in eids)
+                and all(map(joins, eids, cyc, cyc[1:] + cyc[:1])),
+                "has an edge that does not join its step",
+            ),
+            (end == cyc[-1], "does not close at its cut vertex"),
+            (set(li.neighbors(end)) <= on_cycle, f"misses a neighbour of its end {end}"),
+        )
+        if not holds
+    ])
+
+
+def check_every_round(monkeypatch) -> Counter:
+    """Patch the reference round checks into every solver round for the
+    rest of the test; the returned counter tells how many rounds of each
+    solver ("ssc", "dpa", "rotation-cycle", "2ecs") were checked."""
+    checked: Counter = Counter()
+
+    def wrap(module, name, tag, check):
+        real = getattr(module, name)
+
+        def checked_call(li, advisor):
+            found = real(li, advisor)
+            check(li, found)
+            checked[tag] += 1
+            return found
+
+        monkeypatch.setattr(module, name, checked_call)
+
+    wrap(ssc_module, "find_perfect_set", "ssc", lambda li, found: check_ssc_round(li, *found))
+    wrap(dpa_module, "find_perfect_two_cuts", "dpa", lambda li, found: check_dpa_round(li, *found))
+    wrap(dpa_module, "build_rotation_cycle", "rotation-cycle", check_rotation_cycle)
+    wrap(twoecs_module, "find_cycle_with_internal_cut", "2ecs", check_cycle_witness)
+    return checked

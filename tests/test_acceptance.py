@@ -39,15 +39,15 @@ from dualcut import (
 from dualcut.cli import main
 from dualcut.dpa import find_perfect_two_cuts
 from dualcut.io import write_advice
-from dualcut.perfect import (
-    LiveInstance,
-    are_star_disjoint,
-    contract_perfect,
-    is_internal_cut,
-    is_perfect,
-)
+from dualcut.perfect import LiveInstance, contract_perfect
 from dualcut.ssc import find_perfect_set
-from reference import check_cut_feasible, enumerate_internal_cuts, ssc_to_dpa
+from reference import (
+    check_cut_feasible,
+    check_dpa_round,
+    check_ssc_round,
+    enumerate_internal_cuts,
+    ssc_to_dpa,
+)
 
 
 # Each stored run: (problem, cert_instance, report, optimum, seconds).
@@ -234,10 +234,7 @@ def test_criterion_7_round_construction_contracts():
         adv = ScriptedAdvisor([rng.randrange(0, 8) for _ in range(16)])
         while li.current_count > 1:
             q, (s1, s2), kind = find_perfect_two_cuts(li, adv)
-            assert kind == "perfect"
-            assert is_perfect(li, q)
-            assert is_internal_cut(li, q, s1) and is_internal_cut(li, q, s2)
-            assert are_star_disjoint(li, s1, s2)
+            check_dpa_round(li, q, (s1, s2), kind)
             if li.current_count <= 12:
                 sides = {c.side for c in enumerate_internal_cuts(li, q)}
                 assert s1 in sides and s2 in sides
@@ -253,15 +250,7 @@ def test_criterion_7_round_construction_contracts():
         adv = ScriptedAdvisor([rng.randrange(0, 8) for _ in range(16)])
         while li.current_count > 1:
             q, cut_sides, kind = find_perfect_set(li, adv)
-            assert is_perfect(li, q)
-            for side in cut_sides:
-                assert is_internal_cut(li, q, side)
-            if kind == "two-cuts":
-                assert len(cut_sides) == 2
-                assert are_star_disjoint(li, *cut_sides)
-            else:
-                assert kind == "big-one-cut"
-                assert len(cut_sides) == 1 and len(q) >= 4
+            check_ssc_round(li, q, cut_sides, kind)
             if li.current_count <= 12:
                 sides = {c.side for c in enumerate_internal_cuts(li, q)}
                 assert all(s in sides for s in cut_sides)

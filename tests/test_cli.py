@@ -1,11 +1,18 @@
 """End-to-end tests of the command-line interface (exit codes and output)."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import dualcut
 import dualcut.report as report_module
+from dualcut import parse_instance
 from dualcut.certificates import DualCertificate
 from dualcut.cli import main
 from test_report import (
@@ -97,6 +104,49 @@ def test_gen_rejects_an_unusable_extra_factor(family, factor, tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: extra factor must be finite and >= 0")
     assert not path.exists()
+
+
+def _cap_memory():
+    # A generator that grows without bound fails here, not on the host.
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("family", ["random-ssc", "random-bidirected", "random-2ecs"])
+@pytest.mark.parametrize("factor", ["1e300", "1e308"])
+def test_gen_returns_at_once_for_a_huge_extra_factor(family, factor, tmp_path):
+    # random-ssc and random-bidirected stop drawing once every arc or pair
+    # is taken; random-2ecs, whose parallel edges never run out, refuses a
+    # count above its bound. 1e308 * n overflows a float.
+    path = tmp_path / "r.txt"
+    script = (
+        "import sys, time\n"
+        "from dualcut.cli import main\n"
+        "started = time.perf_counter()\n"
+        "code = main(sys.argv[1:])\n"
+        "print('timing', code, time.perf_counter() - started)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dualcut.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", script, "gen", family, "--n", "6",
+         f"--extra-factor={factor}", "--out", str(path)],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=_cap_memory,
+    )
+    _, code, seconds = done.stdout.splitlines()[-1].split()
+    assert float(seconds) < 1.0
+    if family == "random-2ecs":
+        assert code == "2" and not path.exists()
+        assert done.stderr.startswith("error: random-2ecs adds at most 1000000 extra edges")
+        return
+    assert code == "0"
+    _, inst = parse_instance(path.read_text())
+    arcs = {(st.source, t) for st in inst.stars for t in st.sinks}
+    assert len(arcs) == 6 * 5  # every arc, or both arcs of every pair
+
+
+def test_gen_help_states_the_extra_edge_bound(capsys):
+    code, out, _ = run(capsys, "gen", "--help")
+    assert code == 0
+    assert "random-2ecs accepts at most 1000000 extra edges" in " ".join(out.split())
 
 
 @pytest.mark.parametrize("prob", ["1.5", "-0.1", "nan", "inf"])

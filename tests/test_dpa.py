@@ -22,14 +22,8 @@ from dualcut import (
 import dualcut.dpa as dpa_module
 import dualcut.report as report_module
 from dualcut.dpa import build_rotation_cycle, find_perfect_two_cuts
-from dualcut.perfect import (
-    LiveInstance,
-    are_star_disjoint,
-    contract_perfect,
-    is_internal_cut,
-    is_perfect,
-)
-from reference import cut_vertices, ssc_to_dpa
+from dualcut.perfect import LiveInstance, contract_perfect
+from reference import check_dpa_round, check_rotation_cycle, cut_vertices, ssc_to_dpa
 
 
 def S(i, src, *sinks):
@@ -56,17 +50,10 @@ def test_rotation_cycle_invariants_on_random_instances():
         li = LiveInstance.from_instance(inst)
         advisor = ScriptedAdvisor([rng.randrange(0, 6) for _ in range(8)])
         rc = build_rotation_cycle(li, advisor)
+        check_rotation_cycle(li, rc)
+        assert rc.leaves == {v for v in li.vertices() if len(li.neighbors(v)) == 1}
         cyc = rc.cycle_vertices
-        assert len(cyc) == len(set(cyc)) >= 2
-        assert cyc[0] == rc.path_end
-        assert (rc.path_end == rc.pivot_end) == (len(cyc) == 2)
-        for a, b in zip(cyc, cyc[1:] + (cyc[0],)):
-            assert li.has_arc(a, b) and li.has_arc(b, a)
-        leaves = {v for v in li.vertices() if len(li.neighbors(v)) == 1}
-        for end in (rc.path_end, rc.pivot_end):
-            assert end not in leaves
-            for w in li.neighbors(end):
-                assert w in cyc or w in leaves
+        assert all(li.has_arc(b, a) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
 
 
 def test_two_vertex_degenerate_pair():
@@ -159,9 +146,6 @@ def test_round_outputs_satisfy_contracts():
         li = LiveInstance.from_instance(inst)
         advisor = ScriptedAdvisor([rng.randrange(0, 6) for _ in range(12)])
         while li.current_count > 1:
-            q, (s1, s2), kind = find_perfect_two_cuts(li, advisor)
-            assert kind == "perfect"
-            assert is_perfect(li, q)
-            assert is_internal_cut(li, q, s1) and is_internal_cut(li, q, s2)
-            assert are_star_disjoint(li, s1, s2)
+            q, sides, kind = find_perfect_two_cuts(li, advisor)
+            check_dpa_round(li, q, sides, kind)
             li = contract_perfect(li, q)

@@ -25,6 +25,9 @@ UNUSED_BY_DESIGN = {
     "graphs.is_strongly_connected",
     # Bench-pinned: traced by bench/layers.py.
     "perfect.contract_perfect",
+    # Bench-pinned: traced by bench/layers.py. Since no solve checks its
+    # rounds, only tests (through tests/reference.py) call it.
+    "perfect.is_internal_cut",
 }
 
 

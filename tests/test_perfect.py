@@ -1,5 +1,10 @@
 """Tests for live instances, perfect star sets, internal cuts, augmentation,
-and the round loop with its round check."""
+and the round loop.
+
+A solve checks no round as it is found; its one check is `verify_run` on the
+finished report. The tests below break a round from outside and show that
+check still rejects the run, also under `python -O`. The round checks
+themselves live in `tests/reference.py` (see `test_round_references.py`)."""
 
 import ast
 import random
@@ -27,7 +32,6 @@ from dualcut import (
 from dualcut.graphs import Digraph, is_strongly_connected
 from dualcut.perfect import (
     LiveInstance,
-    are_star_disjoint,
     augment_to_perfect,
     contract_perfect,
     is_internal_cut,
@@ -35,6 +39,7 @@ from dualcut.perfect import (
     is_quasiperfect,
     live_crossing_stars,
 )
+from reference import are_star_disjoint
 from test_report import _run_optimized
 
 
@@ -196,7 +201,7 @@ def test_contract_perfect_shrinks_and_rejects_imperfect_sets():
 
 
 def test_algorithm_modules_hold_no_assert_statements():
-    # `python -O` strips assert statements, so no round check may be one.
+    # `python -O` strips assert statements, so no check or guard may be one.
     package = Path(dualcut.__file__).parent
     for name in ("ssc.py", "dpa.py", "perfect.py", "twoecs.py", "generators.py"):
         tree = ast.parse((package / name).read_text())
@@ -204,20 +209,29 @@ def test_algorithm_modules_hold_no_assert_statements():
 
 
 @pytest.mark.parametrize(
-    "breakage, finding",
+    "breakage, findings",
     [
-        # A faulty augmentation hands the round a set that is not perfect.
+        # A faulty augmentation hands the round a set that is not perfect:
+        # contracting its ends merges fewer vertices than it selects stars.
         (
             "ssc.augment_to_perfect = lambda li, ids, advisor: frozenset(ids)",
-            "is not perfect",
+            ["contraction identity sum (i-1)*A_i = n-1 fails", "cost identity n+k-1 fails"],
         ),
-        ("perfect.is_internal_cut = lambda li, ids, side: False", "is not internal"),
+        # A round that records its cut twice: one star crosses the same cut
+        # twice, and the round has the wrong number of cuts for its kind.
+        (
+            "real = ssc.find_perfect_set\n"
+            "ssc.find_perfect_set = lambda li, advisor: "
+            "(lambda q, sides, kind: (q, sides + sides[:1], kind))(*real(li, advisor))",
+            ["certificate infeasible: [(6, (0, 1))]", "iteration 0: big-one-cut needs 1 cut(s)"],
+        ),
     ],
-    ids=["not-perfect", "not-internal"],
+    ids=["not-perfect", "cut-twice"],
 )
-def test_round_check_survives_python_O(breakage, finding):
-    script = textwrap.dedent(f"""
-        import dualcut.perfect as perfect
+def test_round_check_survives_python_O(breakage, findings):
+    # The round's fault surfaces in the run's one check, which is explicit
+    # code and so also runs under `python -O`.
+    script = textwrap.dedent("""
         import dualcut.ssc as ssc
         from dualcut import RunCheckError, approx_ssc, gen_random_ssc
         assert False, "assert statements must be stripped here"
@@ -228,13 +242,11 @@ def test_round_check_survives_python_O(breakage, finding):
             print(*exc.problems, sep="\\n")
         else:
             print("accepted")
-    """)
-    lines = _run_optimized(script).splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("round ") and finding in lines[0]
+    """).format(breakage=breakage)
+    assert _run_optimized(script).splitlines() == findings
 
 
-def test_each_round_checks_its_set_once(monkeypatch):
+def test_no_star_solve_checks_a_set_for_perfection(monkeypatch):
     calls = []
     real = perfect_module.is_perfect
     monkeypatch.setattr(
@@ -244,10 +256,9 @@ def test_each_round_checks_its_set_once(monkeypatch):
         (approx_ssc, gen_random_ssc(12, 1.0, 2, seed=5).instance),
         (approx_dpa, gen_random_bidirected(12, 0.5, 2, seed=5).instance),
     ):
-        calls.clear()
         report = solve(inst)
         assert report.k > 1
-        assert len(calls) == report.k
+    assert calls == []
 
 
 def test_star_runs_start_only_from_proven_instances_under_python_O():

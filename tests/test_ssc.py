@@ -19,17 +19,11 @@ from dualcut import (
     verify_run,
 )
 from dualcut.graphs import Digraph
-from dualcut.perfect import (
-    LiveInstance,
-    are_star_disjoint,
-    contract_perfect,
-    is_internal_cut,
-    is_perfect,
-)
+from dualcut.perfect import LiveInstance, contract_perfect
 from dualcut.io import parse_advice
 from dualcut.report import TWO_CUTS
 from dualcut.ssc import build_simple_cycle, find_perfect_set
-from reference import cut_vertices
+from reference import check_ssc_round, cut_vertices
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -111,13 +105,7 @@ def test_round_outputs_satisfy_contracts():
         advisor = ScriptedAdvisor([rng.randrange(0, 6) for _ in range(14)])
         while li.current_count > 1:
             q, cut_sides, kind = find_perfect_set(li, advisor)
-            assert is_perfect(li, q)
-            for side in cut_sides:
-                assert is_internal_cut(li, q, side)
-            if kind == "two-cuts":
-                assert are_star_disjoint(li, *cut_sides)
-            else:
-                assert len(cut_sides) == 1
+            check_ssc_round(li, q, cut_sides, kind)
             li = contract_perfect(li, q)
 
 
