@@ -23,7 +23,7 @@ from dualcut.instances import (
     mscs_to_ssc,
 )
 from dualcut.certificates import verify_certificate
-from dualcut.advisor import Advisor, PlannedAdvisor, ScriptedAdvisor
+from dualcut.advisor import Advisor, ScriptedAdvisor
 from dualcut.twoecs import approx_2ecs
 from dualcut.dpa import approx_dpa
 from dualcut.ssc import approx_ssc

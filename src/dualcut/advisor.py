@@ -29,7 +29,7 @@ class Advisor:
 
     fallbacks = 0  # choices that fell back to index 0; see ScriptedAdvisor
 
-    def choose(self, label: str, candidates: Sequence, partition=None):
+    def choose(self, label: str, candidates: Sequence):
         """Return one of `candidates`, a read-only Sequence in canonical order.
 
         Advisors may use only `len`, indexing in `[0, len)` and iteration:
@@ -42,9 +42,9 @@ class Advisor:
             raise ValueError(f"choice '{label}' offered no candidates")
         if len(candidates) == 1:
             return candidates[0]
-        return candidates[self.pick(label, candidates, partition)]
+        return candidates[self.pick(label, candidates)]
 
-    def pick(self, label: str, candidates: Sequence, partition) -> int:
+    def pick(self, label: str, candidates: Sequence) -> int:
         return 0
 
 
@@ -57,7 +57,7 @@ class ScriptedAdvisor(Advisor):
         self.position = 0
         self.fallbacks = 0
 
-    def pick(self, label: str, candidates: Sequence, partition) -> int:
+    def pick(self, label: str, candidates: Sequence) -> int:
         if self.position >= len(self.script):
             if self.script:
                 self.fallbacks += 1
@@ -68,53 +68,3 @@ class ScriptedAdvisor(Advisor):
             return value
         self.fallbacks += 1
         return 0
-
-
-class PlannedAdvisor(Advisor):
-    """Drives a run along a predetermined route, recording the index taken at
-    every multi-candidate choice so the route can be replayed from a script.
-
-    Plan entries are (label, kind, payload) with payload expressed over
-    ORIGINAL ids: kind 'vertex' and 'arc' payloads are translated through the
-    current vertex partition at choice time; kind 'raw' payloads (star ids,
-    direction strings, oriented edges) are matched as-is. Once the plan is
-    exhausted, remaining choices silently take index 0, exactly like an
-    exhausted script.
-    """
-
-    def __init__(self, plan: Sequence[tuple[str, str, object]]):
-        self.plan = list(plan)
-        self.position = 0
-        self.recorded: list[int] = []
-
-    def pick(self, label: str, candidates: Sequence, partition) -> int:
-        if self.position >= len(self.plan):
-            return 0
-        want_label, kind, payload = self.plan[self.position]
-        if want_label != label:
-            raise AssertionError(
-                f"plan expected choice '{want_label}' but algorithm asked "
-                f"'{label}' (candidates {list(candidates)})"
-            )
-        self.position += 1
-        target = self._translate(kind, payload, partition)
-        try:
-            index = list(candidates).index(target)
-        except ValueError:
-            raise AssertionError(
-                f"plan target {target!r} for '{label}' not among "
-                f"candidates {list(candidates)}"
-            ) from None
-        self.recorded.append(index)
-        return index
-
-    @staticmethod
-    def _translate(kind: str, payload, partition):
-        if kind == "raw" or partition is None:
-            return payload
-        if kind == "vertex":
-            return partition.current_of(payload)
-        if kind == "arc":
-            u, v = payload
-            return (partition.current_of(u), partition.current_of(v))
-        raise ValueError(f"unknown plan payload kind {kind!r}")

@@ -52,7 +52,7 @@ def build_rotation_cycle(li: LiveInstance, advisor: Advisor) -> RotationCycle:
         raise ValueError("rotation cycles need at least three vertices")
     leaves = _leaves_of(li)
     start_arcs = [a for a in li.arcs if a[1] not in leaves]
-    tail, head = advisor.choose("initial-arc", start_arcs, li.partition)
+    tail, head = advisor.choose("initial-arc", start_arcs)
     path = [tail, head]
     visited = {tail, head}
 
@@ -63,7 +63,7 @@ def build_rotation_cycle(li: LiveInstance, advisor: Advisor) -> RotationCycle:
         end = path[-1]
         ext = fresh_non_leaf(end)
         if ext:
-            nxt = advisor.choose("extend", ext, li.partition)
+            nxt = advisor.choose("extend", ext)
             path.append(nxt)
             visited.add(nxt)
             continue
@@ -74,7 +74,7 @@ def build_rotation_cycle(li: LiveInstance, advisor: Advisor) -> RotationCycle:
             # Rotate: keep the prefix up to the anchor, reverse the rest so
             # the path now ends at the pivot, then extend from there.
             path = path[: anchor_pos + 1] + path[anchor_pos + 1 :][::-1]
-            nxt = advisor.choose("rotate-extend", ext, li.partition)
+            nxt = advisor.choose("rotate-extend", ext)
             path.append(nxt)
             visited.add(nxt)
             continue
@@ -125,7 +125,7 @@ def _two_cuts(li: LiveInstance, advisor: Advisor):
             if len(li.sinks_of(sid) & leaves) >= 2
         ]
         if cands:
-            star = advisor.choose("leaf-pair-star", cands, li.partition)
+            star = advisor.choose("leaf-pair-star", cands)
             q = augment_to_perfect(li, {star}, advisor)
             first, second = sorted(li.sinks_of(star) & leaves)[:2]
             return q, ({first}, {second})
@@ -146,11 +146,11 @@ def _two_cycle_branch(li: LiveInstance, advisor: Advisor, rc: RotationCycle):
     center = rc.path_end
     other = rc.cycle_vertices[1]
     leaf_nbrs = sorted(set(li.neighbors(center)) & rc.leaves)
-    leaf = advisor.choose("leaf-select", leaf_nbrs, li.partition)
+    leaf = advisor.choose("leaf-select", leaf_nbrs)
     target = frozenset((leaf, other))
     cands = [sid for sid in li.stars_at(center) if li.sinks_of(sid) == target]
     if cands:
-        star = advisor.choose("case-b-star", cands, li.partition)
+        star = advisor.choose("case-b-star", cands)
         q = augment_to_perfect(li, {star}, advisor)
     else:
         # Every remaining star through the leaf is a singleton both ways, so
@@ -175,9 +175,7 @@ def _leaf_and_cycle_branch(
     ]
     if not qualifying:
         return None
-    direction = advisor.choose(
-        "cycle-direction", ["forward", "backward"], li.partition
-    )
+    direction = advisor.choose("cycle-direction", ["forward", "backward"])
     step = 1 if direction == "forward" else -1
     pos = cyc.index(center)
     walk = [cyc[(pos + step * i) % len(cyc)] for i in range(1, len(cyc))]
@@ -186,9 +184,7 @@ def _leaf_and_cycle_branch(
     )
     nearest = next(u for u in walk if u in hit_sinks)
     star = advisor.choose(
-        "c1-star",
-        [sid for sid in qualifying if nearest in li.sinks_of(sid)],
-        li.partition,
+        "c1-star", [sid for sid in qualifying if nearest in li.sinks_of(sid)]
     )
     leaf = min(li.sinks_of(star) & leaves)
     # Continue in the same direction from the nearest sink back to the

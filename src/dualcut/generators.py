@@ -1,9 +1,10 @@
-"""Instance generators: tight families with recorded advice and optimum
+"""Instance generators: tight families with written advice and optimum
 witnesses, plus seeded random instances for stress testing.
 
-The tight families drive their own approximation run through a PlannedAdvisor
-(route expressed over original ids) and ship the recorded index script as the
-advice payload, so a plain ScriptedAdvisor replay reproduces the worst case.
+Each tight family ships a fixed advice script, written in closed form for
+its k: the candidate index of every choice along the route to the worst
+case. The generator replays it with a ScriptedAdvisor and checks that the
+run consumes the whole script and costs what the family promises.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .advisor import PlannedAdvisor
+from .advisor import ScriptedAdvisor
 from .dpa import approx_dpa
 from .graphs import Multigraph
 from .instances import (
@@ -51,10 +52,9 @@ def _check(family: str, claims) -> None:
         raise RunCheckError(problems)
 
 
-def _route_claims(advisor: PlannedAdvisor, plan, cost: int, expected_cost: int):
+def _replay_claims(advisor: ScriptedAdvisor, cost: int, expected_cost: int):
     return [
-        (advisor.position == len(plan), "route not fully consumed"),
-        (len(advisor.recorded) == len(plan), "route hit a silent choice"),
+        (advisor.position == len(advisor.script), "advice not fully consumed"),
         (cost == expected_cost, f"run cost {cost}, expected {expected_cost}"),
     ]
 
@@ -65,7 +65,7 @@ def gen_dpa_tight(k: int) -> GeneratedInstance:
     Two cycles sharing a vertex path plus two chords: n = 2k+3 vertices and
     3k+5 edges. Every edge becomes a pair of opposite singleton stars (edge i
     -> star ids 2i and 2i+1), so the same instance feeds both the power
-    algorithm and the general star algorithm; one recorded script drives both
+    algorithm and the general star algorithm; one advice script drives both
     to the same worst-case run.
     """
     if k < 1:
@@ -83,12 +83,13 @@ def gen_dpa_tight(k: int) -> GeneratedInstance:
     arcs = [a for u, v in edges for a in ((u, v), (v, u))]
     instance = mscs_to_ssc(n, arcs)
 
-    plan = [("initial-arc", "arc", (k + 3, 2))]
-    plan += [("extend", "vertex", t) for t in range(k + 2, 2, -1)]
-    plan += [("extend", "vertex", 1)]
-    advisor = PlannedAdvisor(plan)
+    # Route: the initial arc k+3 -> 2, index 4k+7 of the sorted arcs, then
+    # the outer cycle down to 1. Its first step, to k+2, is the second
+    # candidate; every later step, 1 last, is the first.
+    advice = (4 * k + 7, 1) + (0,) * k
+    advisor = ScriptedAdvisor(advice)
     report = approx_dpa(instance, advisor)
-    _check("gen_dpa_tight", _route_claims(advisor, plan, report.cost, 3 * k + 3))
+    _check("gen_dpa_tight", _replay_claims(advisor, report.cost, 3 * k + 3))
 
     # Spanning cycle 1 -> u_1 -> l_1 -> u_2 -> ... -> u_{k+1} -> 2 -> 1 as
     # forward stars: optimal because n vertices always need n stars.
@@ -99,7 +100,7 @@ def gen_dpa_tight(k: int) -> GeneratedInstance:
     _check("gen_dpa_tight", [(optimal, "witness is not optimal")])
     return GeneratedInstance(
         instance,
-        tuple(advisor.recorded),
+        advice,
         ExpectedCosts(3 * k + 3, 2 * k + 3),
         witness,
     )
@@ -120,9 +121,10 @@ def gen_ssc_tight(k: int) -> GeneratedInstance:
         (6, 5), (5, 3), (3, 1), (1, 6),
     ]
     n = 7
-    levels = [(1, 2, 3, 4, 5, 6)]
+    # Each level is a gadget (a, b, c, d, x, y); level 1 is (1, ..., 6), and
+    # the next level splices into the 2-cycle x <-> y.
+    x, y = 5, 6
     for _ in range(2, k + 1):
-        x, y = levels[-1][4:]
         b2, c2, d2, x2, y2 = n + 1, n + 2, n + 3, n + 4, n + 5
         a2 = x
         arcs[arcs.index((x, y))] = (y2, y)
@@ -131,7 +133,7 @@ def gen_ssc_tight(k: int) -> GeneratedInstance:
             (a2, b2), (b2, c2), (c2, d2), (d2, x2), (x2, y2),
             (y2, x2), (x2, c2), (c2, a2), (a2, y2),
         ]
-        levels.append((a2, b2, c2, d2, x2, y2))
+        x, y = x2, y2
         n += 5
     _check("gen_ssc_tight", [
         (len(arcs) == 9 * k + 2, "arc count is not 9k+2"),
@@ -139,22 +141,20 @@ def gen_ssc_tight(k: int) -> GeneratedInstance:
     ])
     instance = mscs_to_ssc(n, arcs)
 
-    # Route: peel the innermost gadget first, one gadget per 5 choices, then
-    # close out the base level with its 2-cycle start.
-    plan: list[tuple[str, str, object]] = []
-    for j in range(k, 0, -1):
-        a, b, c, d, x, y = levels[j - 1]
-        plan += [
-            ("initial-arc", "arc", (c, a)),
-            ("extend", "vertex", y),
-            ("extend", "vertex", x),
-            ("initial-arc", "arc", (c, d)),
-            ("initial-arc", "arc", (a, b)),
-        ]
-    plan.append(("initial-arc", "arc", (6, 7)))
-    advisor = PlannedAdvisor(plan)
+    # Route: each gadget in turn, innermost first, with five choices: the
+    # arc c -> a, extend to y, extend to x, the arc c -> d and the arc
+    # a -> b; then the base level's 2-cycle start 6 -> 7. The indices are
+    # where those targets sit among the sorted candidates: the same shape
+    # at every level j >= 3, their own at levels 2 and 1.
+    script: list[int] = []
+    for j in range(k, 2, -1):
+        script += (9 * j - 5, 2, 1, 9 * j - 8, 9 * j - 9)
+    if k >= 2:
+        script += (13, 2, 1, 9, 8)
+    advice = tuple(script) + (3, 1, 0, 1, 0, 0)
+    advisor = ScriptedAdvisor(advice)
     report = approx_ssc(instance, advisor)
-    _check("gen_ssc_tight", _route_claims(advisor, plan, report.cost, 8 * k + 2))
+    _check("gen_ssc_tight", _replay_claims(advisor, report.cost, 8 * k + 2))
 
     # Spanning cycle: base 7-cycle arcs, detouring through each gadget via
     # its first five appended arcs (the level rewire keeps ids 0..6 valid).
@@ -166,7 +166,7 @@ def gen_ssc_tight(k: int) -> GeneratedInstance:
     _check("gen_ssc_tight", [(optimal, "witness is not optimal")])
     return GeneratedInstance(
         instance,
-        tuple(advisor.recorded),
+        advice,
         ExpectedCosts(8 * k + 2, 5 * k + 2),
         witness,
     )
@@ -262,12 +262,16 @@ def gen_random_2ecs(
     return GeneratedInstance(TwoECSInstance(Multigraph(n, edges)))
 
 
-def gen_random_dpa(
-    n: int, zero_cost_prob: float = 0.4, seed: int = 0, max_edges: int = 12
-) -> GeneratedInstance:
+# random-dpa adds extra pairs only while it has fewer edges than this; the
+# spanning cycle alone may have more.
+RANDOM_DPA_MAX_EDGES = 12
+
+
+def gen_random_dpa(n: int, zero_cost_prob: float = 0.4, seed: int = 0) -> GeneratedInstance:
     """Random connected power-assignment instance: spanning cycle (deduped,
-    so n = 2 yields a single edge) plus random extra pairs, costs 0/1;
-    each edge is free with probability `zero_cost_prob`, in [0, 1]."""
+    so n = 2 yields a single edge) plus random extra pairs up to
+    `RANDOM_DPA_MAX_EDGES` edges, costs 0/1; each edge is free with
+    probability `zero_cost_prob`, in [0, 1]."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if not 0 <= zero_cost_prob <= 1:
@@ -288,7 +292,7 @@ def gen_random_dpa(
         if frozenset((u, v)) not in pairs:
             add(u, v)
     for u, v in combinations(range(1, n + 1), 2):
-        if len(edges) >= max_edges:
+        if len(edges) >= RANDOM_DPA_MAX_EDGES:
             break
         if frozenset((u, v)) not in pairs and rng.random() < 0.25:
             add(u, v)

@@ -139,9 +139,6 @@ class VertexPartition:
     def current_count(self) -> int:
         return max(self.assignment)
 
-    def current_of(self, original: int) -> int:
-        return self.assignment[original - 1]
-
     def compose(self, mapping: dict[int, int]) -> "VertexPartition":
         """Apply a further current->new mapping (e.g. from a contraction)."""
         return VertexPartition(

@@ -33,30 +33,18 @@ from .report import IterationRecord, RunCheckError
 
 
 class Labels:
-    """Which current vertex each original vertex belongs to.
+    """Which original vertices each current vertex holds.
 
-    A current vertex is labelled by its smallest original member. Lookups go
-    through a union-find over original vertices; each label also keeps the
-    list of its original members, so `lift` costs the size of its output.
+    A current vertex is labelled by its smallest original member, and each
+    label keeps the list of its original members, so `lift` costs the size
+    of its output.
     """
 
-    __slots__ = ("vertex_count", "_parent", "_label", "members")
+    __slots__ = ("vertex_count", "members")
 
     def __init__(self, n: int):
         self.vertex_count = n
-        self._parent = list(range(n + 1))
-        self._label = list(range(n + 1))  # union-find root -> label
         self.members: dict[int, list[int]] = {v: [v] for v in range(1, n + 1)}
-
-    def _root(self, v: int) -> int:
-        parent = self._parent
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def current_of(self, original: int) -> int:
-        return self._label[self._root(original)]
 
     def lift(self, current_vertices) -> frozenset[int]:
         """Original vertices behind a set of current vertices."""
@@ -74,16 +62,14 @@ class Labels:
 
     def merge(self, block: set[int], anchor: int) -> None:
         """Merge the current vertices of `block` into one labelled `anchor`,
-        the block's smallest label; the largest class absorbs the others."""
+        the block's smallest label. The longest member list takes in the
+        others, so a merge moves only the shorter lists."""
         members = self.members
         big = max(block, key=lambda v: len(members[v]))
-        root = self._root(big)
         merged = members.pop(big)
         for v in block:
             if v != big:
-                self._parent[self._root(v)] = root
                 merged += members.pop(v)
-        self._label[root] = anchor
         members[anchor] = merged
 
 
@@ -374,7 +360,7 @@ def augment_to_perfect(li: LiveInstance, star_ids, advisor: Advisor) -> frozense
         u = min(external)
         path = _dfs_path_to(li, u, srcs, advisor)
         added = [
-            advisor.choose("aug-star", li.stars_with_arc(a, b), li.partition)
+            advisor.choose("aug-star", li.stars_with_arc(a, b))
             for a, b in zip(path, path[1:])
         ]
         result.update(added)
@@ -388,7 +374,7 @@ def augment_to_perfect(li: LiveInstance, star_ids, advisor: Advisor) -> frozense
 def stars_along(li: LiveInstance, advisor: Advisor, arcs) -> set[int]:
     """One advisor-chosen live star per arc, chosen in arc order."""
     return {
-        advisor.choose("arc-star", li.stars_with_arc(a, b), li.partition)
+        advisor.choose("arc-star", li.stars_with_arc(a, b))
         for a, b in arcs
     }
 
@@ -412,7 +398,7 @@ def _dfs_path_to(li: LiveInstance, start: int, targets: set[int], advisor: Advis
                     [f"no directed path leads from {start} back to the sources"]
                 )
             continue
-        nxt = advisor.choose("aug-step", candidates, li.partition)
+        nxt = advisor.choose("aug-step", candidates)
         visited.add(nxt)
         path.append(nxt)
 

@@ -41,7 +41,7 @@ def build_simple_cycle(li: LiveInstance, advisor: Advisor) -> SimpleCycle:
     at the earliest path vertex the endpoint reaches."""
     if li.current_count < 2:
         raise ValueError("need at least two current vertices")
-    tail, head = advisor.choose("initial-arc", li.arcs, li.partition)
+    tail, head = advisor.choose("initial-arc", li.arcs)
     path = [tail, head]
     visited = {tail, head}
     while True:
@@ -49,7 +49,7 @@ def build_simple_cycle(li: LiveInstance, advisor: Advisor) -> SimpleCycle:
         fresh = [u for u in li.out_neighbors(end) if u not in visited]
         if not fresh:
             break
-        nxt = advisor.choose("extend", fresh, li.partition)
+        nxt = advisor.choose("extend", fresh)
         path.append(nxt)
         visited.add(nxt)
     end = path[-1]
@@ -111,7 +111,7 @@ def _escape_star(li: LiveInstance, advisor: Advisor, label: str, arcs, cycle_set
     )
     if not escaping:
         return None
-    star = advisor.choose(label, escaping, li.partition)
+    star = advisor.choose(label, escaping)
     rest = [(a, b) for a, b in arcs if a != li.source_of(star)]
     q0 = {star} | stars_along(li, advisor, rest)
     return augment_to_perfect(li, q0, advisor), ({end},)
@@ -183,27 +183,23 @@ def _two_cycle_case(li: LiveInstance, advisor: Advisor, cycle: list[int]):
     if not fat:
         q = stars_along(li, advisor, [(end, first), (first, end)])
         return q, ({end}, frozenset(li.vertices()) - {end})
-    wide = advisor.choose("f1-star", fat, li.partition)
-    partner = advisor.choose(
-        "f1-sink", sorted(li.sinks_of(wide) - {end}), li.partition
-    )
+    wide = advisor.choose("f1-star", fat)
+    partner = advisor.choose("f1-sink", sorted(li.sinks_of(wide) - {end}))
     detour = find_nontrivial_path(li, partner, first, {end})
     if detour is not None:
         q0 = {wide} | stars_along(
             li, advisor, [(end, first)] + list(zip(detour, detour[1:]))
         )
         return augment_to_perfect(li, q0, advisor), ({end},)
-    reach = reachable_avoiding(
-        li, partner, lambda a, b: (a, b) == (partner, first)
-    )
     fat_back = [
         sid
         for sid in li.stars_with_arc(partner, first)
         if len(li.sinks_of(sid)) >= 2
     ]
     if fat_back:
-        back = advisor.choose("f2-star", fat_back, li.partition)
+        back = advisor.choose("f2-star", fat_back)
         return augment_to_perfect(li, {wide, back}, advisor), ({end},)
+    reach = reachable_avoiding(li, partner, lambda a, b: (a, b) == (partner, first))
     return augment_to_perfect(li, {wide}, advisor), ({end}, reach)
 
 

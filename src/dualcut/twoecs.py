@@ -93,14 +93,14 @@ def find_cycle_with_internal_cut(li: LiveInstance, advisor: Advisor) -> CycleWit
     """
     if li.current_count < 2:
         raise ValueError("need at least two vertices to find a cycle")
-    tail, head, first_eid = advisor.choose("initial-edge", OrientedEdges(li), li.partition)
+    tail, head, first_eid = advisor.choose("initial-edge", OrientedEdges(li))
     path = [tail, head]
     position = {tail: 0, head: 1}
     while True:
         fresh = [w for w in li.neighbors(path[-1]) if w not in position]
         if not fresh:
             break
-        nxt = advisor.choose("extend", fresh, li.partition)
+        nxt = advisor.choose("extend", fresh)
         position[nxt] = len(path)
         path.append(nxt)
 

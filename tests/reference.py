@@ -14,6 +14,11 @@ round has at least four stars, a rotation cycle has the shape its branches
 rely on, and a 2ecs cycle's end has every neighbour on the cycle. A solve
 does not run them; it checks only its finished report (`verify_run`).
 `check_every_round` patches them into the solvers for a test's duration.
+
+`PlannedAdvisor` drives a run along a route named in original vertex ids
+and records the candidate index of each choice: the script that replays
+the route. `follow_labels` hands it the labels of the run it drives by
+wrapping each solver's round function, as `check_every_round` does.
 """
 
 from __future__ import annotations
@@ -21,15 +26,16 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import dualcut.dpa as dpa_module
 import dualcut.ssc as ssc_module
 import dualcut.twoecs as twoecs_module
+from dualcut.advisor import Advisor
 from dualcut.certificates import Cut, DualCertificate
 from dualcut.graphs import Digraph
 from dualcut.instances import DPAInstance, SSCInstance, Star
-from dualcut.perfect import LiveInstance, is_internal_cut, is_perfect, live_crossing_stars
+from dualcut.perfect import Labels, LiveInstance, is_internal_cut, is_perfect, live_crossing_stars
 from dualcut.report import BIG_ONE_CUT, TWO_CUTS, RunReport
 
 
@@ -262,3 +268,80 @@ def check_every_round(monkeypatch) -> Counter:
     wrap(dpa_module, "build_rotation_cycle", "rotation-cycle", check_rotation_cycle)
     wrap(twoecs_module, "find_cycle_with_internal_cut", "2ecs", check_cycle_witness)
     return checked
+
+
+def label_of(labels: Labels, original: int) -> int:
+    """The current vertex that holds original vertex `original`: a scan of
+    `labels.members`."""
+    return next(c for c, group in labels.members.items() if original in group)
+
+
+class PlannedAdvisor(Advisor):
+    """Drives a run along a predetermined route, recording the index taken at
+    every multi-candidate choice so the route can be replayed from a script.
+
+    Plan entries are (label, kind, payload) with payload expressed over
+    ORIGINAL ids: kind 'vertex' and 'arc' payloads are translated through
+    `labels`, the run's current labels, at choice time; kind 'raw' payloads
+    (star ids, direction strings, oriented edges), and every payload while
+    `labels` is None, are matched as-is. Once the plan is exhausted,
+    remaining choices silently take index 0, exactly like an exhausted
+    script.
+    """
+
+    def __init__(self, plan: Sequence[tuple[str, str, object]]):
+        self.plan = list(plan)
+        self.position = 0
+        self.recorded: list[int] = []
+        self.labels: Labels | None = None
+
+    def pick(self, label: str, candidates: Sequence) -> int:
+        if self.position >= len(self.plan):
+            return 0
+        want_label, kind, payload = self.plan[self.position]
+        if want_label != label:
+            raise AssertionError(
+                f"plan expected choice '{want_label}' but algorithm asked "
+                f"'{label}' (candidates {list(candidates)})"
+            )
+        self.position += 1
+        target = self._translate(kind, payload)
+        try:
+            index = list(candidates).index(target)
+        except ValueError:
+            raise AssertionError(
+                f"plan target {target!r} for '{label}' not among "
+                f"candidates {list(candidates)}"
+            ) from None
+        self.recorded.append(index)
+        return index
+
+    def _translate(self, kind: str, payload):
+        labels = self.labels
+        if kind == "raw" or labels is None:
+            return payload
+        if kind == "vertex":
+            return label_of(labels, payload)
+        if kind == "arc":
+            u, v = payload
+            return (label_of(labels, u), label_of(labels, v))
+        raise ValueError(f"unknown plan payload kind {kind!r}")
+
+
+def follow_labels(monkeypatch, advisor: PlannedAdvisor) -> None:
+    """Wrap every solver's round function for the rest of the test, so that
+    each round `advisor` drives reads its run's labels first."""
+
+    def wrap(module, name):
+        real = getattr(module, name)
+
+        def following(li, round_advisor):
+            if round_advisor is advisor:
+                advisor.labels = li.partition
+            return real(li, round_advisor)
+
+        monkeypatch.setattr(module, name, following)
+
+    wrap(ssc_module, "find_perfect_set")
+    wrap(dpa_module, "find_perfect_two_cuts")
+    wrap(twoecs_module, "find_cycle_with_internal_cut")

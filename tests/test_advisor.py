@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 import dualcut
-from dualcut import Advisor, PlannedAdvisor, ScriptedAdvisor
+from dualcut import Advisor, ScriptedAdvisor
 from dualcut.advisor import CHOICE_LABELS
 from dualcut.perfect import Labels
+from reference import PlannedAdvisor
 
 
 def test_default_advisor_picks_first():
@@ -55,9 +56,10 @@ def test_planned_advisor_translates_through_partition():
     part = Labels(4)
     part.merge({2, 3}, 2)
     a = PlannedAdvisor([("extend", "vertex", 3), ("initial-arc", "arc", (4, 3))])
+    a.labels = part
     # Original vertex 3 now lives at label 2; original 4 keeps label 4.
-    assert a.choose("extend", [1, 2, 4], part) == 2
-    assert a.choose("initial-arc", [(1, 2), (4, 2)], part) == (4, 2)
+    assert a.choose("extend", [1, 2, 4]) == 2
+    assert a.choose("initial-arc", [(1, 2), (4, 2)]) == (4, 2)
 
 
 def test_planned_advisor_rejects_label_mismatch_and_missing_target():

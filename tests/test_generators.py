@@ -20,6 +20,7 @@ from dualcut import (
     gen_random_ssc,
     gen_ssc_tight,
 )
+from reference import PlannedAdvisor, follow_labels
 from test_report import _run_optimized
 
 
@@ -84,6 +85,51 @@ def test_general_family_replays_with_scripted_advice(k):
     report = approx_ssc(gi.instance, ScriptedAdvisor(list(gi.advice)))
     assert report.cost == 8 * k + 2
     assert sum(len(it.selected) - 1 for it in report.iterations) == gi.instance.vertex_count - 1
+
+
+def gk_route(k):
+    """`gen_dpa_tight`'s route: the initial arc k+3 -> 2, then the outer
+    cycle down to 1."""
+    steps = [*range(k + 2, 2, -1), 1]
+    return [("initial-arc", "arc", (k + 3, 2))] + [("extend", "vertex", t) for t in steps]
+
+
+def tk_route(k):
+    """`gen_ssc_tight`'s route: each gadget (a, b, c, d, x, y), innermost
+    first, then the base level's 2-cycle start 6 -> 7."""
+    levels = [(1, 2, 3, 4, 5, 6)]
+    for j in range(2, k + 1):
+        n = 5 * j - 3  # vertices before level j; a is the last level's x
+        levels.append((levels[-1][4], n + 1, n + 2, n + 3, n + 4, n + 5))
+    route = []
+    for a, b, c, d, x, y in reversed(levels):
+        route += [
+            ("initial-arc", "arc", (c, a)),
+            ("extend", "vertex", y),
+            ("extend", "vertex", x),
+            ("initial-arc", "arc", (c, d)),
+            ("initial-arc", "arc", (a, b)),
+        ]
+    return route + [("initial-arc", "arc", (6, 7))]
+
+
+@pytest.mark.parametrize(
+    ("generate", "solve", "route", "k"),
+    [(gen_dpa_tight, approx_dpa, gk_route, k) for k in range(1, 21)]
+    + [(gen_ssc_tight, approx_ssc, tk_route, k) for k in range(1, 13)],
+    ids=[f"gk{k}" for k in range(1, 21)] + [f"tk{k}" for k in range(1, 13)],
+)
+def test_the_planner_along_each_route_records_the_shipped_advice(
+    monkeypatch, generate, solve, route, k
+):
+    gi = generate(k)
+    plan = route(k)
+    planner = PlannedAdvisor(plan)
+    follow_labels(monkeypatch, planner)
+    report = solve(gi.instance, planner)
+    assert planner.position == len(plan)
+    assert tuple(planner.recorded) == gi.advice
+    assert report.cost == gi.expected.alg_cost
 
 
 def test_random_generators_are_deterministic():

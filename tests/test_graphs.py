@@ -23,6 +23,7 @@ from dualcut.graphs import (
     reachable_avoiding,
 )
 from dualcut.perfect import LiveInstance
+from reference import label_of
 
 
 def test_digraph_merges_duplicates_and_sorts():
@@ -52,7 +53,7 @@ def test_partition_compose_and_lift():
     p2 = p.compose(contraction_mapping(5, {2, 4}))
     # Block collapses onto its smallest member; ids stay dense.
     assert p2.current_count == 4
-    assert p2.current_of(2) == p2.current_of(4) == 2
+    assert p2.assignment[2 - 1] == p2.assignment[4 - 1] == 2
     assert p2.lift({2}) == frozenset({2, 4})
     assert p2.lift({1, 2}) == frozenset({1, 2, 4})
     p3 = p2.compose(contraction_mapping(4, {1, 2}))
@@ -66,7 +67,7 @@ def test_contract_digraph_drops_internal_arcs():
     ).contract({1, 2})
     # The merged vertex is labelled 1; the others keep their labels.
     assert li.current_count == 3 and li.vertices() == (1, 3, 4)
-    assert li.partition.current_of(1) == li.partition.current_of(2) == 1
+    assert label_of(li.partition, 1) == label_of(li.partition, 2) == 1
     assert li.arcs == ((1, 3), (3, 4), (4, 1))
 
 
@@ -371,7 +372,7 @@ def test_live_edge_contraction_matches_the_rebuild_reference(g, data):
         ))
         li.contract(block)
         ref, mapping, edge_origin = contract_multigraph(
-            ref, {partition.current_of(label) for label in block}
+            ref, {partition.assignment[label - 1] for label in block}
         )
         partition = partition.compose(mapping)
         origin = [origin[j] for j in edge_origin]

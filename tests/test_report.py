@@ -10,6 +10,8 @@ import textwrap
 from fractions import Fraction
 from pathlib import Path
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,16 +19,20 @@ from hypothesis import strategies as st
 import dualcut
 from dualcut import (
     RunCheckError,
+    ScriptedAdvisor,
     approx_2ecs,
     approx_dpa,
     approx_ssc,
     gen_random_2ecs,
+    gen_random_bidirected,
     gen_random_dpa,
     gen_random_ssc,
     mscs_to_ssc,
+    parse_instance,
     report_from_json,
     report_to_json,
     verify_run,
+    write_instance,
 )
 from dualcut.certificates import Cut, DualCertificate
 from dualcut.report import (
@@ -159,6 +165,82 @@ def test_verify_catches_selection_tampering(runs):
     bad = dataclasses.replace(report, selected=smaller)
     problems = verify_run(kind, inst, bad)
     assert problems  # cost mismatch, identity failures, or infeasibility
+
+
+# Star and power runs like the benchmark's: (tag, file kind, solver,
+# generator, leading generator arguments).
+STAR_AND_POWER_TAGS = (
+    ("ssc", "ssc", approx_ssc, gen_random_ssc, (1.0, 3)),
+    ("mscs", "mscs", approx_ssc, gen_random_ssc, (1.0, 1)),
+    ("dpa", "dpa", approx_dpa, gen_random_dpa, (0.4,)),
+    ("bidirected-as-dpa", "ssc", approx_dpa, gen_random_bidirected, (0.8, 3)),
+)
+
+
+def _drop_selected(data):
+    if not data["selected"]:
+        return False
+    data["selected"].pop()
+    return True
+
+
+def _move_cut_vertex(data):
+    """Move one vertex from a certificate cut to another, keeping both
+    cuts nonempty proper subsets; a complemented cut's leading 0 is a
+    marker, not a vertex, and stays."""
+    cuts, n = data["certificate"]["cuts"], data["n"]
+    vertices = [[v for v in cut if v != 0] for cut in cuts]
+    for src, listed in zip(cuts, vertices):
+        for dst, taken in zip(cuts, vertices):
+            if dst is src or len(listed) < 2 or len(taken) + 1 >= n:
+                continue
+            movable = [v for v in listed if v not in taken]
+            if movable:
+                src.remove(movable[0])
+                dst.append(movable[0])
+                dst.sort()
+                return True
+    return False
+
+
+def _change_cost(data):
+    data["cost"] += 1
+    return True
+
+
+@pytest.fixture(scope="module")
+def star_and_power_pool():
+    """(tag, kind, instance, report JSON) for 400 seeded runs, half of them
+    with a random advice script, as the benchmark's small batch makes them."""
+    rng = random.Random(2024)
+    pool = []
+    for i in range(400):
+        tag, kind, solve, gen, extra = STAR_AND_POWER_TAGS[i % len(STAR_AND_POWER_TAGS)]
+        gi = gen(rng.randint(6, 30), *extra, rng.randrange(2**31))
+        kind, instance = parse_instance(write_instance(gi.instance, kind))
+        script = [rng.randrange(8) for _ in range(16)] if i % 8 < 4 else []
+        pool.append((tag, kind, instance, report_to_json(solve(instance, ScriptedAdvisor(script)))))
+    return pool
+
+
+@pytest.mark.parametrize("tamper", [_drop_selected, _move_cut_vertex, _change_cost])
+def test_tampered_star_and_power_reports_give_findings(star_and_power_pool, tamper):
+    # The benchmark's three tamperings, on the report kinds its tamper
+    # check never reaches.
+    tampered = set()
+    for i, (tag, kind, instance, text) in enumerate(star_and_power_pool):
+        data = json.loads(text)
+        if not tamper(data):
+            continue
+        tampered.add(tag)
+        findings = verify_run(kind, instance, report_from_json(json.dumps(data)))
+        assert findings, f"{tag} report {i} accepted after {tamper.__name__}"
+    if tamper is _move_cut_vertex:
+        # Nearly every power and bidirected run certifies with singletons
+        # and their complements, which no move keeps proper.
+        assert {"ssc", "mscs"} <= tampered
+    else:
+        assert tampered == {tag for tag, *_ in STAR_AND_POWER_TAGS}
 
 
 def test_verify_catches_kind_incompatibility(runs):

@@ -142,11 +142,11 @@ class _LabelRecorder(ScriptedAdvisor):
         super().__init__(script)
         self.rounds = []
 
-    def choose(self, label, candidates, partition=None):
+    def choose(self, label, candidates):
         if label == "initial-arc":
             self.rounds.append([])
         self.rounds[-1].append(label)
-        return super().choose(label, candidates, partition)
+        return super().choose(label, candidates)
 
 
 # Each fixture's branch, told from the labels of one round and its kind.

