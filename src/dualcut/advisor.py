@@ -33,8 +33,9 @@ class Advisor:
         """Return one of `candidates`, a read-only Sequence in canonical order.
 
         Advisors may use only `len`, indexing in `[0, len)` and iteration:
-        candidates need not be a list, and the `initial-edge` ones are read
-        lazily off the live graph, so one index costs far less than a copy.
+        candidates need not be a list, and the `initial-arc` and
+        `initial-edge` ones are read lazily off the live graph, so one index
+        costs far less than a copy.
         """
         if label not in CHOICE_LABELS:
             raise ValueError(f"unknown choice label {label!r}")

@@ -51,8 +51,7 @@ def build_rotation_cycle(li: LiveInstance, advisor: Advisor) -> RotationCycle:
     if li.current_count < 3:
         raise ValueError("rotation cycles need at least three vertices")
     leaves = _leaves_of(li)
-    start_arcs = [a for a in li.arcs if a[1] not in leaves]
-    tail, head = advisor.choose("initial-arc", start_arcs)
+    tail, head = advisor.choose("initial-arc", li.arc_candidates(leaves))
     path = [tail, head]
     visited = {tail, head}
 

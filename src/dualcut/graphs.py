@@ -112,9 +112,6 @@ class Multigraph:
         """(edge id, other endpoint) pairs at v, in edge-id order of insertion."""
         return self._adj.get(v, ())
 
-    def vertices(self) -> range:
-        return range(1, self.vertex_count + 1)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Multigraph(n={self.vertex_count}, m={len(self.edges)})"
 

@@ -38,9 +38,6 @@ class Star:
                 f"star {self.id}: source {self.source} among sinks", self.id
             )
 
-    def arcs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((self.source, t) for t in sorted(self.sinks))
-
 
 class SSCInstance:
     """Star strong connectivity: pick fewest stars whose arcs span strong

@@ -12,6 +12,8 @@ A LiveInstance is the current contracted view of an instance; its records
 are stars, or edges as one-sink records. Each current vertex is labelled by
 its smallest original vertex, so labels sort as the dense ids of a fresh
 renumbering would, and every candidate list an advisor sees keeps its order.
+The initial choices of all three algorithms read their candidates lazily,
+vertex by vertex, as one `Candidates` sequence.
 `contract` updates the view in place: it touches only the records with a
 source or sink among the merged vertices other than the block's smallest,
 and keeps its one index, arc -> ids of the live records carrying it, up to
@@ -22,7 +24,10 @@ instance.
 
 from __future__ import annotations
 
-from itertools import chain
+from collections import Counter
+from collections.abc import Sequence
+from itertools import chain, islice, repeat
+from operator import sub
 from typing import Iterable
 
 from .advisor import Advisor
@@ -152,11 +157,18 @@ class LiveInstance:
         heads = self._out.get(u)
         return heads is not None and v in heads
 
-    @property
-    def arcs(self) -> tuple[tuple[int, int], ...]:
-        """Every arc once, ascending by (tail, head)."""
-        heads = self.out_neighbors
-        return tuple([(u, v) for u in self.vertices() for v in heads(u)])
+    def arc_candidates(self, excluded_heads=frozenset()) -> "Candidates":
+        """Every arc once whose head is not excluded, ascending by (tail,
+        head): the `initial-arc` candidates."""
+        out, heads = self._out, self.out_neighbors
+        skipped = Counter(tail for h in excluded_heads for tail in self._in[h])
+        return Candidates(
+            self.vertices(),
+            # `out` is keyed by every current vertex, ascending.
+            lambda: map(sub, map(len, out.values()), map(skipped.get, out, repeat(0))),
+            lambda v: ((v, w) for w in heads(v) if w not in excluded_heads),
+            sum(map(len, out.values())) - sum(skipped.values()),
+        )
 
     def source_of(self, star_id: int) -> int:
         try:
@@ -256,6 +268,40 @@ class LiveInstance:
             f"LiveInstance(current={self.current_count}, "
             f"live_stars={len(self.live)})"
         )
+
+
+class Candidates(Sequence):
+    """The candidates of one choice, read lazily off a live instance vertex
+    by vertex in ascending label order: `items(v)` yields vertex v's
+    candidates in order, `counts()` iterates over how many each vertex of
+    `vertices` yields, in the same order, and `total` is their sum.
+
+    Element i equals element i of the concatenated lists, but only the
+    vertices before it are counted and only its own vertex's items are
+    generated, so `[0]` costs the smallest vertex's candidates. Valid until
+    the instance is next contracted.
+    """
+
+    __slots__ = ("_vertices", "_counts", "_items", "_total")
+
+    def __init__(self, vertices, counts, items, total: int):
+        self._vertices, self._counts, self._items, self._total = vertices, counts, items, total
+
+    def __len__(self) -> int:
+        return self._total
+
+    def __getitem__(self, i: int):
+        if not 0 <= i < self._total:
+            raise IndexError(f"candidate index {i} out of range")
+        for v, c in zip(self._vertices, self._counts()):
+            if i < c:
+                return next(islice(self._items(v), i, None))
+            i -= c
+        raise RunCheckError(["candidate counts do not add up to the sequence length"])
+
+    def __iter__(self):
+        # One walk over the vertices, not one `[i]` walk per element.
+        return chain.from_iterable(map(self._items, self._vertices))
 
 
 def is_quasiperfect(li: LiveInstance, star_ids) -> bool:

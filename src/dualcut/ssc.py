@@ -41,7 +41,7 @@ def build_simple_cycle(li: LiveInstance, advisor: Advisor) -> SimpleCycle:
     at the earliest path vertex the endpoint reaches."""
     if li.current_count < 2:
         raise ValueError("need at least two current vertices")
-    tail, head = advisor.choose("initial-arc", li.arcs)
+    tail, head = advisor.choose("initial-arc", li.arc_candidates())
     path = [tail, head]
     visited = {tail, head}
     while True:

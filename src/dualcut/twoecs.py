@@ -12,13 +12,11 @@ edge ids stay those of the input.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import islice
 
 from .advisor import Advisor
 from .instances import TwoECSInstance
-from .perfect import LiveInstance, contract_rounds
+from .perfect import Candidates, LiveInstance, contract_rounds
 from .report import RunCheckError, RunReport, build_report
 
 
@@ -38,48 +36,19 @@ def _edges_between(li: LiveInstance, u: int, v: int) -> tuple[int, ...]:
     return li.stars_with_arc(u, v) + li.stars_with_arc(v, u)
 
 
-class OrientedEdges(Sequence):
-    """Every live edge once per direction as (tail, head, edge id), ascending:
-    the `initial-edge` candidates, read lazily off a live edge instance.
+def oriented_edges(li: LiveInstance) -> Candidates:
+    """Every live edge once per direction as (tail, head, edge id),
+    ascending: the `initial-edge` candidates."""
 
-    Element i equals element i of the sorted list of all such triples, but
-    only the vertices before it are counted and only its own vertex's
-    adjacency is listed, so `[0]` costs the smallest vertex's edges. Valid
-    until the instance is next contracted.
-    """
-
-    __slots__ = ("_li",)
-
-    def __init__(self, li: LiveInstance):
-        self._li = li
-
-    def __len__(self) -> int:
-        # Contraction drops every record whose ends merge, so each live
-        # record joins two distinct current vertices.
-        return 2 * len(self._li.live)
-
-    def __getitem__(self, i: int) -> tuple[int, int, int]:
-        if not 0 <= i < len(self):
-            raise IndexError(f"oriented edge index {i} out of range")
-        li = self._li
-        for v in li.vertices():
-            degree = li.degree(v)
-            if i < degree:
-                return next(islice(self._at(v), i, None))
-            i -= degree
-        raise RunCheckError(["live edge degrees do not add up to twice the edge count"])
-
-    def __iter__(self):
-        # One walk over the vertices, not one `[i]` walk per element.
-        for v in self._li.vertices():
-            yield from self._at(v)
-
-    def _at(self, v: int):
-        """The triples with tail v, ascending."""
-        li = self._li
+    def at(v: int):
         for w in li.neighbors(v):
             for eid in sorted(_edges_between(li, v, w)):
                 yield (v, w, eid)
+
+    # Contraction drops every record whose ends merge, so each live record
+    # joins two distinct current vertices.
+    vertices = li.vertices()
+    return Candidates(vertices, lambda: map(li.degree, vertices), at, 2 * len(li.live))
 
 
 def find_cycle_with_internal_cut(li: LiveInstance, advisor: Advisor) -> CycleWitness:
@@ -93,7 +62,7 @@ def find_cycle_with_internal_cut(li: LiveInstance, advisor: Advisor) -> CycleWit
     """
     if li.current_count < 2:
         raise ValueError("need at least two vertices to find a cycle")
-    tail, head, first_eid = advisor.choose("initial-edge", OrientedEdges(li))
+    tail, head, first_eid = advisor.choose("initial-edge", oriented_edges(li))
     path = [tail, head]
     position = {tail: 0, head: 1}
     while True:

@@ -15,6 +15,12 @@ rely on, and a 2ecs cycle's end has every neighbour on the cycle. A solve
 does not run them; it checks only its finished report (`verify_run`).
 `check_every_round` patches them into the solvers for a test's duration.
 
+`sorted_arcs` and `sorted_oriented_edges` list the `initial-arc` and
+`initial-edge` candidates of a live instance eagerly, from its records;
+`CheckingAdvisor` compares each lazy candidate sequence a run offers with
+them, and `check_initial_candidates` hands it the live instance of every
+round.
+
 `PlannedAdvisor` drives a run along a route named in original vertex ids
 and records the candidate index of each choice: the script that replays
 the route. `follow_labels` hands it the labels of the run it drives by
@@ -31,7 +37,7 @@ from typing import Iterable, Sequence
 import dualcut.dpa as dpa_module
 import dualcut.ssc as ssc_module
 import dualcut.twoecs as twoecs_module
-from dualcut.advisor import Advisor
+from dualcut.advisor import Advisor, ScriptedAdvisor
 from dualcut.certificates import Cut, DualCertificate
 from dualcut.graphs import Digraph
 from dualcut.instances import DPAInstance, SSCInstance, Star
@@ -345,3 +351,85 @@ def follow_labels(monkeypatch, advisor: PlannedAdvisor) -> None:
     wrap(ssc_module, "find_perfect_set")
     wrap(dpa_module, "find_perfect_two_cuts")
     wrap(twoecs_module, "find_cycle_with_internal_cut")
+
+
+def sorted_arcs(li: LiveInstance, excluded_heads=()) -> list[tuple[int, int]]:
+    """The `initial-arc` candidates as a sorted list: every arc of a live
+    record once, leaving out arcs into `excluded_heads`."""
+    return sorted({
+        (src, t) for src, sinks in li.live.values() for t in sinks if t not in excluded_heads
+    })
+
+
+def sorted_oriented_edges(li: LiveInstance) -> list[tuple[int, int, int]]:
+    """The `initial-edge` candidates as a sorted list of every live edge in
+    both directions, as (tail, head, edge id)."""
+    edges = [(eid, u, v) for eid, (u, (v,)) in li.live.items()]
+    return sorted([(u, v, eid) for eid, u, v in edges] + [(v, u, eid) for eid, u, v in edges])
+
+
+def live_leaves(li: LiveInstance) -> frozenset[int]:
+    """Current vertices that live records join to exactly one other vertex."""
+    nbrs: dict[int, set[int]] = {}
+    for src, sinks in li.live.values():
+        for t in sinks:
+            nbrs.setdefault(src, set()).add(t)
+            nbrs.setdefault(t, set()).add(src)
+    return frozenset(v for v, ws in nbrs.items() if len(ws) == 1)
+
+
+def check_candidates(candidates, want: list, rng) -> None:
+    """A lazy candidate sequence equals the list `want`: its length, full
+    iteration, the first, last and a random element, and `IndexError` at
+    `len` and -1."""
+    assert isinstance(candidates, Sequence) and not isinstance(candidates, list)
+    assert len(candidates) == len(want)
+    assert list(candidates) == want
+    if want:
+        for i in (0, len(want) - 1, rng.randrange(len(want))):
+            assert candidates[i] == want[i]
+    for i in (len(want), -1):
+        try:
+            candidates[i]
+        except IndexError:
+            continue
+        raise AssertionError(f"candidate index {i} did not raise IndexError")
+
+
+class CheckingAdvisor(ScriptedAdvisor):
+    """A scripted advisor that checks every `initial-arc` and `initial-edge`
+    candidate sequence against `reference()`, the eager list of the live
+    instance the sequence was read from, before choosing as the script
+    says. `checked` counts the sequences checked per label."""
+
+    def __init__(self, script, rng, reference=None):
+        super().__init__(script)
+        self.rng, self.reference = rng, reference
+        self.checked: Counter = Counter()
+
+    def choose(self, label, candidates):
+        if label in ("initial-arc", "initial-edge"):
+            check_candidates(candidates, self.reference(), self.rng)
+            self.checked[label] += 1
+        return super().choose(label, candidates)
+
+
+def check_initial_candidates(monkeypatch, advisor: CheckingAdvisor) -> None:
+    """Wrap the three functions that make the initial choice of a round for
+    the rest of the test, so that `advisor` compares it with the eager list:
+    `sorted_arcs` for ssc's simple cycle, `sorted_arcs` without arcs into
+    leaves for dpa's rotation cycle, `sorted_oriented_edges` for 2ecs."""
+
+    def wrap(module, name, reference):
+        real = getattr(module, name)
+
+        def checked_call(li, round_advisor):
+            if round_advisor is advisor:
+                advisor.reference = lambda: reference(li)
+            return real(li, round_advisor)
+
+        monkeypatch.setattr(module, name, checked_call)
+
+    wrap(ssc_module, "build_simple_cycle", sorted_arcs)
+    wrap(dpa_module, "build_rotation_cycle", lambda li: sorted_arcs(li, live_leaves(li)))
+    wrap(twoecs_module, "find_cycle_with_internal_cut", sorted_oriented_edges)

@@ -29,7 +29,8 @@ def test_star_validation():
         star(0, 1)  # no sinks
     with pytest.raises(ValueError):
         star(0, 1, 1)  # source among sinks
-    assert star(0, 1, 3, 2).arcs() == ((1, 2), (1, 3))
+    fan = star(0, 1, 3, 2)
+    assert tuple((fan.source, t) for t in sorted(fan.sinks)) == ((1, 2), (1, 3))
 
 
 def test_ssc_instance_checks_ids_and_feasibility():
@@ -40,7 +41,7 @@ def test_ssc_instance_checks_ids_and_feasibility():
     with pytest.raises(InfeasibleInstanceError):
         SSCInstance(3, [star(0, 1, 2), star(1, 2, 1)])  # vertex 3 unreachable
     inst = SSCInstance(2, [star(0, 1, 2), star(1, 2, 1)])
-    assert Digraph(2, [a for st in inst.stars for a in st.arcs()]).has_arc(1, 2)
+    assert Digraph(2, [(st.source, t) for st in inst.stars for t in sorted(st.sinks)]).has_arc(1, 2)
 
 
 def test_dpa_instance_validation():

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import dualcut
 import dualcut.dpa as dpa_module
 import dualcut.perfect as perfect_module
+import dualcut.ssc as ssc_module
 from dualcut import (
     Advisor,
     RunCheckError,
@@ -75,6 +76,28 @@ def test_dead_star_lookup_raises():
     li = fat_instance().contract({1, 2})
     with pytest.raises(ValueError):
         li.source_of(1)  # internal 2->1 star died in the contraction
+    with pytest.raises(ValueError, match="not live"):
+        li.sinks_of(1)
+
+
+def test_contract_rejects_an_empty_block_and_a_vertex_that_is_not_current():
+    li = live_cycle(4).contract({1, 2})
+    with pytest.raises(ValueError, match="nonempty"):
+        li.contract(set())
+    with pytest.raises(ValueError, match="not a current vertex"):
+        li.contract({1, 2})  # 2 was merged into 1
+    assert li.vertices() == (1, 3, 4)
+
+
+@pytest.mark.parametrize("find", [
+    ssc_module.build_simple_cycle,
+    ssc_module.find_perfect_set,
+    dpa_module.find_perfect_two_cuts,
+])
+def test_round_functions_need_two_vertices(find):
+    # test_twoecs.py checks the same guard of the 2ecs cycle finder.
+    with pytest.raises(ValueError, match="at least two"):
+        find(LiveInstance(1, []), Advisor())
 
 
 def test_contract_remaps_and_drops_empty_stars():

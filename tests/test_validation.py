@@ -36,7 +36,7 @@ def strongly_connected(n, arcs):
 
 
 def star_arcs(stars):
-    return [a for s in stars for a in s.arcs()]
+    return [(s.source, t) for s in stars for t in sorted(s.sinks)]
 
 
 @st.composite
