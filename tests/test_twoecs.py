@@ -10,6 +10,7 @@ from dualcut import (
     Multigraph,
     ScriptedAdvisor,
     TwoECSInstance,
+    RunCheckError,
     approx_2ecs,
     check_feasible,
     exact_2ecs,
@@ -52,6 +53,18 @@ def test_cycle_closing_edge_differs_from_entry_on_parallel_pair():
 def test_single_vertex_is_rejected_by_cycle_finder():
     with pytest.raises(ValueError):
         find_cycle_with_internal_cut(LiveInstance.from_multigraph(Multigraph(1, [])), Advisor())
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [(2, [(1, 2)]), (4, [(1, 2), (2, 3), (3, 1), (3, 4)])],
+    ids=["single-edge", "triangle-with-pendant"],
+)
+def test_a_bridge_stops_the_cycle_finder(n, edges):
+    # The path ends at a vertex whose only edge is the one that entered it.
+    li = LiveInstance.from_multigraph(Multigraph(n, edges))
+    with pytest.raises(RunCheckError, match="the graph has a bridge"):
+        find_cycle_with_internal_cut(li, Advisor())
 
 
 def test_k4_run():
