@@ -35,7 +35,8 @@ class Advisor:
         Advisors may use only `len`, indexing in `[0, len)` and iteration:
         candidates need not be a list, and the `initial-arc` and
         `initial-edge` ones are read lazily off the live graph, so one index
-        costs far less than a copy.
+        costs far less than a copy. An index `pick` returns outside
+        `[0, len)` raises ValueError.
         """
         if label not in CHOICE_LABELS:
             raise ValueError(f"unknown choice label {label!r}")
@@ -43,7 +44,10 @@ class Advisor:
             raise ValueError(f"choice '{label}' offered no candidates")
         if len(candidates) == 1:
             return candidates[0]
-        return candidates[self.pick(label, candidates)]
+        i = self.pick(label, candidates)
+        if not 0 <= i < len(candidates):
+            raise ValueError(f"choice '{label}' got index {i} of {len(candidates)} candidates")
+        return candidates[i]
 
     def pick(self, label: str, candidates: Sequence) -> int:
         return 0

@@ -288,7 +288,7 @@ def _cmd_gen(args) -> int:
         return 2
     text = write_instance(gi.instance, kind)
     if gi.opt_witness is not None:
-        text += witness_comment(gi.opt_witness) + "\n"
+        text += witness_comment(gi.opt_witness)
     if fam.startswith("random-"):
         # Reproducibility metadata: same flags regenerate the same file.
         text += (

@@ -20,6 +20,7 @@ from .perfect import (
     LiveInstance,
     augment_to_perfect,
     contract_rounds,
+    grow_path,
     stars_along,
 )
 from .report import RunReport, build_report
@@ -51,37 +52,28 @@ def build_rotation_cycle(li: LiveInstance, advisor: Advisor) -> RotationCycle:
     if li.current_count < 3:
         raise ValueError("rotation cycles need at least three vertices")
     leaves = _leaves_of(li)
-    tail, head = advisor.choose("initial-arc", li.arc_candidates(leaves))
-    path = [tail, head]
-    visited = {tail, head}
 
-    def fresh_non_leaf(v: int) -> list[int]:
-        return [u for u in li.neighbors(v) if u not in visited and u not in leaves]
+    def non_leaves(v: int) -> list[int]:
+        return [u for u in li.neighbors(v) if u not in leaves]
 
+    path = list(advisor.choose("initial-arc", li.arc_candidates(leaves)))
     while True:
+        position = grow_path(path, non_leaves, advisor)
         end = path[-1]
-        ext = fresh_non_leaf(end)
-        if ext:
-            nxt = advisor.choose("extend", ext)
-            path.append(nxt)
-            visited.add(nxt)
-            continue
-        anchor_pos = min(path.index(u) for u in li.neighbors(end) if u in visited)
+        anchor_pos = min(position[u] for u in li.neighbors(end) if u in position)
         pivot = path[anchor_pos + 1]
-        ext = fresh_non_leaf(pivot)
-        if ext:
-            # Rotate: keep the prefix up to the anchor, reverse the rest so
-            # the path now ends at the pivot, then extend from there.
-            path = path[: anchor_pos + 1] + path[anchor_pos + 1 :][::-1]
-            nxt = advisor.choose("rotate-extend", ext)
-            path.append(nxt)
-            visited.add(nxt)
-            continue
-        x_pos = min(path.index(u) for u in li.neighbors(pivot) if u in visited)
-        backward = path[x_pos : anchor_pos + 1][::-1]
-        forward = path[anchor_pos + 1 : len(path) - 1]
-        cycle = tuple([end] + backward + forward)
-        return RotationCycle(cycle, end, pivot, leaves)
+        ext = [u for u in non_leaves(pivot) if u not in position]
+        if not ext:
+            break
+        # Rotate: keep the prefix up to the anchor, reverse the rest so the
+        # path now ends at the pivot, then extend from there.
+        path[anchor_pos + 1 :] = reversed(path[anchor_pos + 1 :])
+        path.append(advisor.choose("rotate-extend", ext))
+    x_pos = min(position[u] for u in li.neighbors(pivot) if u in position)
+    backward = path[x_pos : anchor_pos + 1][::-1]
+    forward = path[anchor_pos + 1 : len(path) - 1]
+    cycle = tuple([end] + backward + forward)
+    return RotationCycle(cycle, end, pivot, leaves)
 
 
 def find_perfect_two_cuts(li: LiveInstance, advisor: Advisor):
@@ -98,7 +90,7 @@ def find_perfect_two_cuts(li: LiveInstance, advisor: Advisor):
     if li.current_count < 2:
         raise ValueError("need at least two current vertices")
     q, sides = _two_cuts(li, advisor)
-    return frozenset(q), tuple(map(frozenset, sides)), "perfect"
+    return q, sides, "perfect"
 
 
 def _two_cuts(li: LiveInstance, advisor: Advisor):

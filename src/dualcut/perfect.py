@@ -6,14 +6,15 @@ by `build_report` running `verify_run` on its report: the certificate's
 feasibility against the input instance, the contraction and cost identities
 and the guarantee catch every round fault that could spoil the result. What
 stays here are guards that stop a crash or an endless loop (a sink with no
-path back to the sources) and `augment_to_perfect`'s precondition.
+path back to the sources, candidate counts that do not add up to the
+sequence length) and `augment_to_perfect`'s precondition.
 
 A LiveInstance is the current contracted view of an instance; its records
 are stars, or edges as one-sink records. Each current vertex is labelled by
 its smallest original vertex, so labels sort as the dense ids of a fresh
 renumbering would, and every candidate list an advisor sees keeps its order.
 The initial choices of all three algorithms read their candidates lazily,
-vertex by vertex, as one `Candidates` sequence.
+vertex by vertex, as one `Candidates` sequence; `grow_path` grows the path.
 `contract` updates the view in place: it touches only the records with a
 source or sink among the merged vertices other than the block's smallest,
 and keeps its one index, arc -> ids of the live records carrying it, up to
@@ -446,6 +447,20 @@ def _dfs_path_to(li: LiveInstance, start: int, targets: set[int], advisor: Advis
             continue
         nxt = advisor.choose("aug-step", candidates)
         visited.add(nxt)
+        path.append(nxt)
+
+
+def grow_path(path: list[int], step, advisor: Advisor) -> dict[int, int]:
+    """Extend `path` in place by the advisor's `extend` choice among the
+    vertices of `step(path[-1])` not yet on it, until there are none.
+    Returns each path vertex's position."""
+    position = {v: i for i, v in enumerate(path)}
+    while True:
+        fresh = [w for w in step(path[-1]) if w not in position]
+        if not fresh:
+            return position
+        nxt = advisor.choose("extend", fresh)
+        position[nxt] = len(path)
         path.append(nxt)
 
 

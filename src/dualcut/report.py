@@ -110,9 +110,10 @@ class RunCheckError(Exception):
     `problems` lists the findings. A few guards that stop a round from
     crashing or looping forever raise it too, with one finding: a sink with
     no directed path back to the sources, a 2ecs cycle end joined to its
-    anchor by a bridge, live edge degrees that do not add up, and a cycle
-    enlargement that does not terminate. Generators raise it when a tight
-    family misses a claim of its construction."""
+    anchor by a bridge, candidate counts that do not add up to the
+    sequence length, and a cycle enlargement that does not terminate.
+    Generators raise it when a tight family misses a claim of its
+    construction."""
 
     def __init__(self, problems: list[str]):
         super().__init__("run failed its check: " + "; ".join(problems))

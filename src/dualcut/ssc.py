@@ -9,8 +9,6 @@ large enough that 5*cost <= 6(n-1) + 2*(number of cuts).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .advisor import Advisor
 from .graphs import (
     find_nontrivial_path,
@@ -22,39 +20,22 @@ from .perfect import (
     LiveInstance,
     augment_to_perfect,
     contract_rounds,
+    grow_path,
     stars_along,
 )
 from .report import BIG_ONE_CUT, TWO_CUTS, RunCheckError, RunReport, build_report
 
 
-@dataclass(frozen=True)
-class SimpleCycle:
-    """Directed cycle listed in order; `closing_end` is the last vertex and
-    every out-neighbor of it lies on the cycle."""
-
-    cycle_vertices: tuple[int, ...]
-    closing_end: int
-
-
-def build_simple_cycle(li: LiveInstance, advisor: Advisor) -> SimpleCycle:
-    """Grow a path along unvisited out-neighbors until stuck, then close it
-    at the earliest path vertex the endpoint reaches."""
+def build_simple_cycle(li: LiveInstance, advisor: Advisor) -> tuple[int, ...]:
+    """Grow a path from an initial arc along out-neighbors off it, then
+    close it at the earliest path vertex its end reaches. Every
+    out-neighbor of the cycle's last vertex lies on the cycle."""
     if li.current_count < 2:
         raise ValueError("need at least two current vertices")
-    tail, head = advisor.choose("initial-arc", li.arc_candidates())
-    path = [tail, head]
-    visited = {tail, head}
-    while True:
-        end = path[-1]
-        fresh = [u for u in li.out_neighbors(end) if u not in visited]
-        if not fresh:
-            break
-        nxt = advisor.choose("extend", fresh)
-        path.append(nxt)
-        visited.add(nxt)
-    end = path[-1]
-    anchor = min(path.index(u) for u in li.out_neighbors(end))
-    return SimpleCycle(tuple(path[anchor:]), end)
+    path = list(advisor.choose("initial-arc", li.arc_candidates()))
+    position = grow_path(path, li.out_neighbors, advisor)
+    anchor = min(position[u] for u in li.out_neighbors(path[-1]))
+    return tuple(path[anchor:])
 
 
 def _blocked_reach(g, cycle_set, start: int) -> frozenset[int]:
@@ -79,7 +60,7 @@ def find_perfect_set(li: LiveInstance, advisor: Advisor):
     """
     if li.current_count < 2:
         raise ValueError("need at least two current vertices")
-    cycle = list(build_simple_cycle(li, advisor).cycle_vertices)
+    cycle = list(build_simple_cycle(li, advisor))
     for _ in range(li.current_count + 1):
         if len(cycle) >= 4:
             arcs = list(zip(cycle, cycle[1:] + cycle[:1]))
@@ -92,7 +73,7 @@ def find_perfect_set(li: LiveInstance, advisor: Advisor):
         if isinstance(outcome, list):
             cycle = outcome
             continue
-        q, sides = frozenset(outcome[0]), tuple(map(frozenset, outcome[1]))
+        q, sides = outcome
         return q, sides, BIG_ONE_CUT if len(sides) == 1 else TWO_CUTS
     raise RunCheckError(["cycle enlargement failed to terminate"])
 

@@ -12,23 +12,10 @@ edge ids stay those of the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .advisor import Advisor
 from .instances import TwoECSInstance
-from .perfect import Candidates, LiveInstance, contract_rounds
+from .perfect import Candidates, LiveInstance, contract_rounds, grow_path
 from .report import RunCheckError, RunReport, build_report
-
-
-@dataclass(frozen=True)
-class CycleWitness:
-    """A cycle in the current graph whose last path vertex has every
-    neighbor on the cycle, making that vertex a one-vertex cut crossed only
-    by cycle edges."""
-
-    cycle_vertices: tuple[int, ...]
-    cycle_edges: tuple[int, ...]
-    internal_cut_vertex: int
 
 
 def _edges_between(li: LiveInstance, u: int, v: int) -> tuple[int, ...]:
@@ -51,8 +38,10 @@ def oriented_edges(li: LiveInstance) -> Candidates:
     return Candidates(vertices, lambda: map(li.degree, vertices), at, 2 * len(li.live))
 
 
-def find_cycle_with_internal_cut(li: LiveInstance, advisor: Advisor) -> CycleWitness:
-    """Grow a path greedily; when stuck, close it into a cycle.
+def find_cycle_with_internal_cut(li: LiveInstance, advisor: Advisor):
+    """Grow a path greedily; when stuck, close it into a cycle and return
+    (cycle edge ids, ({end},), "cycle"): the end has every neighbor on the
+    cycle, so only cycle edges cross its cut.
 
     Requires a live edge instance (`LiveInstance.from_multigraph`) whose
     current graph is 2-edge-connected on at least 2 vertices. The closing
@@ -64,18 +53,9 @@ def find_cycle_with_internal_cut(li: LiveInstance, advisor: Advisor) -> CycleWit
         raise ValueError("need at least two vertices to find a cycle")
     tail, head, first_eid = advisor.choose("initial-edge", oriented_edges(li))
     path = [tail, head]
-    position = {tail: 0, head: 1}
-    while True:
-        fresh = [w for w in li.neighbors(path[-1]) if w not in position]
-        if not fresh:
-            break
-        nxt = advisor.choose("extend", fresh)
-        position[nxt] = len(path)
-        path.append(nxt)
-
+    position = grow_path(path, li.neighbors, advisor)
     end = path[-1]
     anchor = min(position[u] for u in li.neighbors(end))
-    cycle_vertices = tuple(path[anchor:])
     # Each step after the first takes its smallest-id edge; only cycle steps are looked up.
     cycle_edges = [
         first_eid if i == 0 else min(_edges_between(li, path[i], path[i + 1]))
@@ -89,12 +69,7 @@ def find_cycle_with_internal_cut(li: LiveInstance, advisor: Advisor) -> CycleWit
             [f"no second edge joins {end} and {path[anchor]}: the graph has a bridge"]
         )
     cycle_edges.append(min(closing_options))
-    return CycleWitness(cycle_vertices, tuple(cycle_edges), end)
-
-
-def _cycle_round(li: LiveInstance, advisor: Advisor):
-    witness = find_cycle_with_internal_cut(li, advisor)
-    return witness.cycle_edges, ({witness.internal_cut_vertex},), "cycle"
+    return cycle_edges, ({end},), "cycle"
 
 
 def approx_2ecs(instance: TwoECSInstance, advisor: Advisor | None = None) -> RunReport:
@@ -111,7 +86,7 @@ def approx_2ecs(instance: TwoECSInstance, advisor: Advisor | None = None) -> Run
         instance=instance,
         n=instance.vertex_count,
         iterations=contract_rounds(
-            LiveInstance.from_multigraph(instance.graph), _cycle_round, advisor
+            LiveInstance.from_multigraph(instance.graph), find_cycle_with_internal_cut, advisor
         ),
         advisor_fallbacks=advisor.fallbacks,
     )

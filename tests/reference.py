@@ -11,8 +11,9 @@ Tests import them with `from reference import ...`.
 The round checks state the lemma-level properties of one round: a star
 round's set is perfect, its cuts are internal and star-disjoint, a one-cut
 round has at least four stars, a rotation cycle has the shape its branches
-rely on, and a 2ecs cycle's end has every neighbour on the cycle. A solve
-does not run them; it checks only its finished report (`verify_run`).
+rely on, and a 2ecs round's edges form one cycle that holds its one cut
+vertex and every neighbour of it. A solve does not run them; it checks
+only its finished report (`verify_run`).
 `check_every_round` patches them into the solvers for a test's duration.
 
 `sorted_arcs` and `sorted_oriented_edges` list the `initial-arc` and
@@ -224,29 +225,37 @@ def check_rotation_cycle(li: LiveInstance, rc) -> None:
     ])
 
 
-def check_cycle_witness(li: LiveInstance, witness) -> None:
-    """A 2ecs round: distinct cycle vertices, each cycle edge a distinct live
-    edge joining consecutive vertices (wrapping), and a closing end whose
-    every neighbour is on the cycle, so only cycle edges cross its cut."""
-    cyc, eids, end = witness.cycle_vertices, witness.cycle_edges, witness.internal_cut_vertex
-    on_cycle = set(cyc)
-
-    def joins(eid, a, b):
-        u, sinks = li.live[eid]
-        return {u, *sinks} == {a, b}
-
+def check_2ecs_round(li: LiveInstance, edge_ids, sides, kind: str) -> None:
+    """A 2ecs round: distinct live edges forming one cycle (every endpoint
+    has degree 2 among them, and the edges are connected), and one
+    single-vertex cut side on that cycle whose every neighbour is on it
+    too, so only cycle edges cross the cut."""
+    if kind != "cycle" or len(sides) != 1 or len(sides[0]) != 1:
+        raise AssertionError(f"round of kind {kind!r} does not carry one single-vertex cut")
+    ids = list(edge_ids)
+    if not len(ids) == len(set(ids)) >= 2 or not all(eid in li.live for eid in ids):
+        raise AssertionError(
+            f"round edges {ids} repeat an edge, are fewer than two or are not live"
+        )
+    (end,) = sides[0]
+    nbrs: dict[int, list[int]] = {}
+    for eid in ids:
+        u, (v,) = li.live[eid]
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    reached, stack = set(), [next(iter(nbrs))]
+    while stack:
+        v = stack.pop()
+        if v not in reached:
+            reached.add(v)
+            stack.extend(nbrs[v])
     _fail([
-        f"cycle {list(cyc)} {finding}"
+        f"cycle of edges {ids} {finding}"
         for holds, finding in (
-            (len(cyc) == len(on_cycle) >= 2, "repeats a vertex or is too short"),
-            (len(eids) == len(set(eids)) == len(cyc), "does not have one edge per step"),
-            (
-                all(e in li.live for e in eids)
-                and all(map(joins, eids, cyc, cyc[1:] + cyc[:1])),
-                "has an edge that does not join its step",
-            ),
-            (end == cyc[-1], "does not close at its cut vertex"),
-            (set(li.neighbors(end)) <= on_cycle, f"misses a neighbour of its end {end}"),
+            (all(len(ws) == 2 for ws in nbrs.values()), "has an end whose degree is not 2"),
+            (reached == nbrs.keys(), "is not connected"),
+            (end in nbrs, f"misses its cut vertex {end}"),
+            (set(li.neighbors(end)) <= nbrs.keys(), f"misses a neighbour of its cut vertex {end}"),
         )
         if not holds
     ])
@@ -272,7 +281,10 @@ def check_every_round(monkeypatch) -> Counter:
     wrap(ssc_module, "find_perfect_set", "ssc", lambda li, found: check_ssc_round(li, *found))
     wrap(dpa_module, "find_perfect_two_cuts", "dpa", lambda li, found: check_dpa_round(li, *found))
     wrap(dpa_module, "build_rotation_cycle", "rotation-cycle", check_rotation_cycle)
-    wrap(twoecs_module, "find_cycle_with_internal_cut", "2ecs", check_cycle_witness)
+    wrap(
+        twoecs_module, "find_cycle_with_internal_cut", "2ecs",
+        lambda li, found: check_2ecs_round(li, *found),
+    )
     return checked
 
 

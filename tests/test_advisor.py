@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 import dualcut
-from dualcut import Advisor, ScriptedAdvisor
+from dualcut import Advisor, ScriptedAdvisor, gen_random_ssc
 from dualcut.advisor import CHOICE_LABELS
-from dualcut.perfect import Labels
+from dualcut.perfect import Labels, LiveInstance
 from reference import PlannedAdvisor
 
 
@@ -69,6 +69,31 @@ def test_planned_advisor_rejects_label_mismatch_and_missing_target():
     b = PlannedAdvisor([("extend", "raw", 99)])
     with pytest.raises(AssertionError):
         b.choose("extend", [1, 2])
+
+
+class FixedIndexAdvisor(Advisor):
+    """Picks the same index at every choice, in range or not."""
+
+    def __init__(self, index):
+        self.index = index
+
+    def pick(self, label, candidates):
+        return self.index
+
+
+@pytest.mark.parametrize("index", [-1, 3, 10**6])
+def test_an_index_out_of_range_is_rejected_with_its_label(index):
+    with pytest.raises(ValueError, match=f"choice 'extend' got index {index} of 3 candidates"):
+        FixedIndexAdvisor(index).choose("extend", [5, 6, 7])
+
+
+@pytest.mark.parametrize("index", [-1, 10**6])
+def test_an_index_out_of_range_of_a_lazy_sequence_is_rejected(index):
+    li = LiveInstance.from_instance(gen_random_ssc(30, 1.0, 3, 1).instance)
+    arcs = li.arc_candidates()
+    found = f"choice 'initial-arc' got index {index} of {len(arcs)} candidates"
+    with pytest.raises(ValueError, match=found):
+        FixedIndexAdvisor(index).choose("initial-arc", arcs)
 
 
 def test_unknown_choice_labels_are_rejected():

@@ -12,9 +12,10 @@ import pytest
 
 import dualcut
 import dualcut.report as report_module
-from dualcut import parse_instance
+from dualcut import gen_dpa_tight, gen_ssc_tight, parse_instance
 from dualcut.certificates import DualCertificate
 from dualcut.cli import main
+from dualcut.io import witness_comment, write_instance
 from test_report import (
     HOSTILE_CUT_LISTS,
     UNEMITTED_EDITS,
@@ -169,6 +170,17 @@ def test_gen_accepts_a_zero_cost_prob_at_either_end(prob, tmp_path, capsys):
     assert code == 0 and path.exists()
     code, _, _ = run(capsys, "solve", "--problem", "dpa", "--input", str(path))
     assert code == 0
+
+
+@pytest.mark.parametrize("family, gen", [("tk", gen_ssc_tight), ("gk", gen_dpa_tight)])
+def test_tight_family_files_end_with_their_witness_line(family, gen, tmp_path, capsys):
+    path = tmp_path / f"{family}2.txt"
+    code, _, _ = run(capsys, "gen", family, "--k", "2", "--out", str(path))
+    assert code == 0
+    gi = gen(2)
+    # One newline ends the witness line: no empty line follows it.
+    want = write_instance(gi.instance, "mscs") + witness_comment(gi.opt_witness)
+    assert path.read_text() == want
 
 
 def test_general_family_gap_is_unreduced(tmp_path, capsys):

@@ -35,6 +35,7 @@ from dualcut.perfect import (
     LiveInstance,
     augment_to_perfect,
     contract_perfect,
+    grow_path,
     is_internal_cut,
     is_perfect,
     is_quasiperfect,
@@ -98,6 +99,42 @@ def test_round_functions_need_two_vertices(find):
     # test_twoecs.py checks the same guard of the 2ecs cycle finder.
     with pytest.raises(ValueError, match="at least two"):
         find(LiveInstance(1, []), Advisor())
+
+
+class RecordingAdvisor(Advisor):
+    """Picks at random and records every choice offered to it."""
+
+    def __init__(self, rng):
+        self.rng, self.offered = rng, []
+
+    def choose(self, label, candidates):
+        self.offered.append((label, list(candidates)))
+        return super().choose(label, candidates)
+
+    def pick(self, label, candidates):
+        return self.rng.randrange(len(candidates))
+
+
+def test_grow_path_extends_until_the_end_offers_only_path_vertices():
+    rng = random.Random(22)
+    for trial in range(300):
+        n = 2 + trial % 9
+        vertices = range(1, n + 1)
+        step = {v: sorted(rng.sample(vertices, rng.randrange(n + 1))) for v in vertices}
+        start = rng.sample(vertices, 1 + trial % 2)
+        path, advisor = list(start), RecordingAdvisor(rng)
+        position = grow_path(path, step.__getitem__, advisor)
+        assert position == {v: i for i, v in enumerate(path)}
+        assert path[: len(start)] == start
+        # Each step offered exactly the end's step vertices off the path,
+        # and the path went on by the one chosen.
+        assert len(advisor.offered) == len(path) - len(start)
+        for i, (label, offered) in enumerate(advisor.offered, start=len(start)):
+            assert label == "extend"
+            assert offered == [w for w in step[path[i - 1]] if w not in path[:i]]
+            assert path[i] in offered
+        # It stopped because the end's step offers only path vertices.
+        assert set(step[path[-1]]) <= set(path)
 
 
 def test_contract_remaps_and_drops_empty_stars():

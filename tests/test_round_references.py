@@ -35,9 +35,8 @@ from dualcut import (
 from dualcut.dpa import RotationCycle
 from dualcut.io import parse_advice
 from dualcut.perfect import LiveInstance
-from dualcut.twoecs import CycleWitness
 from reference import (
-    check_cycle_witness,
+    check_2ecs_round,
     check_every_round,
     check_rotation_cycle,
     check_round,
@@ -98,9 +97,20 @@ def test_the_reference_checks_reject_broken_rounds():
         check_rotation_cycle(li, RotationCycle((1, 3, 2), 1, 2, frozenset()))
 
     edges = LiveInstance.from_multigraph(Multigraph(3, [(1, 2), (2, 3), (3, 1), (1, 2)]))
-    check_cycle_witness(edges, CycleWitness((1, 2, 3), (0, 1, 2), 3))
-    with pytest.raises(AssertionError, match="misses a neighbour of its end 2"):
-        check_cycle_witness(edges, CycleWitness((1, 2), (0, 3), 2))
+    check_2ecs_round(edges, [0, 1, 2], ({3},), "cycle")
+    with pytest.raises(AssertionError, match="misses a neighbour of its cut vertex 2"):
+        check_2ecs_round(edges, [0, 3], ({2},), "cycle")
+    with pytest.raises(AssertionError, match="misses its cut vertex 3"):
+        check_2ecs_round(edges, [0, 3], ({3},), "cycle")
+    with pytest.raises(AssertionError, match="degree is not 2"):
+        check_2ecs_round(edges, [0, 1], ({2},), "cycle")
+    with pytest.raises(AssertionError, match="does not carry one single-vertex cut"):
+        check_2ecs_round(edges, [0, 1, 2], ({3}, {1}), "cycle")
+    with pytest.raises(AssertionError, match="repeat an edge"):
+        check_2ecs_round(edges, [0, 0, 1, 2], ({3},), "cycle")
+    pairs = LiveInstance.from_multigraph(Multigraph(4, [(1, 2), (1, 2), (3, 4), (3, 4)]))
+    with pytest.raises(AssertionError, match="is not connected"):
+        check_2ecs_round(pairs, [0, 1, 2, 3], ({1},), "cycle")
 
 
 # Small multi-sink instances: a spanning cycle or tree in a drawn vertex

@@ -49,14 +49,12 @@ def test_simple_cycle_invariants():
         inst = gen_random_ssc(2 + trial % 6, 1.0, 1 + trial % 3, seed=trial).instance
         li = LiveInstance.from_instance(inst)
         advisor = ScriptedAdvisor([rng.randrange(0, 6) for _ in range(10)])
-        sc = build_simple_cycle(li, advisor)
-        cyc = sc.cycle_vertices
+        cyc = build_simple_cycle(li, advisor)
         assert len(cyc) == len(set(cyc)) >= 2
-        assert sc.closing_end == cyc[-1]
         for a, b in zip(cyc, cyc[1:] + (cyc[0],)):
             assert li.has_arc(a, b)
         # The defining property: the closing end cannot leave the cycle.
-        assert set(li.out_neighbors(sc.closing_end)) <= set(cyc)
+        assert set(li.out_neighbors(cyc[-1])) <= set(cyc)
 
 
 def test_two_cycle_gives_two_singleton_cuts():

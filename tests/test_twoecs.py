@@ -2,15 +2,16 @@
 
 import random
 import sys
+from collections import Counter
 
 import pytest
 
 from dualcut import (
     Advisor,
     Multigraph,
+    RunCheckError,
     ScriptedAdvisor,
     TwoECSInstance,
-    RunCheckError,
     approx_2ecs,
     check_feasible,
     exact_2ecs,
@@ -20,7 +21,7 @@ from dualcut import (
 from dualcut import graphs
 import dualcut.twoecs as twoecs_module
 from dualcut.certificates import crossing_edges
-from dualcut.perfect import LiveInstance
+from dualcut.perfect import LiveInstance, contract_rounds
 from dualcut.twoecs import find_cycle_with_internal_cut
 from reference import CheckingAdvisor, PlannedAdvisor, follow_labels, sorted_oriented_edges
 
@@ -32,22 +33,23 @@ def k4():
 
 
 def test_cycle_witness_structure_on_k4():
-    w = find_cycle_with_internal_cut(LiveInstance.from_multigraph(k4().graph), Advisor())
-    verts = w.cycle_vertices
-    assert len(verts) == len(set(verts)) >= 2
-    assert len(w.cycle_edges) == len(verts)
-    assert w.internal_cut_vertex == verts[-1]
+    li = LiveInstance.from_multigraph(k4().graph)
+    eids, sides, kind = find_cycle_with_internal_cut(li, Advisor())
+    assert kind == "cycle"
+    ((end,),) = sides
     g = k4().graph
-    # Consecutive cycle edges really connect the listed vertices.
-    for i, eid in enumerate(w.cycle_edges[:-1]):
-        assert set(g.edges[eid]) == {verts[i], verts[i + 1]}
-    assert set(g.edges[w.cycle_edges[-1]]) == {verts[-1], verts[0]}
+    # Distinct edges in which every endpoint has degree 2: in the simple
+    # graph K4, one cycle. The cut vertex and its neighbours lie on it.
+    assert len(eids) == len(set(eids)) >= 2
+    degree = Counter(v for eid in eids for v in g.edges[eid])
+    assert set(degree.values()) == {2} and len(degree) == len(eids)
+    assert {end, *li.neighbors(end)} <= set(degree)
 
 
 def test_cycle_closing_edge_differs_from_entry_on_parallel_pair():
     g = Multigraph(2, [(1, 2), (1, 2)])
-    w = find_cycle_with_internal_cut(LiveInstance.from_multigraph(g), Advisor())
-    assert sorted(w.cycle_edges) == [0, 1]
+    eids, _, _ = find_cycle_with_internal_cut(LiveInstance.from_multigraph(g), Advisor())
+    assert sorted(eids) == [0, 1]
 
 
 def test_single_vertex_is_rejected_by_cycle_finder():
@@ -161,8 +163,7 @@ def test_initial_edge_sequence_equals_the_sorted_list_every_round(n):
         li = LiveInstance.from_multigraph(graph)
         script = [] if seed < 2 else [rng.randrange(0, 8) for _ in range(3 * n)]
         advisor = CheckingAdvisor(script, rng, lambda: sorted_oriented_edges(li))
-        while li.current_count > 1:
-            li.contract(find_cycle_with_internal_cut(li, advisor).cycle_vertices)
+        contract_rounds(li, find_cycle_with_internal_cut, advisor)
         assert advisor.checked["initial-edge"] > 0
 
 
