@@ -348,13 +348,41 @@ def find_nontrivial_path(
 
     The direct arc src->dst does not count; a longer route may coexist with
     it. First hop candidates are scanned in sorted order, so the result is
-    deterministic.
+    deterministic. Whether any hop leads to dst at all is decided first,
+    so a failed search costs one pass rather than one per hop.
     """
     banned = set(avoid) | {src}
-    for z in g.out_neighbors(src):
-        if z == dst or z in banned:
-            continue
+    hops = [z for z in g.out_neighbors(src) if z != dst and z not in banned]
+    if not _reaches_off(g, hops, dst, banned):
+        return None
+    for z in hops:
         tail = find_path_internally_avoiding(g, z, dst, banned)
         if tail is not None:
             return [src] + tail
     return None
+
+
+def _reaches_off(g: LiveInstance, starts: list[int], dst: int, banned: set[int]) -> bool:
+    """Some path runs from one of `starts` (none of them banned or dst) to
+    dst with every vertex before dst off `banned`.
+
+    A forward search from `starts` and a backward search from dst, both
+    kept off `banned`, expand one vertex each in turn. They meet exactly
+    when such a path exists, and the first to run dry has seen everything
+    on its side, so a "no" costs about the smaller side's closure."""
+    ahead, behind = set(starts), {dst}
+    forward, backward = list(starts), [dst]
+    while forward and backward:
+        for w in g.out_neighbors(forward.pop()):
+            if w in behind:
+                return True
+            if w not in banned and w not in ahead:
+                ahead.add(w)
+                forward.append(w)
+        for w in g.in_neighbors(backward.pop()):
+            if w in ahead:
+                return True
+            if w not in banned and w not in behind:
+                behind.add(w)
+                backward.append(w)
+    return False

@@ -1,16 +1,21 @@
 """Problem instances (SSC, MSCS, DPA, 2ECS), transformations, feasibility checks.
 
 Star ids and edge ids are 0-based list positions; vertex ids are 1-based.
-Instances validate their own feasibility on construction (strong connectivity
-or 2-edge-connectivity of the underlying graph), so algorithms may assume it.
-Strong connectivity, of an instance and of a selection alike, is decided by
-reachability over adjacency lists read straight from the stars or edges; no
-graph object is built on the way. An invalid star or edge raises a `RecordError`
-(a ValueError) that names its position.
+Instances validate their records and their own feasibility on construction
+(strong connectivity or 2-edge-connectivity of the underlying graph), so
+algorithms may assume both. A `Star` is a plain value record that checks
+nothing itself: `SSCInstance` checks every star it is given, in one pass
+over the stars that also builds its by-source and by-sink indexes, which
+its strong-connectivity proof reads as adjacency lists. Strong connectivity,
+of an instance and of a selection alike, is decided by reachability over
+adjacency lists read straight from the stars or edges; no graph object is
+built on the way. An invalid star or edge raises a `RecordError` (a
+ValueError) that names its position, the first invalid one in input order.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -21,22 +26,26 @@ class InfeasibleInstanceError(Exception):
     """The instance admits no feasible solution (connectivity fails)."""
 
 
-@dataclass(frozen=True)
+# Not frozen: a frozen dataclass sets each field through
+# `object.__setattr__`, which cost more than the rest of reading a star
+# file. `unsafe_hash` keeps the hash a frozen star had; no code changes a
+# star once made.
+@dataclass(slots=True, unsafe_hash=True, init=False)
 class Star:
-    """A set of arcs sharing a source vertex, stored as source + sink set."""
+    """A set of arcs sharing a source vertex, stored as source + sink set.
+
+    A value record that checks nothing itself; the `SSCInstance` it is
+    given to checks it (a nonempty sink set that does not hold the source,
+    vertices in range, the id its position)."""
 
     id: int
     source: int
     sinks: frozenset[int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sinks", frozenset(self.sinks))
-        if not self.sinks:
-            raise RecordError(f"star {self.id}: empty sink set", self.id)
-        if self.source in self.sinks:
-            raise RecordError(
-                f"star {self.id}: source {self.source} among sinks", self.id
-            )
+    def __init__(self, id: int, source: int, sinks: Iterable[int]):
+        self.id = id
+        self.source = source
+        self.sinks = frozenset(sinks)
 
 
 class SSCInstance:
@@ -48,24 +57,33 @@ class SSCInstance:
     def __init__(self, vertex_count: int, stars: Sequence[Star]):
         if vertex_count < 1:
             raise ValueError("vertex_count must be >= 1")
+        n = vertex_count
+        stars = tuple(stars)
+        by_source: defaultdict[int, list[Star]] = defaultdict(list)
+        by_sink: defaultdict[int, list[Star]] = defaultdict(list)
+        # One pass checks and indexes the stars; the indexes are also the
+        # adjacency lists the strong-connectivity proof reads. The loop and
+        # the key ranges only decide; `_first_bad_star` names the record.
         for i, st in enumerate(stars):
-            if st.id != i:
-                raise RecordError(f"star at position {i} has id {st.id}", i)
-            if not (1 <= st.source <= vertex_count):
-                raise RecordError(f"star {i}: source {st.source} out of range", i)
-            sinks = st.sinks
-            if min(sinks) < 1 or max(sinks) > vertex_count:
-                for t in sinks:
-                    if not (1 <= t <= vertex_count):
-                        raise RecordError(f"star {i}: sink {t} out of range", i)
-        self.vertex_count = vertex_count
-        self.stars: tuple[Star, ...] = tuple(stars)
-        if not _stars_span(vertex_count, self.stars):
+            src, sinks = st.source, st.sinks
+            if st.id != i or not sinks or src in sinks:
+                raise _first_bad_star(n, stars)
+            by_source[src].append(st)
+            for t in sinks:
+                by_sink[t].append(st)
+        if stars and not (
+            1 <= min(by_source) and max(by_source) <= n
+            and 1 <= min(by_sink) and max(by_sink) <= n
+        ):
+            raise _first_bad_star(n, stars)
+        self.vertex_count = n
+        self.stars: tuple[Star, ...] = stars
+        if not _stars_span(n, by_source, by_sink):
             raise InfeasibleInstanceError(
                 "union of all stars is not strongly connected"
             )
-        self._by_source: dict[int, tuple[Star, ...]] | None = None
-        self._by_sink: dict[int, tuple[Star, ...]] | None = None
+        self._by_source = {v: tuple(group) for v, group in by_source.items()}
+        self._by_sink = {v: tuple(group) for v, group in by_sink.items()}
 
     def is_bidirected(self) -> bool:
         """Every star arc u->v has its reverse v->u in some star."""
@@ -73,27 +91,37 @@ class SSCInstance:
         return all((v, u) in arcs for u, v in arcs)
 
     def stars_by_source(self) -> dict[int, tuple[Star, ...]]:
-        """Source vertex -> the stars it sources, in id order (built once)."""
-        if self._by_source is None:
-            index: dict[int, list[Star]] = {}
-            for st in self.stars:
-                index.setdefault(st.source, []).append(st)
-            self._by_source = {v: tuple(group) for v, group in index.items()}
+        """Source vertex -> the stars it sources, in id order. Only vertices
+        that source a star are keys. Built with the instance."""
         return self._by_source
 
     def stars_by_sink(self) -> dict[int, tuple[Star, ...]]:
-        """Sink vertex -> the stars with it among their sinks, in id order
-        (built once)."""
-        if self._by_sink is None:
-            index: dict[int, list[Star]] = {}
-            for st in self.stars:
-                for t in st.sinks:
-                    index.setdefault(t, []).append(st)
-            self._by_sink = {v: tuple(group) for v, group in index.items()}
+        """Sink vertex -> the stars with it among their sinks, in id order.
+        Only vertices that are some star's sink are keys. Built with the
+        instance."""
         return self._by_sink
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SSCInstance(n={self.vertex_count}, stars={len(self.stars)})"
+
+
+def _first_bad_star(n: int, stars: Sequence[Star]) -> RecordError:
+    """The error for the first star, in input order, that `SSCInstance`
+    rejects; each star's own checks run in the order listed."""
+    for i, st in enumerate(stars):
+        src, sinks = st.source, st.sinks
+        if st.id != i:
+            return RecordError(f"star at position {i} has id {st.id}", i)
+        if not sinks:
+            return RecordError(f"star {i}: empty sink set", i)
+        if src in sinks:
+            return RecordError(f"star {i}: source {src} among sinks", i)
+        if not 1 <= src <= n:
+            return RecordError(f"star {i}: source {src} out of range", i)
+        for t in sinks:
+            if not 1 <= t <= n:
+                return RecordError(f"star {i}: sink {t} out of range", i)
+    raise AssertionError("every star passes")  # pragma: no cover
 
 
 class DPAInstance:
@@ -105,9 +133,14 @@ class DPAInstance:
     def __init__(self, vertex_count: int, edges: Sequence[tuple[int, int, int]]):
         if vertex_count < 1:
             raise ValueError("vertex_count must be >= 1")
-        seen: set[frozenset[int]] = set()
+        n = vertex_count
+        # One pass checks each edge and collects its two arcs at full power,
+        # where every edge gives both, so one list per vertex serves as both
+        # its heads and its tails.
+        seen: set[tuple[int, int]] = set()
+        ends: defaultdict[int, list[int]] = defaultdict(list)
         for i, (u, v, c) in enumerate(edges):
-            if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
+            if not (1 <= u <= n and 1 <= v <= n):
                 raise RecordError(f"edge ({u},{v}) out of range", i)
             if u == v:
                 raise RecordError(f"self-loop edge at vertex {u}", i)
@@ -115,15 +148,19 @@ class DPAInstance:
                 raise RecordError(
                     f"edge ({u},{v}): cost must be 0 or 1, got {c}", i
                 )
-            key = frozenset((u, v))
+            key = (u, v) if u < v else (v, u)
             if key in seen:
                 raise RecordError(f"duplicate edge ({u},{v})", i)
             seen.add(key)
-        self.vertex_count = vertex_count
+            ends[u].append(v)
+            ends[v].append(u)
+        self.vertex_count = n
         self.edges: tuple[tuple[int, int, int], ...] = tuple(
             (u, v, c) for u, v, c in edges
         )
-        if not _power_spans(self, range(1, vertex_count + 1)):
+        # Two or more vertices need an edge at each; the lists are keyed by
+        # the vertices the edges name, so too few fail before the search.
+        if n >= 2 and (len(ends) < n or not spans_strongly(n, ends, ends)):
             raise InfeasibleInstanceError(
                 "even with every vertex at high power the graph is not "
                 "strongly connected"
@@ -148,20 +185,45 @@ class TwoECSInstance:
         return f"TwoECSInstance(n={self.vertex_count}, m={len(self.graph.edges)})"
 
 
-def _stars_span(n: int, stars: Sequence[Star]) -> bool:
-    """The stars' arcs make vertices 1..n strongly connected. Two or more
-    vertices need a star sourced at each, so fewer than n stars fail before
-    any per-vertex list is allocated."""
-    if n >= 2 and len(stars) < n:
+def _stars_span(n: int, by_source, by_sink) -> bool:
+    """The arcs of the stars grouped by source and by sink make vertices
+    1..n strongly connected: searches from vertex 1, out along the stars'
+    arcs and back against them, each reach every vertex.
+
+    `by_source[v]` and `by_sink[v]` are the stars sourced at v and those
+    with v among their sinks: lists indexed by vertex, or dicts keyed by
+    the vertices in 1..n that have such stars. Two or more vertices need a
+    star sourced at each and a star into each, so dicts that miss a vertex
+    fail before the searches allocate anything per vertex."""
+    if n == 1:
+        return True
+    if len(by_source) < n or len(by_sink) < n:
         return False
-    out: list[list[int]] = [[] for _ in range(n + 1)]
-    inc: list[list[int]] = [[] for _ in range(n + 1)]
-    for st in stars:
-        src, sinks = st.source, st.sinks
-        out[src].extend(sinks)
-        for t in sinks:
-            inc[t].append(src)
-    return spans_strongly(n, out, inc)
+    seen = bytearray(n + 1)
+    seen[1] = 1
+    stack = [1]
+    count = 1
+    while stack:
+        for st in by_source[stack.pop()]:
+            for w in st.sinks:
+                if not seen[w]:
+                    seen[w] = 1
+                    count += 1
+                    stack.append(w)
+    if count < n:
+        return False
+    seen = bytearray(n + 1)
+    seen[1] = 1
+    stack = [1]
+    count = 1
+    while stack:
+        for st in by_sink[stack.pop()]:
+            w = st.source
+            if not seen[w]:
+                seen[w] = 1
+                count += 1
+                stack.append(w)
+    return count == n
 
 
 def _power_spans(d: DPAInstance, high) -> bool:
@@ -262,10 +324,21 @@ def check_feasible(instance, selected: Iterable[int]) -> bool:
     ids = frozenset(selected)
     if isinstance(instance, SSCInstance):
         stars = instance.stars
+        n = instance.vertex_count
+        # The set-level test decides; the generator only names the id.
+        if ids and not (0 <= min(ids) and max(ids) < len(stars)):
+            bad = next(sid for sid in ids if not 0 <= sid < len(stars))
+            raise ValueError(f"unknown star id {bad}")
+        if n >= 2 and len(ids) < n:
+            return False
+        by_source: list[list[Star]] = [[] for _ in range(n + 1)]
+        by_sink: list[list[Star]] = [[] for _ in range(n + 1)]
         for sid in ids:
-            if not (0 <= sid < len(stars)):
-                raise ValueError(f"unknown star id {sid}")
-        return _stars_span(instance.vertex_count, [stars[sid] for sid in ids])
+            st = stars[sid]
+            by_source[st.source].append(st)
+            for t in st.sinks:
+                by_sink[t].append(st)
+        return _stars_span(n, by_source, by_sink)
     if isinstance(instance, TwoECSInstance):
         g = instance.graph
         for eid in ids:

@@ -52,9 +52,11 @@ def parse_instance(text: str):
     """Parse instance text; returns (kind, instance).
 
     mscs parses into a star instance with one singleton star per arc line;
-    duplicate arc lines become distinct stars. A record the instance rejects
-    (a vertex out of range, a source among its sinks, a duplicate or
-    badly priced edge) raises ParseError at that record's line.
+    duplicate arc lines become distinct stars. A line that does not read
+    as a record raises ParseError at that line while the records are read.
+    Then the instance checks them, and the first record in file order that
+    it rejects (a vertex out of range, a source among its sinks, a
+    duplicate or badly priced edge) raises ParseError at its line.
     """
     lines = _significant_lines(text)
     if not lines:
@@ -107,7 +109,7 @@ def _build_instance(kind: str, n: int, body: list[tuple[int, list[str]]]):
                 u, v = int(tok[1]), int(tok[2])
             except ValueError:
                 raise _not_ints(tok[1:], lno) from None
-            stars.append(Star(idx, u, frozenset((v,))))
+            stars.append(Star(idx, u, (v,)))
         return SSCInstance(n, tuple(stars))
 
     if kind == "dpa":

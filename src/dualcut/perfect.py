@@ -145,6 +145,10 @@ class LiveInstance:
             found = self._out_sorted[v] = tuple(sorted(self._out[v]))
         return found
 
+    def in_neighbors(self, v: int):
+        """Tails of the arcs into v, in no particular order."""
+        return self._in[v].keys()
+
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Undirected neighbor set (union of in- and out-neighbors), sorted."""
         found = self._nbrs_sorted.get(v)

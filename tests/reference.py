@@ -22,6 +22,9 @@ only its finished report (`verify_run`).
 them, and `check_initial_candidates` hands it the live instance of every
 round.
 
+`find_nontrivial_path_per_hop` is `graphs.find_nontrivial_path` as it was
+before its existence test: one internally avoiding search per first hop.
+
 `PlannedAdvisor` drives a run along a route named in original vertex ids
 and records the candidate index of each choice: the script that replays
 the route. `follow_labels` hands it the labels of the run it drives by
@@ -40,7 +43,7 @@ import dualcut.ssc as ssc_module
 import dualcut.twoecs as twoecs_module
 from dualcut.advisor import Advisor, ScriptedAdvisor
 from dualcut.certificates import Cut, DualCertificate
-from dualcut.graphs import Digraph
+from dualcut.graphs import Digraph, find_path_internally_avoiding
 from dualcut.instances import DPAInstance, SSCInstance, Star
 from dualcut.perfect import Labels, LiveInstance, is_internal_cut, is_perfect, live_crossing_stars
 from dualcut.report import BIG_ONE_CUT, TWO_CUTS, RunReport
@@ -378,6 +381,20 @@ def sorted_oriented_edges(li: LiveInstance) -> list[tuple[int, int, int]]:
     both directions, as (tail, head, edge id)."""
     edges = [(eid, u, v) for eid, (u, (v,)) in li.live.items()]
     return sorted([(u, v, eid) for eid, u, v in edges] + [(v, u, eid) for eid, u, v in edges])
+
+
+def find_nontrivial_path_per_hop(g, src: int, dst: int, avoid: Iterable[int]) -> list[int] | None:
+    """A src->dst path with >= 2 arcs whose internal vertices avoid
+    `avoid`: the first first hop, in sorted order, with a shortest
+    internally avoiding path on to dst."""
+    banned = set(avoid) | {src}
+    for z in g.out_neighbors(src):
+        if z == dst or z in banned:
+            continue
+        tail = find_path_internally_avoiding(g, z, dst, banned)
+        if tail is not None:
+            return [src] + tail
+    return None
 
 
 def live_leaves(li: LiveInstance) -> frozenset[int]:

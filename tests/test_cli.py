@@ -330,13 +330,20 @@ def test_parse_and_usage_errors(tmp_path, capsys):
     "problem, text, line, message",
     [
         ("ssc", "p ssc 3 1\ns 1 1 5\n", 2, "star 0: sink 5 out of range"),
+        # Two bad records: the first in file order is named.
+        ("ssc", "p ssc 3 2\ns 1 1 5\ns 2 1 2\n", 2, "star 0: sink 5 out of range"),
+        ("ssc", "p ssc 2 2\ns 3 1 1\ns 2 1 1\n", 2, "star 0: source 3 out of range"),
+        ("ssc", "p ssc 2 2\ns 1 1 2\ns 2 2 1 2\n", 3, "star 1: source 2 among sinks"),
         ("mscs", "p mscs 2 2\na 1 2\na 1 1\n", 3, "star 1: source 1 among sinks"),
         ("dpa", "p dpa 2 2\ne 1 2 1\ne 1 2 0\n", 3, "duplicate edge (1,2)"),
         ("dpa", "p dpa 2 2\ne 1 2 1\ne 2 1 1\n", 3, "duplicate edge (2,1)"),
         ("dpa", "p dpa 2 1\ne 1 2 5\n", 2, "edge (1,2): cost must be 0 or 1, got 5"),
         ("2ecs", "p 2ecs 2 2\ne 1 2\ne 1 3\n", 3, "edge {1,3} out of range 1..2"),
     ],
-    ids=["ssc-sink", "mscs-loop", "dpa-duplicate", "dpa-reversed", "dpa-cost", "2ecs-range"],
+    ids=[
+        "ssc-sink", "ssc-first-of-two", "ssc-source", "ssc-source-in-sinks",
+        "mscs-loop", "dpa-duplicate", "dpa-reversed", "dpa-cost", "2ecs-range",
+    ],
 )
 @pytest.mark.parametrize("command", ["solve", "verify", "exact", "gap"])
 def test_rejected_records_exit_two_with_their_line(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualcut import gen_random_bidirected, mscs_to_ssc
+from dualcut import gen_random_bidirected, gen_random_ssc, mscs_to_ssc
 from dualcut.graphs import (
     Digraph,
     Multigraph,
@@ -23,7 +23,7 @@ from dualcut.graphs import (
     reachable_avoiding,
 )
 from dualcut.perfect import LiveInstance
-from reference import label_of
+from reference import find_nontrivial_path_per_hop, label_of
 
 
 def test_digraph_merges_duplicates_and_sorts():
@@ -277,6 +277,30 @@ def test_find_nontrivial_path_needs_two_arcs():
     assert find_nontrivial_path(g, 1, 4, avoid={2}) == [1, 3, 4]
     assert find_nontrivial_path(g, 2, 4, avoid=set()) == [2, 3, 4]
     assert find_nontrivial_path(g, 1, 2, avoid=set()) is None
+
+
+@given(
+    n=st.integers(2, 14), fan=st.integers(1, 3), seed=st.integers(0, 10_000),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_nontrivial_path_matches_the_per_hop_search(n, fan, seed, data):
+    # Random star instances, contracted by drawn blocks: the existence test
+    # in front of the per-hop search changes no answer.
+    li = LiveInstance.from_instance(gen_random_ssc(n, 0.5, fan, seed).instance)
+    while True:
+        vertices = li.vertices()
+        for _ in range(6):
+            src, dst = data.draw(st.sampled_from(vertices)), data.draw(st.sampled_from(vertices))
+            avoid = data.draw(st.sets(st.sampled_from(vertices), max_size=len(vertices)))
+            assert find_nontrivial_path(li, src, dst, avoid) == find_nontrivial_path_per_hop(
+                li, src, dst, avoid
+            )
+        if li.current_count <= 2:
+            break
+        li.contract(data.draw(st.sets(
+            st.sampled_from(vertices), min_size=2, max_size=li.current_count - 1,
+        )))
 
 
 @st.composite

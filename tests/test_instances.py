@@ -16,7 +16,7 @@ from dualcut import (
     gen_random_dpa,
     mscs_to_ssc,
 )
-from dualcut.graphs import Digraph
+from dualcut.graphs import Digraph, RecordError
 from reference import check_cut_feasible, dpa_induced_graph, ssc_to_dpa
 
 
@@ -25,12 +25,36 @@ def star(i, src, *sinks):
 
 
 def test_star_validation():
-    with pytest.raises(ValueError):
-        star(0, 1)  # no sinks
-    with pytest.raises(ValueError):
-        star(0, 1, 1)  # source among sinks
+    # A star checks nothing itself; the instance it is given to rejects it,
+    # naming its position.
+    back = star(1, 2, 1)
+    for bad, message in [
+        (star(0, 1), "star 0: empty sink set"),
+        (star(0, 1, 1), "star 0: source 1 among sinks"),
+        (star(0, 1, 1, 3), "star 0: source 1 among sinks"),
+    ]:
+        with pytest.raises(RecordError, match=f"^{message}$") as info:
+            SSCInstance(2, [bad, back])
+        assert info.value.index == 0
     fan = star(0, 1, 3, 2)
     assert tuple((fan.source, t) for t in sorted(fan.sinks)) == ((1, 2), (1, 3))
+    assert fan == Star(0, 1, [2, 3]) and hash(fan) == hash(star(0, 1, 2, 3))
+    assert fan != star(1, 1, 2, 3) and fan != (0, 1, frozenset({2, 3}))
+    assert repr(fan) == "Star(id=0, source=1, sinks=frozenset({2, 3}))"
+
+
+def test_first_bad_star_in_input_order_is_named():
+    # Star 0's sink is out of range and star 1 lists its source among its
+    # sinks: star 0 is named, whichever check would find star 1.
+    with pytest.raises(RecordError) as info:
+        SSCInstance(3, [star(0, 1, 5), star(1, 2, 2)])
+    assert (str(info.value), info.value.index) == ("star 0: sink 5 out of range", 0)
+    with pytest.raises(RecordError) as info:
+        SSCInstance(3, [star(0, 1, 2), star(1, 4, 1), star(2, 3, 3)])
+    assert (str(info.value), info.value.index) == ("star 1: source 4 out of range", 1)
+    with pytest.raises(RecordError) as info:
+        SSCInstance(3, [star(0, 1, 2), star(2, 2, 3)])
+    assert str(info.value) == "star at position 1 has id 2"
 
 
 def test_ssc_instance_checks_ids_and_feasibility():

@@ -10,7 +10,14 @@ answer is a candidate list offered to an advisor.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualcut import approx_2ecs, approx_ssc, gen_random_2ecs, gen_random_ssc
+from dualcut import (
+    approx_2ecs,
+    approx_ssc,
+    dpa_to_ssc,
+    gen_random_2ecs,
+    gen_random_dpa,
+    gen_random_ssc,
+)
 from dualcut.certificates import (
     SSC,
     TWOECS,
@@ -21,7 +28,7 @@ from dualcut.certificates import (
     verify_certificate,
 )
 from dualcut.perfect import LiveInstance, live_crossing_stars
-from reference import label_of
+from reference import cut_vertices, label_of
 
 
 def brute_crossing_stars(s, cut):
@@ -80,6 +87,44 @@ def test_crossing_edges_matches_brute_force(n, seed, data):
     for _ in range(5):
         cut = Cut(frozenset(data.draw(proper_sides(n))))
         assert crossing_edges(t, cut) == brute_crossing_edges(t, cut)
+
+
+def brute_groups(s, key):
+    """Vertex -> the stars whose `key(star)` holds it, in id order, for
+    the vertices that some star's key holds."""
+    groups = {
+        v: tuple(st for st in s.stars if v in key(st))
+        for v in range(1, s.vertex_count + 1)
+    }
+    return {v: group for v, group in groups.items() if group}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 30),
+    fan=st.integers(1, 4),
+    seed=st.integers(0, 10_000),
+    data=st.data(),
+)
+def test_star_indexes_and_crossings_match_brute_force(n, fan, seed, data):
+    # Random star instances, and the star forms of random power instances
+    # (several stars per source, sinks that are free components).
+    forms = [
+        gen_random_ssc(n, 1.5, fan, seed).instance,
+        dpa_to_ssc(gen_random_dpa(n, 0.4, seed).instance)[0],
+    ]
+    for s in forms:
+        assert s.stars_by_source() == brute_groups(s, lambda st: {st.source})
+        assert s.stars_by_sink() == brute_groups(s, lambda st: st.sinks)
+        for group in (*s.stars_by_source().values(), *s.stars_by_sink().values()):
+            assert type(group) is tuple
+        m = s.vertex_count
+        if m < 2:
+            continue
+        for _ in range(4):
+            cut = Cut(frozenset(data.draw(proper_sides(m))), data.draw(st.booleans()))
+            whole = Cut(cut_vertices(cut, m))
+            assert crossing_stars(s, cut) == brute_crossing_stars(s, whole)
 
 
 def complemented(cut, n):
