@@ -107,8 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "random-bidirected stop once every arc or pair is taken, and "
         f"random-2ecs accepts at most {MAX_EXTRA_EDGES} extra edges",
     )
-    gen.add_argument("--fan", type=int, default=3, help="max sinks per star")
-    gen.add_argument("--zero-cost-prob", type=float, default=0.4)
+    gen.add_argument("--fan", type=int, help="max sinks per star")
+    gen.add_argument("--zero-cost-prob", type=float)
     gen.set_defaults(func=_cmd_gen)
 
     gap = sub.add_parser("gap", help="solve and compare against the optimum")
@@ -262,6 +262,20 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+# Each random family's generator, instance kind, and the gen flags it takes
+# by the generator's parameter names.
+_RANDOM_FAMILIES = {
+    "random-ssc": (
+        gen_random_ssc, "ssc", {"extra_factor": "extra_arc_factor", "fan": "max_star_fan"}
+    ),
+    "random-bidirected": (
+        gen_random_bidirected, "ssc", {"extra_factor": "extra_edge_factor", "fan": "max_star_fan"}
+    ),
+    "random-dpa": (gen_random_dpa, "dpa", {"zero_cost_prob": "zero_cost_prob"}),
+    "random-2ecs": (gen_random_2ecs, "2ecs", {"extra_factor": "extra_edge_factor"}),
+}
+
+
 def _cmd_gen(args) -> int:
     fam = args.family
     try:
@@ -269,20 +283,15 @@ def _cmd_gen(args) -> int:
             gi, kind = gen_dpa_tight(args.k), "mscs"
         elif fam == "tk":
             gi, kind = gen_ssc_tight(args.k), "mscs"
-        elif fam == "random-ssc":
-            factor = 1.0 if args.extra_factor is None else args.extra_factor
-            gi, kind = gen_random_ssc(args.n, factor, args.fan, args.seed), "ssc"
-        elif fam == "random-bidirected":
-            factor = 0.8 if args.extra_factor is None else args.extra_factor
-            gi, kind = (
-                gen_random_bidirected(args.n, factor, args.fan, args.seed),
-                "ssc",
-            )
-        elif fam == "random-dpa":
-            gi, kind = gen_random_dpa(args.n, args.zero_cost_prob, args.seed), "dpa"
-        else:  # random-2ecs
-            factor = 0.7 if args.extra_factor is None else args.extra_factor
-            gi, kind = gen_random_2ecs(args.n, factor, args.seed), "2ecs"
+        else:
+            generate, kind, params = _RANDOM_FAMILIES[fam]
+            # A flag the user did not give leaves the generator's default.
+            given = {
+                param: getattr(args, flag)
+                for flag, param in params.items()
+                if getattr(args, flag) is not None
+            }
+            gi = generate(args.n, seed=args.seed, **given)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,10 @@
 """Undirected multigraphs, reachability and graph search.
 
-Vertex ids are dense integers 1..vertex_count. Edge ids are 0-based
-positions in the construction order. The searches run on a
+`Digraph` and `Multigraph` number their vertices 1..vertex_count and their
+edges by 0-based position in the construction order. The searches run on a
 `perfect.LiveInstance`, or on any view with the same queries; the
-algorithms contract in place through it.
+algorithms contract in place through it, so the vertices a search meets are
+its current labels, which need not be dense.
 
 `Digraph`, `VertexPartition`, `contract_multigraph` (with its
 `contraction_mapping`) and `is_strongly_connected` serve no solver: the
@@ -310,79 +311,31 @@ def reachable_avoiding(
     return frozenset(seen)
 
 
-def find_path_internally_avoiding(
-    g: LiveInstance, src: int, dst: int, avoid: Iterable[int]
-) -> list[int] | None:
-    """Shortest src->dst path whose internal vertices avoid `avoid`.
-
-    Endpoints may belong to `avoid`. Ties break toward smaller vertex ids
-    (BFS expands neighbors in sorted order). Returns the vertex list or None.
-    """
-    if src == dst:
-        return [src]
-    banned = set(avoid) - {dst}
-    parent: dict[int, int] = {src: 0}
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        for w in g.out_neighbors(v):
-            if w in parent:
-                continue
-            if w == dst:
-                path = [dst, v]
-                while parent[path[-1]]:
-                    path.append(parent[path[-1]])
-                path.reverse()
-                return path
-            if w in banned:
-                continue
-            parent[w] = v
-            queue.append(w)
-    return None
-
-
 def find_nontrivial_path(
     g: LiveInstance, src: int, dst: int, avoid: Iterable[int]
 ) -> list[int] | None:
     """A src->dst path with >= 2 arcs, internal vertices avoiding `avoid`.
 
     The direct arc src->dst does not count; a longer route may coexist with
-    it. First hop candidates are scanned in sorted order, so the result is
-    deterministic. Whether any hop leads to dst at all is decided first,
-    so a failed search costs one pass rather than one per hop.
+    it. One breadth-first search back from dst, off `avoid` and src, counts
+    each vertex's arcs to dst. The path takes the smallest first hop with a
+    count, then from each vertex its smallest out-neighbour one arc nearer:
+    the lexicographically smallest shortest route on from that hop. Returns
+    the vertex list or None.
     """
     banned = set(avoid) | {src}
-    hops = [z for z in g.out_neighbors(src) if z != dst and z not in banned]
-    if not _reaches_off(g, hops, dst, banned):
+    arcs_to_dst = {dst: 0}
+    queue = deque([dst])
+    while queue:
+        v = queue.popleft()
+        for w in g.in_neighbors(v):
+            if w not in arcs_to_dst and w not in banned:
+                arcs_to_dst[w] = arcs_to_dst[v] + 1
+                queue.append(w)
+    hop = next((z for z in g.out_neighbors(src) if z != dst and z in arcs_to_dst), None)
+    if hop is None:
         return None
-    for z in hops:
-        tail = find_path_internally_avoiding(g, z, dst, banned)
-        if tail is not None:
-            return [src] + tail
-    return None
-
-
-def _reaches_off(g: LiveInstance, starts: list[int], dst: int, banned: set[int]) -> bool:
-    """Some path runs from one of `starts` (none of them banned or dst) to
-    dst with every vertex before dst off `banned`.
-
-    A forward search from `starts` and a backward search from dst, both
-    kept off `banned`, expand one vertex each in turn. They meet exactly
-    when such a path exists, and the first to run dry has seen everything
-    on its side, so a "no" costs about the smaller side's closure."""
-    ahead, behind = set(starts), {dst}
-    forward, backward = list(starts), [dst]
-    while forward and backward:
-        for w in g.out_neighbors(forward.pop()):
-            if w in behind:
-                return True
-            if w not in banned and w not in ahead:
-                ahead.add(w)
-                forward.append(w)
-        for w in g.in_neighbors(backward.pop()):
-            if w in ahead:
-                return True
-            if w not in banned and w not in behind:
-                behind.add(w)
-                backward.append(w)
-    return False
+    path = [src, hop]
+    for left in range(arcs_to_dst[hop] - 1, -1, -1):
+        path.append(next(w for w in g.out_neighbors(path[-1]) if arcs_to_dst.get(w) == left))
+    return path

@@ -10,11 +10,7 @@ large enough that 5*cost <= 6(n-1) + 2*(number of cuts).
 from __future__ import annotations
 
 from .advisor import Advisor
-from .graphs import (
-    find_nontrivial_path,
-    find_path_internally_avoiding,
-    reachable_avoiding,
-)
+from .graphs import find_nontrivial_path, reachable_avoiding
 from .instances import SSCInstance
 from .perfect import (
     LiveInstance,
@@ -115,14 +111,15 @@ def _triangle_case(li: LiveInstance, advisor: Advisor, cycle: list[int]):
     if grown is not None:
         return [first, second] + grown[1:-1] + [end]
 
-    back_to_first = find_path_internally_avoiding(li, second, first, cycle_set)
-    first_to_end = find_path_internally_avoiding(li, first, end, cycle_set)
-    closes_back = li.has_arc(end, second)
-    if back_to_first is None:
+    # A reverse leg has a path off the cycle when it has the direct arc or
+    # a long detour.
+    long_back = find_nontrivial_path(li, second, first, cycle_set)
+    long_leg = find_nontrivial_path(li, first, end, cycle_set)
+    if not (li.has_arc(second, first) or long_back is not None):
         return stars_along(li, advisor, forward), ({end}, _blocked_reach(li, cycle_set, second))
-    if first_to_end is None:
+    if not (li.has_arc(first, end) or long_leg is not None):
         return stars_along(li, advisor, forward), ({end}, _blocked_reach(li, cycle_set, first))
-    if not closes_back:
+    if not li.has_arc(end, second):
         return stars_along(li, advisor, forward), (
             {end},
             frozenset((end,)) | _blocked_reach(li, cycle_set, first),
@@ -130,8 +127,6 @@ def _triangle_case(li: LiveInstance, advisor: Advisor, cycle: list[int]):
 
     # The reverse triangle is within reach: if either reverse leg has a long
     # detour, stitch both legs into a bigger cycle closed by end->second.
-    long_back = find_nontrivial_path(li, second, first, cycle_set)
-    long_leg = find_nontrivial_path(li, first, end, cycle_set)
     if long_back is not None or long_leg is not None:
         mid_back = long_back[1:-1] if long_back is not None else []
         mid_leg = long_leg[1:-1] if long_leg is not None else []

@@ -22,8 +22,11 @@ only its finished report (`verify_run`).
 them, and `check_initial_candidates` hands it the live instance of every
 round.
 
-`find_nontrivial_path_per_hop` is `graphs.find_nontrivial_path` as it was
-before its existence test: one internally avoiding search per first hop.
+`find_path_internally_avoiding` is a forward breadth-first search for the
+shortest path whose inner vertices avoid a set, ties to smaller ids: the
+definition of the triangle case's "any path off the cycle" question.
+`find_nontrivial_path_per_hop` runs it once per first hop, in ascending
+order: the path `graphs.find_nontrivial_path` must return.
 
 `PlannedAdvisor` drives a run along a route named in original vertex ids
 and records the candidate index of each choice: the script that replays
@@ -34,7 +37,7 @@ wrapping each solver's round function, as `check_every_round` does.
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
+from collections import Counter, deque
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -43,7 +46,7 @@ import dualcut.ssc as ssc_module
 import dualcut.twoecs as twoecs_module
 from dualcut.advisor import Advisor, ScriptedAdvisor
 from dualcut.certificates import Cut, DualCertificate
-from dualcut.graphs import Digraph, find_path_internally_avoiding
+from dualcut.graphs import Digraph
 from dualcut.instances import DPAInstance, SSCInstance, Star
 from dualcut.perfect import Labels, LiveInstance, is_internal_cut, is_perfect, live_crossing_stars
 from dualcut.report import BIG_ONE_CUT, TWO_CUTS, RunReport
@@ -381,6 +384,35 @@ def sorted_oriented_edges(li: LiveInstance) -> list[tuple[int, int, int]]:
     both directions, as (tail, head, edge id)."""
     edges = [(eid, u, v) for eid, (u, (v,)) in li.live.items()]
     return sorted([(u, v, eid) for eid, u, v in edges] + [(v, u, eid) for eid, u, v in edges])
+
+
+def find_path_internally_avoiding(g, src: int, dst: int, avoid: Iterable[int]) -> list[int] | None:
+    """Shortest src->dst path whose internal vertices avoid `avoid`.
+
+    Endpoints may belong to `avoid`. Ties break toward smaller vertex ids
+    (BFS expands neighbors in sorted order). Returns the vertex list or None.
+    """
+    if src == dst:
+        return [src]
+    banned = set(avoid) - {dst}
+    parent: dict[int, int] = {src: 0}
+    queue = deque([src])
+    while queue:
+        v = queue.popleft()
+        for w in g.out_neighbors(v):
+            if w in parent:
+                continue
+            if w == dst:
+                path = [dst, v]
+                while parent[path[-1]]:
+                    path.append(parent[path[-1]])
+                path.reverse()
+                return path
+            if w in banned:
+                continue
+            parent[w] = v
+            queue.append(w)
+    return None
 
 
 def find_nontrivial_path_per_hop(g, src: int, dst: int, avoid: Iterable[int]) -> list[int] | None:

@@ -12,7 +12,15 @@ import pytest
 
 import dualcut
 import dualcut.report as report_module
-from dualcut import gen_dpa_tight, gen_ssc_tight, parse_instance
+from dualcut import (
+    gen_dpa_tight,
+    gen_random_2ecs,
+    gen_random_bidirected,
+    gen_random_dpa,
+    gen_random_ssc,
+    gen_ssc_tight,
+    parse_instance,
+)
 from dualcut.certificates import DualCertificate
 from dualcut.cli import main
 from dualcut.io import witness_comment, write_instance
@@ -83,6 +91,24 @@ def test_random_files_record_their_generator(gk1, tmp_path, capsys):
 
     code, _, _ = run(capsys, "solve", "--problem", "ssc", "--input", str(path))
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "family, generate, kind",
+    [
+        ("random-ssc", gen_random_ssc, "ssc"),
+        ("random-bidirected", gen_random_bidirected, "ssc"),
+        ("random-dpa", gen_random_dpa, "dpa"),
+        ("random-2ecs", gen_random_2ecs, "2ecs"),
+    ],
+)
+def test_gen_without_options_keeps_the_generator_defaults(family, generate, kind, tmp_path, capsys):
+    path = tmp_path / "r.txt"
+    code, _, _ = run(capsys, "gen", family, "--n", "9", "--seed", "4", "--out", str(path))
+    assert code == 0
+    instance_text, generator_line = path.read_text().rsplit("# generator:", 1)
+    assert instance_text == write_instance(generate(9, seed=4).instance, kind)
+    assert generator_line.startswith(f" {family} n=9 seed=4 ")
 
 
 def test_same_instance_through_the_bidirected_solver(gk1, capsys):

@@ -17,13 +17,12 @@ from dualcut.graphs import (
     contract_multigraph,
     contraction_mapping,
     find_nontrivial_path,
-    find_path_internally_avoiding,
     is_strongly_connected,
     is_two_edge_connected,
     reachable_avoiding,
 )
 from dualcut.perfect import LiveInstance
-from reference import find_nontrivial_path_per_hop, label_of
+from reference import find_nontrivial_path_per_hop, find_path_internally_avoiding, label_of
 
 
 def test_digraph_merges_duplicates_and_sorts():
@@ -279,27 +278,129 @@ def test_find_nontrivial_path_needs_two_arcs():
     assert find_nontrivial_path(g, 1, 2, avoid=set()) is None
 
 
+def test_find_nontrivial_path_takes_the_first_hop_that_reaches():
+    # Hop 2 reaches 4 only back through the source, so hop 3 is taken.
+    g = Digraph(4, [(1, 2), (2, 1), (1, 3), (3, 4)])
+    assert find_nontrivial_path(g, 1, 4, avoid=set()) == [1, 3, 4]
+    # Hop 2 reaches 4 by a longer route than hop 3: the smaller hop wins.
+    g = Digraph(5, [(1, 2), (1, 3), (2, 5), (3, 4), (5, 4)])
+    assert find_nontrivial_path(g, 1, 4, avoid=set()) == [1, 2, 5, 4]
+
+
+def test_find_nontrivial_path_breaks_ties_at_the_first_difference():
+    # Two shortest routes on from hop 2 part only at their third vertex.
+    g = Digraph(8, [(1, 2), (2, 3), (3, 6), (3, 5), (6, 8), (5, 8)])
+    assert find_nontrivial_path(g, 1, 8, avoid=set()) == [1, 2, 3, 5, 8]
+    # The smaller second vertex decides, though the other route runs on
+    # through smaller vertices.
+    g = Digraph(10, [(1, 2), (2, 4), (2, 3), (3, 9), (9, 10), (4, 5), (5, 10)])
+    assert find_nontrivial_path(g, 1, 10, avoid=set()) == [1, 2, 3, 9, 10]
+
+
+def test_find_nontrivial_path_with_endpoints_in_avoid():
+    g = Digraph(3, [(1, 2), (2, 3), (1, 3), (3, 1)])
+    for avoid in ({1}, {3}, {1, 3}):
+        assert find_nontrivial_path(g, 1, 3, avoid) == [1, 2, 3]
+    assert find_nontrivial_path(g, 1, 3, {2}) is None
+    # src == dst asks for a cycle through src.
+    assert find_nontrivial_path(g, 1, 1, avoid=set()) == [1, 2, 3, 1]
+    assert find_nontrivial_path(g, 1, 1, avoid={1}) == [1, 2, 3, 1]
+    assert find_nontrivial_path(g, 3, 3, avoid=set()) == [3, 1, 3]
+    assert find_nontrivial_path(g, 2, 2, avoid={3}) is None
+    for src, dst in itertools.product(g.vertices(), repeat=2):
+        for avoid in (set(), {src}, {dst}, {src, dst}):
+            assert find_nontrivial_path(g, src, dst, avoid) == find_nontrivial_path_per_hop(
+                g, src, dst, avoid
+            )
+
+
+def _draw_queries(data, g, count):
+    """`count` drawn (src, dst, avoid) queries over g's vertices."""
+    vertices = g.vertices()
+    for _ in range(count):
+        yield (
+            data.draw(st.sampled_from(vertices)),
+            data.draw(st.sampled_from(vertices)),
+            data.draw(st.sets(st.sampled_from(vertices), max_size=len(vertices))),
+        )
+
+
 @given(
-    n=st.integers(2, 14), fan=st.integers(1, 3), seed=st.integers(0, 10_000),
-    data=st.data(),
+    n=st.integers(2, 14), density=st.sampled_from([0.5, 3.0]), fan=st.integers(1, 3),
+    seed=st.integers(0, 10_000), data=st.data(),
 )
 @settings(max_examples=80, deadline=None)
-def test_nontrivial_path_matches_the_per_hop_search(n, fan, seed, data):
-    # Random star instances, contracted by drawn blocks: the existence test
-    # in front of the per-hop search changes no answer.
-    li = LiveInstance.from_instance(gen_random_ssc(n, 0.5, fan, seed).instance)
+def test_nontrivial_path_matches_the_per_hop_search(n, density, fan, seed, data):
+    # Random star instances, sparse and dense (many equal-length routes),
+    # contracted by drawn blocks: the backward search and walk give the
+    # path the per-hop forward searches give.
+    li = LiveInstance.from_instance(gen_random_ssc(n, density, fan, seed).instance)
     while True:
-        vertices = li.vertices()
-        for _ in range(6):
-            src, dst = data.draw(st.sampled_from(vertices)), data.draw(st.sampled_from(vertices))
-            avoid = data.draw(st.sets(st.sampled_from(vertices), max_size=len(vertices)))
+        for src, dst, avoid in _draw_queries(data, li, 6):
             assert find_nontrivial_path(li, src, dst, avoid) == find_nontrivial_path_per_hop(
                 li, src, dst, avoid
             )
         if li.current_count <= 2:
             break
+        vertices = li.vertices()
         li.contract(data.draw(st.sets(
             st.sampled_from(vertices), min_size=2, max_size=li.current_count - 1,
+        )))
+
+
+@st.composite
+def _layered_digraphs(draw):
+    """Layers of up to four vertices, each vertex joined to most of the next
+    layer, plus a few drawn arcs: many shortest routes of equal length."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=5))
+    layers, first = [], 1
+    for size in sizes:
+        layers.append(range(first, first + size))
+        first += size
+    n = first - 1
+    arcs = {
+        (u, v)
+        for here, there in zip(layers, layers[1:])
+        for u in here
+        for v in there
+        if draw(st.integers(0, 3))
+    }
+    extra = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=n))
+    arcs |= {(u, v) for u, v in extra if u != v}
+    return Digraph(n, sorted(arcs))
+
+
+@given(_layered_digraphs(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_nontrivial_path_matches_the_per_hop_search_on_ties(g, data):
+    for src, dst, avoid in _draw_queries(data, g, 12):
+        assert find_nontrivial_path(g, src, dst, avoid) == find_nontrivial_path_per_hop(
+            g, src, dst, avoid
+        )
+
+
+@given(
+    n=st.integers(3, 12), density=st.sampled_from([0.5, 1.5, 3.0]), fan=st.integers(1, 3),
+    seed=st.integers(0, 10_000), data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_a_leg_has_a_path_off_a_triangle_iff_an_arc_or_a_detour(n, density, fan, seed, data):
+    # `_triangle_case` asks whether a leg between two vertices of a 3-cycle
+    # has any path whose inner vertices are off the cycle: the direct arc,
+    # or a detour of two or more arcs.
+    li = LiveInstance.from_instance(gen_random_ssc(n, density, fan, seed).instance)
+    while li.current_count >= 3:
+        vertices = li.vertices()
+        for _ in range(6):
+            cycle_set = data.draw(st.sets(st.sampled_from(vertices), min_size=3, max_size=3))
+            u, v = data.draw(st.permutations(sorted(cycle_set)))[:2]
+            assert (
+                li.has_arc(u, v) or find_nontrivial_path(li, u, v, cycle_set) is not None
+            ) == (find_path_internally_avoiding(li, u, v, cycle_set) is not None)
+        if li.current_count == 3:
+            break
+        li.contract(data.draw(st.sets(
+            st.sampled_from(vertices), min_size=2, max_size=li.current_count - 2,
         )))
 
 

@@ -22,6 +22,7 @@ from dualcut.graphs import Digraph
 from dualcut.perfect import LiveInstance, contract_perfect
 from dualcut.io import parse_advice
 from dualcut.report import TWO_CUTS
+import dualcut.ssc as ssc_module
 from dualcut.ssc import build_simple_cycle, find_perfect_set
 from reference import check_ssc_round, cut_vertices
 
@@ -168,5 +169,40 @@ def test_multi_sink_branches_fire_on_their_fixtures(branch):
     assert any(
         BRANCH_FIRED[branch](labels, rec.kind) for labels, rec in zip(advisor.rounds, report.iterations)
     )
+    assert verify_run("ssc", inst, report) == []
+    assert 5 * report.cost <= 6 * (report.n - 1) + 2 * report.bounds.dual_objective
+
+
+def _enlargement(cycle, grown):
+    """Which detour a 3-cycle `(first, second, end)` grew by, told from the
+    cycle `_triangle_case` returned; None when it returned a round."""
+    if not isinstance(grown, list):
+        return None
+    first, second, end = cycle
+    if grown[:2] == [first, second]:
+        return "second-end-detour"
+    if grown[0] != second:
+        return "first-second-detour"
+    # The stitch [second, *back, first, *leg, end] of the two reverse legs.
+    if grown[1] == first:
+        return "long-leg-only"
+    return "long-back-only" if grown[-2] == first else "both-legs"
+
+
+@pytest.mark.parametrize("branch", ["second-end-detour", "long-back-only", "long-leg-only"])
+def test_triangle_enlargements_fire_on_their_fixtures(branch, monkeypatch):
+    path = FIXTURES / f"ssc_{branch}.txt"
+    _, inst = parse_instance(path.read_text())
+    grown_by = []
+    real = ssc_module._triangle_case
+
+    def recording(li, advisor, cycle):
+        grown = real(li, advisor, cycle)
+        grown_by.append(_enlargement(cycle, grown))
+        return grown
+
+    monkeypatch.setattr(ssc_module, "_triangle_case", recording)
+    report = approx_ssc(inst, ScriptedAdvisor(parse_advice(Path(f"{path}.advice").read_text())))
+    assert branch in grown_by
     assert verify_run("ssc", inst, report) == []
     assert 5 * report.cost <= 6 * (report.n - 1) + 2 * report.bounds.dual_objective
