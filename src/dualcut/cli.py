@@ -39,7 +39,7 @@ from .io import (
 )
 from .oracles import certify_exact_by_bound, exact_2ecs, exact_dpa, exact_ssc
 from .report import (
-    COMPATIBLE_KINDS,
+    RUNS,
     RunCheckError,
     _ratio,
     report_from_json,
@@ -165,7 +165,7 @@ def _load_instance(problem: str, path: str):
     text = _read_text(path)
     kind, instance = parse_instance(text)
     tag = "ssc" if problem == "mscs" else problem
-    if kind not in COMPATIBLE_KINDS[tag]:
+    if type(instance) not in RUNS[tag][2]:
         raise _UsageError(f"--problem {problem} cannot consume a {kind} instance")
     if tag == "dpa" and kind != "dpa" and not instance.is_bidirected():
         raise _UsageError(
@@ -278,6 +278,7 @@ _RANDOM_FAMILIES = {
 
 def _cmd_gen(args) -> int:
     fam = args.family
+    given = {}
     try:
         if fam == "gk":
             gi, kind = gen_dpa_tight(args.k), "mscs"
@@ -287,11 +288,11 @@ def _cmd_gen(args) -> int:
             generate, kind, params = _RANDOM_FAMILIES[fam]
             # A flag the user did not give leaves the generator's default.
             given = {
-                param: getattr(args, flag)
-                for flag, param in params.items()
-                if getattr(args, flag) is not None
+                flag: getattr(args, flag) for flag in params if getattr(args, flag) is not None
             }
-            gi = generate(args.n, seed=args.seed, **given)
+            gi = generate(
+                args.n, seed=args.seed, **{params[flag]: v for flag, v in given.items()}
+            )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -299,9 +300,10 @@ def _cmd_gen(args) -> int:
     if gi.opt_witness is not None:
         text += witness_comment(gi.opt_witness)
     if fam.startswith("random-"):
-        # Reproducibility metadata: same flags regenerate the same file.
+        # Reproducibility metadata: the flags named here regenerate the file.
+        flags = "".join(f"{flag.replace('_', '-')}={v} " for flag, v in given.items())
         text += (
-            f"# generator: {fam} n={args.n} seed={args.seed} "
+            f"# generator: {fam} n={args.n} seed={args.seed} {flags}"
             f"prng=mersenne-twister (python random.Random)\n"
         )
     Path(args.out).write_text(text)

@@ -219,7 +219,6 @@ def approx_dpa(instance, advisor: Advisor | None = None) -> RunReport:
     return build_report(
         problem="dpa",
         instance=instance,
-        n=derived.vertex_count,
         iterations=contract_rounds(
             LiveInstance.from_instance(derived), find_perfect_two_cuts, advisor
         ),

@@ -3,10 +3,14 @@
 A report carries the selection, the per-iteration records, the dual
 certificate with its lower bounds, and enough redundancy (histogram,
 identities, instance digest) that `verify_run` can re-check a run from the
-report plus the original instance text alone. `build_report` runs that
-same check on every report it assembles, so `verify_run` is the one checker
-of a finished run. Ratios are kept as exact fractions; no guarantee is ever
-checked in floating point.
+report plus the original instance text alone. `_derived` computes every
+field that the iterations and the instance fix, and `build_report` builds
+its report from it. `verify_run` compares each report field with its
+derived value, then checks that what the iterations make is a proof: a
+feasible selection and dual certificate, the counting identities and the
+guarantee. `build_report` runs that same check on every report it
+assembles, so `verify_run` is the one checker of a finished run. Ratios are
+kept as exact fractions; no guarantee is ever checked in floating point.
 """
 
 from __future__ import annotations
@@ -81,20 +85,16 @@ class RunReport:
 BIG_ONE_CUT = "big-one-cut"
 TWO_CUTS = "two-cuts"
 
-# Report problem tag -> its iteration kinds -> the cuts each iteration adds.
-ITERATION_CUTS = {
-    "2ecs": {"cycle": 1},
-    "dpa": {"perfect": 2},
-    "ssc": {BIG_ONE_CUT: 1, TWO_CUTS: 2},
+# Report problem tag -> (its certificate's problem, its iteration kinds with
+# the cuts each one adds, the instance types it runs on with the selection
+# kind it reports on each).
+RUNS = {
+    "2ecs": (TWOECS, {"cycle": 1}, {TwoECSInstance: "edges"}),
+    "dpa": (SSC, {"perfect": 2}, {SSCInstance: "stars", DPAInstance: "power"}),
+    "ssc": (SSC, {BIG_ONE_CUT: 1, TWO_CUTS: 2}, {SSCInstance: "stars"}),
 }
-ITERATION_KINDS = frozenset(k for kinds in ITERATION_CUTS.values() for k in kinds)
-SELECTION_KINDS = frozenset(("edges", "stars", "power"))
-# Report problem tag -> the instance kinds a report of it can belong to.
-COMPATIBLE_KINDS = {
-    "2ecs": frozenset(("2ecs",)),
-    "ssc": frozenset(("ssc", "mscs")),
-    "dpa": frozenset(("dpa", "ssc", "mscs")),
-}
+ITERATION_KINDS = frozenset(kind for _, kinds, _ in RUNS.values() for kind in kinds)
+SELECTION_KINDS = frozenset(sel for *_, on in RUNS.values() for sel in on.values())
 
 
 def convex_bound_for(problem: str, n: int, dual_objective: int) -> Fraction:
@@ -132,11 +132,48 @@ def _ratio(cost: int, best: int) -> Fraction:
     return Fraction(cost, best) if best > 0 else Fraction(1)
 
 
+def _derived(problem: str, instance, iterations, star_form) -> dict:
+    """Every report field that the iterations and the instance fix, by name.
+
+    The selection is the union of the iterations' selections, and the
+    certificate is their cuts in order. A power run passes `star_form`, the
+    `dpa_to_ssc` pair (star instance, vertex -> star id) it ran on: its
+    report selects vertices, keeps the stars in `selected_stars`, and counts
+    the star form's vertices."""
+    cert_problem, _, selection_kinds = RUNS[problem]
+    picked = {i for rec in iterations for i in rec.selected}
+    stars = tuple(sorted(picked))
+    if star_form is None:
+        n, selected, selected_stars = instance.vertex_count, stars, None
+    else:
+        # A star id the star form lacks selects no vertex, so the histogram
+        # cost identity fails.
+        n, selected_stars = star_form[0].vertex_count, stars
+        selected = tuple(sorted(v for v, sid in star_form[1].items() if sid in picked))
+    certificate = DualCertificate(
+        cert_problem, tuple(cut for rec in iterations for cut in rec.cuts)
+    )
+    cost = len(selected)
+    objective = certificate.objective
+    n_bound, best = lower_bounds(n, objective)
+    return {
+        "n": n,
+        "k": len(iterations),
+        "cost": cost,
+        "selection_kind": selection_kinds[type(instance)],
+        "selected": selected,
+        "selected_stars": selected_stars,
+        "histogram": _histogram(iterations),
+        "certificate": certificate,
+        "bounds": Bounds(objective, n_bound, best, convex_bound_for(problem, n, objective)),
+        "ratio_vs_best": _ratio(cost, best),
+    }
+
+
 def build_report(
     *,
     problem: str,
     instance,
-    n: int,
     iterations: tuple[IterationRecord, ...],
     advisor_fallbacks: int,
     star_form: tuple[SSCInstance, dict[int, int]] | None = None,
@@ -144,53 +181,23 @@ def build_report(
     """Assemble the report of a finished run, then check it with `verify_run`.
 
     `instance` is the instance the run was given (a power instance for power
-    runs, not its star form). The selection is the union of the iterations'
-    selections, and the certificate is their cuts in order. A power run
-    passes `star_form`, the `dpa_to_ssc` pair (star instance, vertex -> star
-    id) it ran on: the report then selects vertices and keeps the stars in
-    `selected_stars`, and the check reuses the pair instead of deriving it
-    again. Raises RunCheckError listing every finding; the check does not
-    rest on `assert`, so it also runs under `python -O`.
+    runs, not its star form); every other field comes from `_derived`. A
+    power run passes `star_form`, which the check then reuses instead of
+    deriving it again. Raises RunCheckError listing every finding; the
+    check does not rest on `assert`, so it also runs under `python -O`.
     """
-    k = len(iterations)
-    stars = tuple(sorted({i for rec in iterations for i in rec.selected}))
-    if star_form is None:
-        selected, selected_stars = stars, None
-        selection_kind = "edges" if problem == "2ecs" else "stars"
-    else:
-        vertex_of_star = {sid: v for v, sid in star_form[1].items()}
-        selected = tuple(sorted(vertex_of_star[sid] for sid in stars))
-        selected_stars, selection_kind = stars, "power"
-    certificate = DualCertificate(
-        TWOECS if problem == "2ecs" else SSC,
-        tuple(cut for rec in iterations for cut in rec.cuts),
-    )
-    cost = len(selected)
-    objective = certificate.objective
+    fields = _derived(problem, instance, iterations, star_form)
     digest = instance_digest(instance)
-    n_bound, best = lower_bounds(n, objective)
     report = RunReport(
         problem=problem,
-        n=n,
-        k=k,
-        cost=cost,
-        selection_kind=selection_kind,
-        selected=selected,
-        histogram=_histogram(iterations),
         iterations=iterations,
-        certificate=certificate,
-        bounds=Bounds(
-            dual_objective=objective,
-            n_bound=n_bound,
-            best=best,
-            convex_bound=convex_bound_for(problem, n, objective),
-        ),
-        ratio_vs_best=_ratio(cost, best),
         advisor_fallbacks=advisor_fallbacks,
         instance_digest=digest,
-        selected_stars=selected_stars,
+        **fields,
     )
-    problems = _check_run(natural_kind(instance), instance, report, digest, star_form)
+    problems = _check_run(
+        natural_kind(instance), instance, report, digest, star_form, fields
+    )
     if problems:
         raise RunCheckError(problems)
     return report
@@ -205,11 +212,16 @@ def _fraction_from(s: str) -> Fraction:
     equal value such as "2/2" or "1.0", raises ValueError."""
     if not isinstance(s, str):
         raise ValueError(f"a ratio must be a string 'p/q', not {s!r}")
+    # Two `int`s read faster than `Fraction(s)`; the text they accept too
+    # loosely (" 3", "0_3", non-ASCII digits) fails the comparison below.
+    num, _, den = s.partition("/")
     try:
-        f = Fraction(s)
+        f = Fraction(int(num), int(den))
     except ZeroDivisionError:
         raise ValueError(f"ratio {s!r} has a zero denominator") from None
-    if _fraction_str(f) != s:
+    except ValueError:
+        f = None
+    if f is None or _fraction_str(f) != s:
         raise ValueError(f"ratio {s!r} is not written 'p/q' in lowest terms")
     return f
 
@@ -431,7 +443,7 @@ def report_from_dict(data: dict) -> RunReport:
     )
     selected_stars = data.get("selected_stars")
     return RunReport(
-        problem=_label(data["problem"], "problem", ITERATION_CUTS),
+        problem=_label(data["problem"], "problem", RUNS),
         n=_int(data["n"], "n"),
         k=_int(data["k"], "k"),
         cost=_int(data["cost"], "cost"),
@@ -466,22 +478,24 @@ def report_from_json(text: str) -> RunReport:
 
 
 def verify_run(kind: str, instance, report: RunReport) -> list[str]:
-    """Re-check a report against its instance; returns found problems."""
+    """Re-check a report against its instance; returns found problems.
+    The instance's type decides which runs the report can describe; `kind`,
+    the instance file's kind, only words the findings."""
     return _check_run(kind, instance, report, instance_digest(instance))
 
 
 def _check_run(
-    kind: str, instance, report: RunReport, digest: str, star_form=None
+    kind: str, instance, report: RunReport, digest: str, star_form=None, derived=None
 ) -> list[str]:
-    """`verify_run` given the instance's digest and, for a power instance,
-    optionally its `dpa_to_ssc` star form, so that `build_report`, which
-    already has both, need not derive them again."""
+    """`verify_run` given the instance's digest and, optionally, the power
+    instance's `dpa_to_ssc` star form and the report's `_derived` fields,
+    which `build_report` already has."""
     # The labels are looked up in tables below; an in-process report may
     # carry anything in them, even an unhashable list, so they come first.
     problems = [
         f"{field} {value!r} is not one the package emits"
         for field, value, known in (
-            ("problem", report.problem, ITERATION_CUTS),
+            ("problem", report.problem, RUNS),
             ("selection kind", report.selection_kind, SELECTION_KINDS),
             *(("iteration kind", rec.kind, ITERATION_KINDS) for rec in report.iterations),
         )
@@ -494,83 +508,45 @@ def _check_run(
         if not ok:
             problems.append(msg)
 
-    need(
-        report.instance_digest == digest,
-        "instance digest does not match the report",
-    )
-    # Findings that format values are built only when their check fails.
-    if kind not in COMPATIBLE_KINDS[report.problem]:
+    need(report.instance_digest == digest, "instance digest does not match the report")
+    _, cuts_per_kind, selection_kinds = RUNS[report.problem]
+    # Ids mean something else in an instance of another type: nothing more
+    # is checked against it.
+    if type(instance) not in selection_kinds:
         problems.append(f"a {report.problem} report cannot belong to a {kind} instance")
+        return problems
+    if selection_kinds[type(instance)] == "power":
+        star_form = star_form or dpa_to_ssc(instance)
+    if derived is None:
+        derived = _derived(report.problem, instance, report.iterations, star_form)
+    # A finding names its field but never formats a value: one certificate
+    # can be megabytes. Cuts compare as (side, complement) pairs, in order:
+    # sorting would raise on a hostile side that mixes types.
+    problems += [
+        f"{field} differs from its derivation"
+        for field, value in derived.items()
+        if getattr(report, field) != value
+    ]
 
-    # Check the selection only against an instance whose ids it can name,
-    # and pick the instance the certificate refers to.
-    cert_instance = instance
-    paired = True
-    if report.problem == "2ecs":
-        paired = isinstance(instance, TwoECSInstance)
-        need(paired, "edge report paired with a non-edge instance")
-    elif report.problem == "dpa" and isinstance(instance, DPAInstance):
-        cert_instance, vmap = star_form or dpa_to_ssc(instance)
-        if report.selected_stars is None:
-            need(False, "power report is missing its star selection")
-        else:
-            mapped = {vmap[v] for v in report.selected if v in vmap}
-            need(
-                len(mapped) == len(report.selected)
-                and mapped == set(report.selected_stars),
-                "power selection and star selection disagree",
-            )
-    else:
-        paired = isinstance(instance, SSCInstance)
-        need(paired, "star report paired with a non-star instance")
-
-    if paired:
-        try:
-            need(check_feasible(instance, report.selected), "selection is not feasible")
-        except ValueError as exc:
-            need(False, f"selection invalid: {exc}")
+    try:
+        need(check_feasible(instance, report.selected), "selection is not feasible")
+    except ValueError as exc:
+        need(False, f"selection invalid: {exc}")
     need(len(report.selected) == report.cost, "cost differs from selection size")
     need(report.advisor_fallbacks >= 0, "advisor fallback count is negative")
-    if report.problem == "2ecs":
-        selection_kind = "edges"
-    elif report.problem == "dpa" and isinstance(instance, DPAInstance):
-        selection_kind = "power"
-    else:
-        selection_kind = "stars"
-    if report.selection_kind != selection_kind:
-        problems.append(
-            f"selection kind {report.selection_kind!r} does not fit "
-            f"a {report.problem} run on a {kind} instance"
+    # A tampered report may carry cuts the instance cannot even express;
+    # that must surface as a finding, not an exception.
+    try:
+        feasible, _, violations = verify_certificate(
+            instance if star_form is None else star_form[0], derived["certificate"]
         )
-    if selection_kind != "power":
-        need(report.selected_stars is None, "only a power report carries a star selection")
-
-    expected_problem = TWOECS if report.problem == "2ecs" else SSC
-    if report.certificate.problem != expected_problem:
-        need(False, "certificate problem tag mismatch")
+    except (TypeError, ValueError) as exc:
+        need(False, f"certificate check failed: {exc}")
     else:
-        # A tampered report may carry cuts the instance cannot even express;
-        # that must surface as a finding, not an exception.
-        try:
-            feasible, objective, violations = verify_certificate(
-                cert_instance, report.certificate
-            )
-        except (TypeError, ValueError) as exc:
-            need(False, f"certificate check failed: {exc}")
-        else:
-            if not feasible:
-                problems.append(f"certificate infeasible: {violations[:3]}")
-            need(
-                objective == report.bounds.dual_objective,
-                "dual objective differs from certificate",
-            )
+        if not feasible:
+            problems.append(f"certificate infeasible: {violations[:3]}")
 
-    n, k, cost = report.n, report.k, report.cost
-    need(n == cert_instance.vertex_count, "vertex count differs from instance")
-    need(k == len(report.iterations), "iteration count differs from k")
-
-    hist = _histogram(report.iterations)
-    need(hist == report.histogram, "histogram differs from iteration records")
+    n, k, cost, hist = derived["n"], derived["k"], derived["cost"], derived["histogram"]
     need(
         sum((i - 1) * a for i, a in hist.items()) == n - 1,
         "contraction identity sum (i-1)*A_i = n-1 fails",
@@ -578,50 +554,21 @@ def _check_run(
     need(sum(i * a for i, a in hist.items()) == cost, "histogram cost identity fails")
     need(cost == n + k - 1, "cost identity n+k-1 fails")
 
-    picked: set[int] = set()
-    kinds = ITERATION_CUTS[report.problem]
     for position, rec in enumerate(report.iterations):
-        picked.update(rec.selected)
         if rec.index != position:
             problems.append(f"iteration {position} is numbered {rec.index!r}")
-        if rec.kind not in kinds:
+        if rec.kind not in cuts_per_kind:
             problems.append(
                 f"iteration {position}: no {report.problem} run has kind {rec.kind!r}"
             )
-        elif len(rec.cuts) != kinds[rec.kind]:
+        elif len(rec.cuts) != cuts_per_kind[rec.kind]:
             problems.append(
-                f"iteration {position}: {rec.kind} needs {kinds[rec.kind]} cut(s)"
+                f"iteration {position}: {rec.kind} needs {cuts_per_kind[rec.kind]} cut(s)"
             )
-    # Cuts compare as (side, complement) pairs, in order: sorting would
-    # raise on a hostile side that mixes types.
-    need(
-        [c for rec in report.iterations for c in rec.cuts]
-        == list(report.certificate.cuts),
-        "certificate cuts differ, in order, from iteration cuts",
-    )
-    expected_selected = (
-        set(report.selected_stars or ())
-        if report.selection_kind == "power"
-        else set(report.selected)
-    )
-    need(picked == expected_selected, "iteration selections do not add up")
 
-    D = report.bounds.dual_objective
+    D = derived["bounds"].dual_objective
     if report.problem in ("2ecs", "dpa"):
         need(n <= 1 or 2 * cost < 3 * max(n, D), "guarantee 2*cost < 3*max(n, D) fails")
     else:
         need(5 * cost <= 6 * (n - 1) + 2 * D, "guarantee 5*cost <= 6(n-1)+2D fails")
-
-    n_bound, best = lower_bounds(n, D)
-    need(report.bounds.n_bound == n_bound, "vertex-count bound is wrong")
-    need(report.bounds.best == best, "best bound is not the max of the two")
-    need(
-        report.bounds.convex_bound
-        == convex_bound_for(report.problem, n, D),
-        "convex bound formula mismatch",
-    )
-    need(
-        report.ratio_vs_best == _ratio(cost, report.bounds.best),
-        "ratio differs from cost/best",
-    )
     return problems

@@ -187,7 +187,6 @@ def approx_ssc(instance: SSCInstance, advisor: Advisor | None = None) -> RunRepo
     return build_report(
         problem="ssc",
         instance=instance,
-        n=instance.vertex_count,
         iterations=contract_rounds(
             LiveInstance.from_instance(instance), find_perfect_set, advisor
         ),

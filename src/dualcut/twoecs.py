@@ -84,7 +84,6 @@ def approx_2ecs(instance: TwoECSInstance, advisor: Advisor | None = None) -> Run
     return build_report(
         problem="2ecs",
         instance=instance,
-        n=instance.vertex_count,
         iterations=contract_rounds(
             LiveInstance.from_multigraph(instance.graph), find_cycle_with_internal_cut, advisor
         ),

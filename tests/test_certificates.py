@@ -109,7 +109,6 @@ def test_lower_bounds_combines_objective_and_vertex_count():
         return build_report(
             problem="ssc",
             instance=s,
-            n=4,
             iterations=(IterationRecord(0, TWO_CUTS, (0, 1, 2, 3), cuts),),
             advisor_fallbacks=0,
         ).bounds

@@ -94,6 +94,36 @@ def test_random_files_record_their_generator(gk1, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "family, flag, values",
+    [
+        ("random-ssc", "--fan", ("1", "3")),
+        ("random-ssc", "--extra-factor", ("0.5", "2")),
+        ("random-bidirected", "--fan", ("1", "3")),
+        ("random-bidirected", "--extra-factor", ("0.25", "1.5")),
+        ("random-dpa", "--zero-cost-prob", ("0", "0.7")),
+        ("random-2ecs", "--extra-factor", ("0.1", "1")),
+    ],
+)
+def test_generator_line_names_every_flag_given(family, flag, values, tmp_path, capsys):
+    texts = []
+    for i, value in enumerate(values):
+        path = tmp_path / f"r{i}.txt"
+        argv = ["gen", family, "--n", "9", "--seed", "4", flag, value, "--out", str(path)]
+        assert run(capsys, *argv)[0] == 0
+        texts.append(path.read_text())
+    lines = [text.rsplit("# generator:", 1)[1] for text in texts]
+    assert lines[0] != lines[1]
+    for text, line in zip(texts, lines):
+        # The line's `key=value` words, as flags, write the same file again.
+        name, *words = line.split()
+        pairs = [w.split("=", 1) for w in words if "=" in w and not w.startswith("prng=")]
+        flags = [part for key, value in pairs for part in (f"--{key}", value)]
+        again = tmp_path / "again.txt"
+        assert run(capsys, "gen", name, *flags, "--out", str(again))[0] == 0
+        assert again.read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize(
     "family, generate, kind",
     [
         ("random-ssc", gen_random_ssc, "ssc"),
@@ -576,6 +606,18 @@ def test_verify_fails_on_lists_out_of_order(tmp_path, capsys, edit):
     assert out == f"FAIL: malformed report: {field} must be strictly ascending\n"
 
 
+def test_verify_stops_at_a_report_of_another_instance_type(tmp_path, capsys):
+    ecs, ssc, report_path = tmp_path / "e.txt", tmp_path / "s.txt", tmp_path / "e.json"
+    run(capsys, "gen", "random-2ecs", "--n", "12", "--seed", "3", "--out", str(ecs))
+    run(capsys, "gen", "random-ssc", "--n", "12", "--seed", "3", "--out", str(ssc))
+    assert run(capsys, "solve", "--problem", "2ecs", "--input", str(ecs), "--out", str(report_path))[0] == 0
+    out = _verify_fails(capsys, ssc, report_path, json.loads(report_path.read_text()))
+    assert out.splitlines() == [
+        "FAIL: instance digest does not match the report",
+        "FAIL: a 2ecs report cannot belong to a ssc instance",
+    ]
+
+
 @pytest.mark.parametrize("name", HOSTILE_CUT_LISTS)
 def test_verify_fails_on_hostile_cut_lists(tmp_path, capsys, name):
     inst, report_path, data = _solved_random_ssc(capsys, tmp_path)
@@ -603,8 +645,8 @@ def test_solve_exits_one_when_its_report_fails_verification(gk1, capsys, monkeyp
         ("selection_kind", [], "malformed report: selection_kind"),
         ("kind", "cycle", "no ssc run has kind 'cycle'"),
         ("kind", "perfect", "no ssc run has kind 'perfect'"),
-        ("selection_kind", "power", "selection kind 'power' does not fit"),
-        ("selection_kind", "edges", "selection kind 'edges' does not fit"),
+        ("selection_kind", "power", "selection_kind differs from its derivation"),
+        ("selection_kind", "edges", "selection_kind differs from its derivation"),
     ],
     ids=["list-kind", "list-selection-kind", "cycle-kind", "perfect-kind", "power-selection", "edges-selection"],
 )

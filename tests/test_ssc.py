@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from dualcut import (
+    RunCheckError,
     SSCInstance,
     ScriptedAdvisor,
     Star,
@@ -18,6 +19,7 @@ from dualcut import (
     verify_certificate,
     verify_run,
 )
+from dualcut.advisor import Advisor
 from dualcut.graphs import Digraph
 from dualcut.perfect import LiveInstance, contract_perfect
 from dualcut.io import parse_advice
@@ -206,3 +208,18 @@ def test_triangle_enlargements_fire_on_their_fixtures(branch, monkeypatch):
     assert branch in grown_by
     assert verify_run("ssc", inst, report) == []
     assert 5 * report.cost <= 6 * (report.n - 1) + 2 * report.bounds.dual_objective
+
+
+def test_an_enlargement_that_never_ends_is_stopped(monkeypatch):
+    # No real round re-grows a cycle forever; a 2-cycle case that keeps
+    # handing back the same cycle must stop at the loop's bound.
+    _, inst = parse_instance("p ssc 2 2\ns 1 1 2\ns 2 1 1\n")
+    li = LiveInstance.from_instance(inst)
+    calls = []
+    monkeypatch.setattr(
+        ssc_module, "_two_cycle_case", lambda li, advisor, cycle: calls.append(cycle) or list(cycle)
+    )
+    with pytest.raises(RunCheckError) as info:
+        find_perfect_set(li, Advisor())
+    assert info.value.problems == ("cycle enlargement failed to terminate",)
+    assert len(calls) == li.current_count + 1
