@@ -61,21 +61,24 @@ class SSCInstance:
         stars = tuple(stars)
         by_source: defaultdict[int, list[Star]] = defaultdict(list)
         by_sink: defaultdict[int, list[Star]] = defaultdict(list)
-        # One pass checks and indexes the stars; the indexes are also the
-        # adjacency lists the strong-connectivity proof reads. The loop and
-        # the key ranges only decide; `_first_bad_star` names the record.
+        # One pass checks, names and indexes the stars, so the first bad
+        # star in input order is the one named; the indexes are also the
+        # adjacency lists the strong-connectivity proof reads.
         for i, st in enumerate(stars):
             src, sinks = st.source, st.sinks
-            if st.id != i or not sinks or src in sinks:
-                raise _first_bad_star(n, stars)
+            if st.id != i:
+                raise RecordError(f"star at position {i} has id {st.id}", i)
+            if not sinks:
+                raise RecordError(f"star {i}: empty sink set", i)
+            if src in sinks:
+                raise RecordError(f"star {i}: source {src} among sinks", i)
+            if not 1 <= src <= n:
+                raise RecordError(f"star {i}: source {src} out of range", i)
             by_source[src].append(st)
             for t in sinks:
+                if not 1 <= t <= n:
+                    raise RecordError(f"star {i}: sink {t} out of range", i)
                 by_sink[t].append(st)
-        if stars and not (
-            1 <= min(by_source) and max(by_source) <= n
-            and 1 <= min(by_sink) and max(by_sink) <= n
-        ):
-            raise _first_bad_star(n, stars)
         self.vertex_count = n
         self.stars: tuple[Star, ...] = stars
         if not _stars_span(n, by_source, by_sink):
@@ -103,25 +106,6 @@ class SSCInstance:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SSCInstance(n={self.vertex_count}, stars={len(self.stars)})"
-
-
-def _first_bad_star(n: int, stars: Sequence[Star]) -> RecordError:
-    """The error for the first star, in input order, that `SSCInstance`
-    rejects; each star's own checks run in the order listed."""
-    for i, st in enumerate(stars):
-        src, sinks = st.source, st.sinks
-        if st.id != i:
-            return RecordError(f"star at position {i} has id {st.id}", i)
-        if not sinks:
-            return RecordError(f"star {i}: empty sink set", i)
-        if src in sinks:
-            return RecordError(f"star {i}: source {src} among sinks", i)
-        if not 1 <= src <= n:
-            return RecordError(f"star {i}: source {src} out of range", i)
-        for t in sinks:
-            if not 1 <= t <= n:
-                return RecordError(f"star {i}: sink {t} out of range", i)
-    raise AssertionError("every star passes")  # pragma: no cover
 
 
 class DPAInstance:
@@ -294,14 +278,8 @@ def dpa_to_ssc(d: DPAInstance) -> tuple[SSCInstance, dict[int, int]]:
         if targets:
             mapping[v] = len(stars)
             stars.append(Star(len(stars), comp[v], frozenset(targets)))
-    try:
-        inst = SSCInstance(comp_count, stars)
-    except InfeasibleInstanceError:
-        raise InfeasibleInstanceError(
-            "power assignment instance is infeasible: component graph is not "
-            "strongly connected"
-        ) from None
-    return inst, mapping
+    # Never infeasible: it is a quotient of the proven full-power digraph.
+    return SSCInstance(comp_count, stars), mapping
 
 
 def mscs_to_ssc(n: int, arcs: Iterable[tuple[int, int]]) -> SSCInstance:

@@ -93,7 +93,7 @@ class LiveInstance:
 
     __slots__ = (
         "partition", "live", "_out", "_in",
-        "_out_sorted", "_nbrs_sorted", "_vertices",
+        "_out_sorted", "_nbrs_sorted",
     )
 
     def __init__(self, n: int, records: Iterable[tuple[int, int, frozenset[int]]]):
@@ -108,7 +108,6 @@ class LiveInstance:
         self._in: dict[int, dict[int, set[int]]] = {v: {} for v in range(1, n + 1)}
         self._out_sorted: dict[int, tuple[int, ...]] = {}
         self._nbrs_sorted: dict[int, tuple[int, ...]] = {}
-        self._vertices: tuple[int, ...] | None = None
         live, link = self.live, self._link
         for rid, src, sinks in records:
             live[rid] = (src, sinks)
@@ -135,9 +134,7 @@ class LiveInstance:
 
     def vertices(self) -> tuple[int, ...]:
         """Current vertex labels, ascending."""
-        if self._vertices is None:
-            self._vertices = tuple(self._out)
-        return self._vertices
+        return tuple(self._out)
 
     def out_neighbors(self, v: int) -> tuple[int, ...]:
         found = self._out_sorted.get(v)
@@ -225,7 +222,6 @@ class LiveInstance:
             self._out, self._in = {anchor: {}}, {anchor: {}}
             self._out_sorted.clear()
             self._nbrs_sorted.clear()
-            self._vertices = None
             self.partition.merge(block, anchor)
             return self
         gone = block - {anchor}
@@ -252,7 +248,6 @@ class LiveInstance:
             sinks = frozenset([anchor if t in gone else t for t in sinks]) - {src}
             live[rid] = (src, sinks)
             self._link(rid, src, sinks)
-        self._vertices = None
         for cache in (self._out_sorted, self._nbrs_sorted):
             for v in stale:
                 cache.pop(v, None)
@@ -349,21 +344,8 @@ def is_perfect(li: LiveInstance, star_ids) -> bool:
 
 
 def live_crossing_stars(li: LiveInstance, side) -> frozenset[int]:
-    """Live stars with source inside `side` and some sink outside.
-
-    A side holding more than half the current vertices is answered from the
-    arcs into the vertices outside it."""
+    """Live stars with source inside `side` and some sink outside."""
     side_set = frozenset(side)
-    vertices = li.vertices()
-    if 2 * len(side_set) > len(vertices):
-        inc = li._in
-        return frozenset(chain.from_iterable(
-            ids
-            for t in vertices
-            if t not in side_set
-            for tail, ids in inc[t].items()
-            if tail in side_set
-        ))
     out = li._out
     return frozenset(chain.from_iterable(
         ids

@@ -314,13 +314,6 @@ def _cut_list(cut: Cut) -> list[int]:
 
 
 def report_to_dict(report: RunReport) -> dict:
-    # Each cut is written once: the certificate repeats the iterations'
-    # cuts, and gets copies of their lists.
-    cut_lists: dict[Cut, list[int]] = {}
-    for rec in report.iterations:
-        for c in rec.cuts:
-            if c not in cut_lists:
-                cut_lists[c] = _cut_list(c)
     return {
         "problem": report.problem,
         "n": report.n,
@@ -339,16 +332,13 @@ def report_to_dict(report: RunReport) -> dict:
                 "index": rec.index,
                 "kind": rec.kind,
                 "selected": list(rec.selected),
-                "cuts": [cut_lists[c] for c in rec.cuts],
+                "cuts": [_cut_list(c) for c in rec.cuts],
             }
             for rec in report.iterations
         ],
         "certificate": {
             "problem": report.certificate.problem,
-            "cuts": [
-                cut_lists[c][:] if c in cut_lists else _cut_list(c)
-                for c in report.certificate.cuts
-            ],
+            "cuts": [_cut_list(c) for c in report.certificate.cuts],
         },
         "bounds": {
             "dual_objective": report.bounds.dual_objective,

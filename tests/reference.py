@@ -1,11 +1,12 @@
 """Reference implementations that the tests compare the package against.
 
 Nothing under `src/` calls these. Each restates a definition plainly, or
-exhaustively, so a test can check the package's own code against it:
-cut-covering feasibility over every vertex subset, the digraph a power
-assignment induces, every internal cut of a star set, the reduction from
-bidirected SSC to DPA that builds power instances from star ones, and a
-report with every complemented cut written out as the side it stands for.
+exhaustively, so a test can check the package's own code against it: the
+first bad star in a star list, cut-covering feasibility over every vertex
+subset, the digraph a power assignment induces, every internal cut of a
+star set, the reduction from bidirected SSC to DPA that builds power
+instances from star ones, and a report with every complemented cut written
+out as the side it stands for.
 Tests import them with `from reference import ...`.
 
 The round checks state the lemma-level properties of one round: a star
@@ -46,7 +47,7 @@ import dualcut.ssc as ssc_module
 import dualcut.twoecs as twoecs_module
 from dualcut.advisor import Advisor, ScriptedAdvisor
 from dualcut.certificates import Cut, DualCertificate
-from dualcut.graphs import Digraph
+from dualcut.graphs import Digraph, RecordError
 from dualcut.instances import DPAInstance, SSCInstance, Star
 from dualcut.perfect import Labels, LiveInstance, is_internal_cut, is_perfect, live_crossing_stars
 from dualcut.report import BIG_ONE_CUT, TWO_CUTS, RunReport
@@ -89,6 +90,27 @@ def ssc_to_dpa(s: SSCInstance) -> DPAInstance:
         if f2.source in f1.sinks and f1.source in f2.sinks:
             edges.append((f1.id + 1, f2.id + 1, 1))
     return DPAInstance(len(s.stars), edges)
+
+
+def first_bad_star(n: int, stars: Sequence[Star]) -> RecordError | None:
+    """The error `SSCInstance(n, stars)` raises for its first bad star in
+    input order, or None when every star passes. A star's checks run in
+    this order: its id, an empty sink set, its source among its sinks, its
+    source's range, then each sink's range in the sink set's order."""
+    for i, st in enumerate(stars):
+        src, sinks = st.source, st.sinks
+        if st.id != i:
+            return RecordError(f"star at position {i} has id {st.id}", i)
+        if not sinks:
+            return RecordError(f"star {i}: empty sink set", i)
+        if src in sinks:
+            return RecordError(f"star {i}: source {src} among sinks", i)
+        if not 1 <= src <= n:
+            return RecordError(f"star {i}: source {src} out of range", i)
+        for t in sinks:
+            if not 1 <= t <= n:
+                return RecordError(f"star {i}: sink {t} out of range", i)
+    return None
 
 
 def check_cut_feasible(

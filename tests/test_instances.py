@@ -3,6 +3,7 @@
 import pytest
 
 import networkx as nx
+from hypothesis import example, given, settings, strategies as st
 
 from dualcut import (
     DPAInstance,
@@ -17,7 +18,8 @@ from dualcut import (
     mscs_to_ssc,
 )
 from dualcut.graphs import Digraph, RecordError
-from reference import check_cut_feasible, dpa_induced_graph, ssc_to_dpa
+from dualcut.io import ParseError, parse_instance
+from reference import check_cut_feasible, dpa_induced_graph, first_bad_star, ssc_to_dpa
 
 
 def star(i, src, *sinks):
@@ -55,6 +57,76 @@ def test_first_bad_star_in_input_order_is_named():
     with pytest.raises(RecordError) as info:
         SSCInstance(3, [star(0, 1, 2), star(2, 2, 3)])
     assert str(info.value) == "star at position 1 has id 2"
+
+
+DEFECTS = ("id", "empty", "loop", "source", "sink")
+
+
+@st.composite
+def stars_with_defects(draw):
+    """(n, stars): up to 8 stars over 1..n, n in 1..8, with 0-3 defects of
+    the five kinds a star can have injected at drawn positions."""
+    n = draw(st.integers(1, 8))
+    vertices = st.integers(1, n)
+    out_of_range = st.one_of(st.sampled_from([0, -1, n + 1]), st.integers(-3, n + 3))
+    records = []
+    for _ in range(draw(st.integers(0, 8))):
+        src = draw(vertices)
+        others = [v for v in range(1, n + 1) if v != src]
+        # With one vertex no star is good: its sink set is empty.
+        sinks = draw(st.sets(st.sampled_from(others), min_size=1, max_size=3)) if others else set()
+        records.append([len(records), src, sinks])
+    for _ in range(draw(st.integers(0, 3)) if records else 0):
+        record = records[draw(st.integers(0, len(records) - 1))]
+        defect = draw(st.sampled_from(DEFECTS))
+        if defect == "id":
+            record[0] = draw(st.integers(-2, 10).filter(lambda i: i != record[0]))
+        elif defect == "empty":
+            record[2] = set()
+        elif defect == "loop":
+            record[2] = record[2] | {record[1]}
+        elif defect == "source":
+            record[1] = draw(out_of_range.filter(lambda v: not 1 <= v <= n))
+        else:
+            record[2] = record[2] | {draw(out_of_range.filter(lambda v: not 1 <= v <= n))}
+    return n, [Star(i, src, sinks) for i, src, sinks in records]
+
+
+@settings(max_examples=400, deadline=None)
+@given(stars_with_defects())
+# One star with two defects for each two checks that run one after the
+# other, which the drawn lists seldom hold at their first bad star.
+@example((3, [Star(1, 1, [])]))
+@example((3, [Star(0, 4, [])]))
+@example((3, [Star(0, 4, [4])]))
+@example((3, [Star(0, 4, [1, 5])]))
+def test_the_first_bad_star_is_named_as_the_reference_names_it(drawn):
+    n, stars = drawn
+    want = first_bad_star(n, stars)
+    try:
+        SSCInstance(n, stars)
+    except RecordError as exc:
+        assert want is not None and (str(exc), exc.index) == (str(want), want.index)
+    except InfeasibleInstanceError:
+        assert want is None
+    else:
+        assert want is None
+    # A file gives each star its position as id and a nonempty sink list.
+    if all(s.id == i and s.sinks for i, s in enumerate(stars)):
+        text = f"p ssc {n} {len(stars)}\n" + "".join(
+            f"s {s.source} {len(s.sinks)} {' '.join(map(str, s.sinks))}\n" for s in stars
+        )
+        # The parser builds each sink set from the listed order, as these do.
+        want = first_bad_star(n, [Star(s.id, s.source, list(s.sinks)) for s in stars])
+        try:
+            parse_instance(text)
+        except ParseError as exc:
+            assert want is not None and exc.line == want.index + 2
+            assert str(exc) == f"line {want.index + 2}: {want}"
+        except InfeasibleInstanceError:
+            assert want is None
+        else:
+            assert want is None
 
 
 def test_ssc_instance_checks_ids_and_feasibility():
@@ -147,6 +219,38 @@ def test_dpa_to_ssc_matches_the_per_vertex_scan():
         expected = _dpa_to_ssc_stars_by_scanning(d, comp)
         assert [(st.source, st.sinks) for st in s.stars] == [(c, t) for _v, c, t in expected]
         assert mapping == {v: i for i, (v, _c, _t) in enumerate(expected)}
+
+
+@st.composite
+def dpa_instances(draw):
+    """A valid `DPAInstance` on 1..9 vertices: a spanning tree plus extra
+    edges, with costs all 0 (one free component), all 1, or mixed."""
+    n = draw(st.integers(1, 9))
+    pairs = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
+    if n >= 2:
+        pairs |= draw(st.sets(
+            st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] < p[1]),
+            max_size=n,
+        ))
+    cost = draw(st.sampled_from([st.just(0), st.just(1), st.integers(0, 1)]))
+    return DPAInstance(n, [(u, v, draw(cost)) for u, v in sorted(pairs)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(dpa_instances())
+@example(DPAInstance(1, []))
+@example(DPAInstance(3, [(1, 2, 0), (2, 3, 0)]))
+def test_the_star_form_of_a_valid_power_instance_is_always_feasible(d):
+    # Contracting the free components of a digraph that is strongly
+    # connected at full power leaves a strongly connected, bidirected star
+    # form over the components: `dpa_to_ssc` never meets an infeasible one.
+    s, mapping = dpa_to_ssc(d)
+    count = len(set(_free_components(d).values()))
+    assert s.vertex_count == count and s.is_bidirected()
+    for record in s.stars:
+        assert 1 <= record.source <= count and record.sinks
+        assert all(1 <= t <= count for t in record.sinks)
+    assert sorted(mapping.values()) == list(range(len(s.stars)))
 
 
 def test_mscs_to_ssc_orders_stars_by_arc():
