@@ -211,11 +211,13 @@ def approx_dpa(instance, advisor: Advisor | None = None) -> RunReport:
         star_form = dpa_to_ssc(instance)
         derived = star_form[0]
     elif isinstance(instance, SSCInstance):
+        # A star form is bidirected by construction (a star at each end of
+        # every crossing edge), so only a caller's stars are tested.
+        if not instance.is_bidirected():
+            raise ValueError("this algorithm requires a bidirected star instance")
         derived, star_form = instance, None
     else:
         raise TypeError(f"unsupported instance type {type(instance).__name__}")
-    if not derived.is_bidirected():
-        raise ValueError("this algorithm requires a bidirected star instance")
     return build_report(
         problem="dpa",
         instance=instance,

@@ -33,7 +33,7 @@ from typing import Iterable
 
 from .advisor import Advisor
 from .certificates import Cut
-from .graphs import Multigraph
+from .graphs import Multigraph, _reach_count
 from .instances import SSCInstance
 from .report import IterationRecord, RunCheckError
 
@@ -313,26 +313,19 @@ def is_quasiperfect(li: LiveInstance, star_ids) -> bool:
     sinks_at = {li.source_of(sid): li.sinks_of(sid) for sid in ids}
     if len(sinks_at) != len(ids):
         return False
+    # The chosen arcs between sources, forward and backward.
+    heads_at: dict[int, list[int]] = {v: [] for v in sinks_at}
     tails_at: dict[int, list[int]] = {v: [] for v in sinks_at}
     for v, sinks in sinks_at.items():
         for t in sinks:
             if t in tails_at:
+                heads_at[v].append(t)
                 tails_at[t].append(v)
-    start = next(iter(sinks_at))
-    return _reaches_all(sinks_at, start) and _reaches_all(tails_at, start)
-
-
-def _reaches_all(step, start: int) -> bool:
-    """True when `start` reaches every key of `step` along `step`'s lists,
-    ignoring entries that are not keys."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in step[stack.pop()]:
-            if w in step and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(step)
+    start, largest, k = next(iter(sinks_at)), max(sinks_at), len(sinks_at)
+    return (
+        _reach_count(heads_at.__getitem__, start, largest) == k
+        and _reach_count(tails_at.__getitem__, start, largest) == k
+    )
 
 
 def is_perfect(li: LiveInstance, star_ids) -> bool:
@@ -397,8 +390,10 @@ def augment_to_perfect(li: LiveInstance, star_ids, advisor: Advisor) -> frozense
             for a, b in zip(path, path[1:])
         ]
         result.update(added)
-        srcs.update(li.source_of(sid) for sid in added)
-        external -= srcs
+        # `external` never holds an earlier source: only the new ones leave.
+        new_srcs = li.sources(added)
+        srcs |= new_srcs
+        external -= new_srcs
         for sid in added:
             external |= li.sinks_of(sid) - srcs
     return frozenset(result)

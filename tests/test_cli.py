@@ -663,3 +663,83 @@ def test_verify_rejects_labels_foreign_to_the_run(gk1, tmp_path, capsys, field, 
     else:
         data[field] = value
     assert finding in _verify_fails(capsys, gk1, report_path, data)
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _solve_and_verify(capsys, tmp_path, problem, inst):
+    """Solve `inst` with its advice file, if it has one, and verify the
+    report; returns the report's path."""
+    report = tmp_path / "run.json"
+    args = ["solve", "--problem", problem, "--input", str(inst), "--out", str(report)]
+    advice = Path(f"{inst}.advice")
+    if advice.exists():
+        args += ["--advice", str(advice)]
+    assert run(capsys, *args)[0] == 0
+    code, out, _ = run(capsys, "verify", "--input", str(inst), "--report", str(report))
+    assert code == 0 and "report verified" in out
+    return report
+
+
+@pytest.mark.parametrize(
+    "fixture", sorted(FIXTURES.glob("ssc_*.txt")), ids=lambda path: path.stem
+)
+def test_shipped_ssc_fixtures_solve_and_verify_with_their_advice(fixture, tmp_path, capsys):
+    _solve_and_verify(capsys, tmp_path, "ssc", fixture)
+
+
+def _cost_raised(data):
+    data["cost"] += 1
+
+
+def _complemented_cut_flipped(data):
+    # A cut list [0, v, ...] is every vertex but v, ...: dropping the 0
+    # turns the first complemented certificate cut into its other half.
+    next(c for c in data["certificate"]["cuts"] if c[:1] == [0]).pop(0)
+
+
+def _cut_0_as_cut_1(data):
+    cuts = data["certificate"]["cuts"]
+    cuts[0] = cuts[1]
+
+
+TK2, GK2 = ("tk", "--k", "2"), ("gk", "--k", "2")
+POWER, EDGES = ("random-dpa", "--n", "12", "--seed", "3"), ("random-2ecs", "--n", "40", "--seed", "3")
+
+# Instance (`gen` arguments or a shipped fixture), solver, and an edit that
+# spoils the report: one run of each solver path, ssc, dpa on star and on
+# power files, and 2ecs.
+TAMPERED_RUNS = {
+    "tk-cost": (TK2, "ssc", _cost_raised),
+    "tk-complemented-cut": (TK2, "ssc", _complemented_cut_flipped),
+    "gk-dpa-cost": (GK2, "dpa", _cost_raised),
+    "fixture-dropped-star": (FIXTURES / "ssc_long-leg-only.txt", "ssc", lambda d: d["selected"].pop()),
+    "power-dropped-star": (POWER, "dpa", lambda d: d["selected_stars"].pop()),
+    "power-star-kind": (POWER, "dpa", lambda d: d.__setitem__("selection_kind", "stars")),
+    "2ecs-cost": (EDGES, "2ecs", _cost_raised),
+    "2ecs-cut-0-as-cut-1": (EDGES, "2ecs", _cut_0_as_cut_1),
+}
+
+
+@pytest.mark.parametrize("name", TAMPERED_RUNS)
+def test_each_solver_path_verifies_its_report_and_fails_a_tampered_one(name, tmp_path, capsys):
+    source, problem, tamper = TAMPERED_RUNS[name]
+    if isinstance(source, Path):
+        inst = source
+    else:
+        inst = tmp_path / "inst.txt"
+        assert run(capsys, "gen", *source, "--out", str(inst))[0] == 0
+    report = _solve_and_verify(capsys, tmp_path, problem, inst)
+    data = json.loads(report.read_text())
+    tamper(data)
+    _verify_fails(capsys, inst, report, data)
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_a_bad_star_after_a_good_one_exits_two_with_its_line(command, tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("p ssc 3 3\ns 1 1 2\ns 2 1 5\ns 3 1 1\n")
+    args = ("--report", str(tmp_path / "r.json")) if command == "verify" else ("--problem", "ssc")
+    code, out, err = run(capsys, command, "--input", str(path), *args)
+    assert (code, out, err) == (2, "", "error: line 3: star 1: sink 5 out of range\n")

@@ -126,6 +126,20 @@ def test_rejects_unusable_inputs():
         approx_dpa(42)
 
 
+def test_a_caller_given_star_instance_must_be_bidirected(monkeypatch):
+    with pytest.raises(ValueError) as excinfo:
+        approx_dpa(SSCInstance(3, [S(0, 1, 2), S(1, 2, 3), S(2, 3, 1)]))
+    assert excinfo.value.args == ("this algorithm requires a bidirected star instance",)
+    # A power instance's star form is bidirected by construction, so its
+    # run never asks.
+    d = ssc_to_dpa(gen_random_bidirected(12, 0.5, 2, seed=5).instance)
+
+    def unasked(self):
+        raise AssertionError("is_bidirected called on a star form")
+    monkeypatch.setattr(SSCInstance, "is_bidirected", unasked)
+    assert verify_run("dpa", d, approx_dpa(d)) == []
+
+
 def test_power_solve_and_verify_each_derive_the_star_form_once(monkeypatch):
     # `approx_dpa` hands its star form to `build_report`'s check;
     # `verify_run` derives its own.

@@ -117,3 +117,17 @@ def test_runtime_imports_only_the_package_and_the_standard_library():
                 assert root == "dualcut" or root in sys.stdlib_module_names, (
                     f"{module}.py imports {root}"
                 )
+
+
+def test_no_check_depends_on_assert():
+    # `python -O` strips every `assert` statement and makes `__debug__`
+    # False, so a check under src/ that relies on either vanishes there.
+    # `raise AssertionError(...)` is a raise and stays on.
+    found = [
+        f"{module}.py:{node.lineno}"
+        for module, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+        or (isinstance(node, ast.Name) and node.id == "__debug__")
+    ]
+    assert found == []
