@@ -11,11 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .advisor import Advisor
-from .instances import (
-    DPAInstance,
-    SSCInstance,
-    dpa_to_ssc,
-)
+from .instances import DPAInstance, SSCInstance
 from .perfect import (
     LiveInstance,
     augment_to_perfect,
@@ -208,14 +204,13 @@ def approx_dpa(instance, advisor: Advisor | None = None) -> RunReport:
     """
     advisor = Advisor() if advisor is None else advisor
     if isinstance(instance, DPAInstance):
-        star_form = dpa_to_ssc(instance)
-        derived = star_form[0]
+        derived = instance.star_form()[0]
     elif isinstance(instance, SSCInstance):
         # A star form is bidirected by construction (a star at each end of
         # every crossing edge), so only a caller's stars are tested.
         if not instance.is_bidirected():
             raise ValueError("this algorithm requires a bidirected star instance")
-        derived, star_form = instance, None
+        derived = instance
     else:
         raise TypeError(f"unsupported instance type {type(instance).__name__}")
     return build_report(
@@ -225,5 +220,4 @@ def approx_dpa(instance, advisor: Advisor | None = None) -> RunReport:
             LiveInstance.from_instance(derived), find_perfect_two_cuts, advisor
         ),
         advisor_fallbacks=advisor.fallbacks,
-        star_form=star_form,
     )

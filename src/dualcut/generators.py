@@ -200,9 +200,7 @@ def gen_random_ssc(
     if max_star_fan < 1:
         raise ValueError("max_star_fan must be >= 1")
     rng = random.Random(seed)
-    order = list(range(1, n + 1))
-    rng.shuffle(order)
-    arc_list = [(order[i], order[(i + 1) % n]) for i in range(n)]
+    arc_list = _shuffled_cycle(n, rng)
     present = set(arc_list)
     for _ in range(_extra_count(extra_arc_factor, n)):
         if len(present) == n * (n - 1):
@@ -250,9 +248,7 @@ def gen_random_2ecs(
             f"but extra factor {extra_edge_factor} asks for {extra}"
         )
     rng = random.Random(seed)
-    order = list(range(1, n + 1))
-    rng.shuffle(order)
-    edges = [(order[i], order[(i + 1) % n]) for i in range(n)]
+    edges = _shuffled_cycle(n, rng)
     for _ in range(extra):
         u = rng.randrange(1, n + 1)
         v = rng.randrange(1, n + 1)
@@ -277,8 +273,6 @@ def gen_random_dpa(n: int, zero_cost_prob: float = 0.4, seed: int = 0) -> Genera
     if not 0 <= zero_cost_prob <= 1:
         raise ValueError(f"zero-cost probability must be in [0, 1], got {zero_cost_prob}")
     rng = random.Random(seed)
-    order = list(range(1, n + 1))
-    rng.shuffle(order)
     pairs: set[frozenset[int]] = set()
     edges: list[tuple[int, int, int]] = []
 
@@ -287,8 +281,7 @@ def gen_random_dpa(n: int, zero_cost_prob: float = 0.4, seed: int = 0) -> Genera
         cost = 0 if rng.random() < zero_cost_prob else 1
         edges.append((u, v, cost))
 
-    for i in range(n):
-        u, v = order[i], order[(i + 1) % n]
+    for u, v in _shuffled_cycle(n, rng):
         if frozenset((u, v)) not in pairs:
             add(u, v)
     for u, v in combinations(range(1, n + 1), 2):
@@ -299,14 +292,19 @@ def gen_random_dpa(n: int, zero_cost_prob: float = 0.4, seed: int = 0) -> Genera
     return GeneratedInstance(DPAInstance(n, edges))
 
 
-def _random_edge_set(n: int, extra: int, rng: random.Random) -> list[tuple[int, int]]:
-    """Spanning cycle plus `extra` distinct undirected edges (no parallels)."""
+def _shuffled_cycle(n: int, rng: random.Random) -> list[tuple[int, int]]:
+    """The n pairs joining vertices 1..n, shuffled by one `rng.shuffle`,
+    into a cycle: each to the next, the last to the first."""
     order = list(range(1, n + 1))
     rng.shuffle(order)
+    return [(order[i], order[(i + 1) % n]) for i in range(n)]
+
+
+def _random_edge_set(n: int, extra: int, rng: random.Random) -> list[tuple[int, int]]:
+    """Spanning cycle plus `extra` distinct undirected edges (no parallels)."""
     pairs: set[frozenset[int]] = set()
     edges: list[tuple[int, int]] = []
-    for i in range(n):
-        u, v = order[i], order[(i + 1) % n]
+    for u, v in _shuffled_cycle(n, rng):
         if frozenset((u, v)) not in pairs:
             pairs.add(frozenset((u, v)))
             edges.append((u, v))

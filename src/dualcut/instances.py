@@ -19,7 +19,13 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import Multigraph, RecordError, is_two_edge_connected, spans_strongly
+from .graphs import (
+    Multigraph,
+    RecordError,
+    _reach_count,
+    is_two_edge_connected,
+    spans_strongly,
+)
 
 
 class InfeasibleInstanceError(Exception):
@@ -112,7 +118,7 @@ class DPAInstance:
     """Dual power assignment: undirected edges with cost in {0,1}; choose the
     fewest high-power vertices so the induced digraph is strongly connected."""
 
-    __slots__ = ("vertex_count", "edges")
+    __slots__ = ("vertex_count", "edges", "_star_form")
 
     def __init__(self, vertex_count: int, edges: Sequence[tuple[int, int, int]]):
         if vertex_count < 1:
@@ -142,13 +148,24 @@ class DPAInstance:
         self.edges: tuple[tuple[int, int, int], ...] = tuple(
             (u, v, c) for u, v, c in edges
         )
+        self._star_form: tuple[SSCInstance, dict[int, int]] | None = None
         # Two or more vertices need an edge at each; the lists are keyed by
         # the vertices the edges name, so too few fail before the search.
-        if n >= 2 and (len(ends) < n or not spans_strongly(n, ends, ends)):
+        # Every arc has its reverse, so one search from vertex 1 that
+        # reaches every vertex proves strong connectivity.
+        if n >= 2 and (len(ends) < n or _reach_count(ends.__getitem__, 1, n) < n):
             raise InfeasibleInstanceError(
                 "even with every vertex at high power the graph is not "
                 "strongly connected"
             )
+
+    def star_form(self) -> tuple[SSCInstance, dict[int, int]]:
+        """`dpa_to_ssc(self)`: the star instance the bidirected algorithm
+        runs on and each vertex's star id. Built on the first call and kept;
+        it depends on the instance alone, and no run writes to it."""
+        if self._star_form is None:
+            self._star_form = dpa_to_ssc(self)
+        return self._star_form
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DPAInstance(n={self.vertex_count}, m={len(self.edges)})"

@@ -12,13 +12,7 @@ from itertools import combinations
 
 from .certificates import lower_bounds, verify_certificate
 from .graphs import Multigraph, is_two_edge_connected
-from .instances import (
-    DPAInstance,
-    SSCInstance,
-    TwoECSInstance,
-    check_feasible,
-    dpa_to_ssc,
-)
+from .instances import DPAInstance, SSCInstance, TwoECSInstance, check_feasible
 
 SEARCH = "search"
 
@@ -118,6 +112,8 @@ def exact_2ecs(instance: TwoECSInstance, limit: int = 22) -> ExactResult:
 def exact_dpa(instance: DPAInstance, limit: int = 22) -> ExactResult:
     """Optimal power assignment by enumerating high-power sets smallest
     first (zero-cost edges mean the empty set can already be feasible)."""
+    if not isinstance(instance, DPAInstance):
+        raise TypeError("exact_dpa needs a DPAInstance")
     n = instance.vertex_count
     if n > limit:
         raise ValueError(f"{n} vertices exceeds the search limit {limit}")
@@ -142,7 +138,7 @@ def certify_exact_by_bound(instance, witness: frozenset[int], certificate=None) 
         raise ValueError("witness solution is not feasible")
     bound_instance = instance
     if isinstance(instance, DPAInstance):
-        bound_instance, _ = dpa_to_ssc(instance)
+        bound_instance = instance.star_form()[0]
     n = bound_instance.vertex_count
     objective = 0
     if certificate is not None:

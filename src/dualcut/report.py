@@ -30,13 +30,7 @@ from .certificates import (
     lower_bounds,
     verify_certificate,
 )
-from .instances import (
-    DPAInstance,
-    SSCInstance,
-    TwoECSInstance,
-    check_feasible,
-    dpa_to_ssc,
-)
+from .instances import DPAInstance, SSCInstance, TwoECSInstance, check_feasible
 from .io import instance_digest, natural_kind
 
 
@@ -132,24 +126,24 @@ def _ratio(cost: int, best: int) -> Fraction:
     return Fraction(cost, best) if best > 0 else Fraction(1)
 
 
-def _derived(problem: str, instance, iterations, star_form) -> dict:
+def _derived(problem: str, instance, iterations) -> dict:
     """Every report field that the iterations and the instance fix, by name.
 
     The selection is the union of the iterations' selections, and the
-    certificate is their cuts in order. A power run passes `star_form`, the
-    `dpa_to_ssc` pair (star instance, vertex -> star id) it ran on: its
-    report selects vertices, keeps the stars in `selected_stars`, and counts
-    the star form's vertices."""
+    certificate is their cuts in order. A power run ran on the instance's
+    star form: its report selects vertices, keeps the stars in
+    `selected_stars`, and counts the star form's vertices."""
     cert_problem, _, selection_kinds = RUNS[problem]
     picked = {i for rec in iterations for i in rec.selected}
     stars = tuple(sorted(picked))
-    if star_form is None:
-        n, selected, selected_stars = instance.vertex_count, stars, None
-    else:
+    if isinstance(instance, DPAInstance):
+        star_instance, star_of = instance.star_form()
         # A star id the star form lacks selects no vertex, so the histogram
         # cost identity fails.
-        n, selected_stars = star_form[0].vertex_count, stars
-        selected = tuple(sorted(v for v, sid in star_form[1].items() if sid in picked))
+        n, selected_stars = star_instance.vertex_count, stars
+        selected = tuple(sorted(v for v, sid in star_of.items() if sid in picked))
+    else:
+        n, selected, selected_stars = instance.vertex_count, stars, None
     certificate = DualCertificate(
         cert_problem, tuple(cut for rec in iterations for cut in rec.cuts)
     )
@@ -176,17 +170,15 @@ def build_report(
     instance,
     iterations: tuple[IterationRecord, ...],
     advisor_fallbacks: int,
-    star_form: tuple[SSCInstance, dict[int, int]] | None = None,
 ) -> RunReport:
     """Assemble the report of a finished run, then check it with `verify_run`.
 
     `instance` is the instance the run was given (a power instance for power
-    runs, not its star form); every other field comes from `_derived`. A
-    power run passes `star_form`, which the check then reuses instead of
-    deriving it again. Raises RunCheckError listing every finding; the
-    check does not rest on `assert`, so it also runs under `python -O`.
+    runs, not its star form); every other field comes from `_derived`.
+    Raises RunCheckError listing every finding; the check does not rest on
+    `assert`, so it also runs under `python -O`.
     """
-    fields = _derived(problem, instance, iterations, star_form)
+    fields = _derived(problem, instance, iterations)
     digest = instance_digest(instance)
     report = RunReport(
         problem=problem,
@@ -195,9 +187,7 @@ def build_report(
         instance_digest=digest,
         **fields,
     )
-    problems = _check_run(
-        natural_kind(instance), instance, report, digest, star_form, fields
-    )
+    problems = _check_run(natural_kind(instance), instance, report, digest, fields)
     if problems:
         raise RunCheckError(problems)
     return report
@@ -475,11 +465,10 @@ def verify_run(kind: str, instance, report: RunReport) -> list[str]:
 
 
 def _check_run(
-    kind: str, instance, report: RunReport, digest: str, star_form=None, derived=None
+    kind: str, instance, report: RunReport, digest: str, derived=None
 ) -> list[str]:
-    """`verify_run` given the instance's digest and, optionally, the power
-    instance's `dpa_to_ssc` star form and the report's `_derived` fields,
-    which `build_report` already has."""
+    """`verify_run` given the instance's digest and, optionally, the
+    report's `_derived` fields, which `build_report` already has."""
     # The labels are looked up in tables below; an in-process report may
     # carry anything in them, even an unhashable list, so they come first.
     problems = [
@@ -505,10 +494,8 @@ def _check_run(
     if type(instance) not in selection_kinds:
         problems.append(f"a {report.problem} report cannot belong to a {kind} instance")
         return problems
-    if selection_kinds[type(instance)] == "power":
-        star_form = star_form or dpa_to_ssc(instance)
     if derived is None:
-        derived = _derived(report.problem, instance, report.iterations, star_form)
+        derived = _derived(report.problem, instance, report.iterations)
     # A finding names its field but never formats a value: one certificate
     # can be megabytes. Cuts compare as (side, complement) pairs, in order:
     # sorting would raise on a hostile side that mixes types.
@@ -525,11 +512,13 @@ def _check_run(
     need(len(report.selected) == report.cost, "cost differs from selection size")
     need(report.advisor_fallbacks >= 0, "advisor fallback count is negative")
     # A tampered report may carry cuts the instance cannot even express;
-    # that must surface as a finding, not an exception.
+    # that must surface as a finding, not an exception. A power run's cuts
+    # are over its star form.
+    cut_instance = (
+        instance.star_form()[0] if isinstance(instance, DPAInstance) else instance
+    )
     try:
-        feasible, _, violations = verify_certificate(
-            instance if star_form is None else star_form[0], derived["certificate"]
-        )
+        feasible, _, violations = verify_certificate(cut_instance, derived["certificate"])
     except (TypeError, ValueError) as exc:
         need(False, f"certificate check failed: {exc}")
     else:

@@ -80,6 +80,8 @@ def approx_2ecs(instance: TwoECSInstance, advisor: Advisor | None = None) -> Run
     must be pairwise edge-disjoint for the doubled dual to be feasible;
     `build_report` checks that, and the selection, through `verify_run`.
     """
+    if not isinstance(instance, TwoECSInstance):
+        raise TypeError("approx_2ecs needs a TwoECSInstance")
     advisor = Advisor() if advisor is None else advisor
     return build_report(
         problem="2ecs",

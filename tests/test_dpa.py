@@ -17,10 +17,11 @@ from dualcut import (
     gen_random_bidirected,
     gen_random_dpa,
     mscs_to_ssc,
+    parse_instance,
     verify_run,
+    write_instance,
 )
-import dualcut.dpa as dpa_module
-import dualcut.report as report_module
+import dualcut.instances as instances_module
 from dualcut.dpa import build_rotation_cycle, find_perfect_two_cuts
 from dualcut.perfect import LiveInstance, contract_perfect
 from reference import check_dpa_round, check_rotation_cycle, cut_vertices, ssc_to_dpa
@@ -141,16 +142,18 @@ def test_a_caller_given_star_instance_must_be_bidirected(monkeypatch):
 
 
 def test_power_solve_and_verify_each_derive_the_star_form_once(monkeypatch):
-    # `approx_dpa` hands its star form to `build_report`'s check;
-    # `verify_run` derives its own.
+    # A power instance keeps the star form it derives: the solve and its
+    # check share one, a later check of the same instance reuses it, and a
+    # freshly parsed copy derives its own.
     calls = []
     counting = lambda d: calls.append(d) or dpa_to_ssc(d)
-    monkeypatch.setattr(dpa_module, "dpa_to_ssc", counting)
-    monkeypatch.setattr(report_module, "dpa_to_ssc", counting)
+    monkeypatch.setattr(instances_module, "dpa_to_ssc", counting)
     d = ssc_to_dpa(gen_random_bidirected(12, 0.5, 2, seed=5).instance)
     report = approx_dpa(d)
     assert report.k > 1 and len(calls) == 1
-    assert verify_run("dpa", d, report) == [] and len(calls) == 2
+    assert verify_run("dpa", d, report) == [] and len(calls) == 1
+    kind, copy = parse_instance(write_instance(d))
+    assert verify_run(kind, copy, report) == [] and len(calls) == 2
 
 
 def test_round_outputs_satisfy_contracts():

@@ -1,11 +1,11 @@
 """Tests for the tight families and the random instance generators."""
 
-import textwrap
-
 import pytest
 
+import dualcut.generators as generators
 from dualcut import (
     DPAInstance,
+    RunCheckError,
     SSCInstance,
     ScriptedAdvisor,
     TwoECSInstance,
@@ -21,7 +21,6 @@ from dualcut import (
     gen_ssc_tight,
 )
 from reference import PlannedAdvisor, follow_labels
-from test_report import _run_optimized
 
 
 def test_bidirected_family_smallest_advice_frozen():
@@ -187,23 +186,14 @@ def test_generator_argument_validation():
         gen_random_dpa(1)
 
 
-def test_tight_family_claims_survive_python_O():
+def test_tight_family_claims_survive_python_O(monkeypatch):
     # The generators check their route, cost and witness with explicit code,
-    # so `python -O` still refuses a witness that fails its certificate.
-    script = textwrap.dedent("""
-        import dualcut.generators as generators
-        from dualcut import RunCheckError
-        assert False, "assert statements must be stripped here"
-        generators.certify_exact_by_bound = lambda instance, witness: False
-        for gen in (generators.gen_ssc_tight, generators.gen_dpa_tight):
-            try:
-                gen(2)
-            except RunCheckError as exc:
-                print(*exc.problems, sep="\\n")
-            else:
-                print("accepted")
-    """)
-    assert _run_optimized(script).splitlines() == [
-        "gen_ssc_tight: witness is not optimal",
-        "gen_dpa_tight: witness is not optimal",
-    ]
+    # never an `assert` (`test_no_check_depends_on_assert`), so `python -O`
+    # still refuses a witness that fails its certificate.
+    monkeypatch.setattr(
+        generators, "certify_exact_by_bound", lambda instance, witness: False
+    )
+    for gen in (gen_ssc_tight, gen_dpa_tight):
+        with pytest.raises(RunCheckError) as info:
+            gen(2)
+        assert info.value.problems == (f"{gen.__name__}: witness is not optimal",)

@@ -10,6 +10,7 @@ from dualcut import (
     SSCInstance,
     Star,
     TwoECSInstance,
+    approx_2ecs,
     approx_dpa,
     certify_exact_by_bound,
     check_feasible,
@@ -128,6 +129,16 @@ def test_search_limits_raise():
     li = LiveInstance.from_instance(big_m)
     with pytest.raises(ValueError):
         enumerate_internal_cuts(li, range(30))
+
+
+@pytest.mark.parametrize(
+    "solve, needed", [(exact_dpa, "DPAInstance"), (approx_2ecs, "TwoECSInstance")]
+)
+def test_solvers_reject_an_instance_of_another_problem(solve, needed):
+    # Read as a power instance, its star ids would pass for vertices.
+    inst = SSCInstance(2, [Star(0, 1, {2}), Star(1, 2, {1}), Star(2, 1, {2})])
+    with pytest.raises(TypeError, match=needed):
+        solve(inst)
 
 
 def test_enumerate_internal_cuts_triangle():

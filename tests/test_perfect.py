@@ -3,12 +3,11 @@ and the round loop.
 
 A solve checks no round as it is found; its one check is `verify_run` on the
 finished report. The tests below break a round from outside and show that
-check still rejects the run, also under `python -O`. The round checks
-themselves live in `tests/reference.py` (see `test_round_references.py`)."""
+check still rejects the run. The round checks themselves live in
+`tests/reference.py` (see `test_round_references.py`)."""
 
 import ast
 import random
-import textwrap
 from pathlib import Path
 
 import pytest
@@ -21,6 +20,7 @@ import dualcut.perfect as perfect_module
 import dualcut.ssc as ssc_module
 from dualcut import (
     Advisor,
+    InfeasibleInstanceError,
     RunCheckError,
     SSCInstance,
     Star,
@@ -42,7 +42,6 @@ from dualcut.perfect import (
     live_crossing_stars,
 )
 from reference import are_star_disjoint
-from test_report import _run_optimized
 
 
 def live_cycle(n):
@@ -268,42 +267,48 @@ def test_algorithm_modules_hold_no_assert_statements():
         assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)], name
 
 
+def _not_perfect(monkeypatch):
+    # A faulty augmentation hands the round a set that is not perfect:
+    # contracting its ends merges fewer vertices than it selects stars.
+    monkeypatch.setattr(
+        ssc_module, "augment_to_perfect", lambda li, ids, advisor: frozenset(ids)
+    )
+
+
+def _cut_twice(monkeypatch):
+    # A round that records its cut twice: one star crosses the same cut
+    # twice, and the round has the wrong number of cuts for its kind.
+    real = ssc_module.find_perfect_set
+
+    def doubled(li, advisor):
+        q, sides, kind = real(li, advisor)
+        return q, sides + sides[:1], kind
+
+    monkeypatch.setattr(ssc_module, "find_perfect_set", doubled)
+
+
 @pytest.mark.parametrize(
     "breakage, findings",
     [
-        # A faulty augmentation hands the round a set that is not perfect:
-        # contracting its ends merges fewer vertices than it selects stars.
         (
-            "ssc.augment_to_perfect = lambda li, ids, advisor: frozenset(ids)",
+            _not_perfect,
             ["contraction identity sum (i-1)*A_i = n-1 fails", "cost identity n+k-1 fails"],
         ),
-        # A round that records its cut twice: one star crosses the same cut
-        # twice, and the round has the wrong number of cuts for its kind.
         (
-            "real = ssc.find_perfect_set\n"
-            "ssc.find_perfect_set = lambda li, advisor: "
-            "(lambda q, sides, kind: (q, sides + sides[:1], kind))(*real(li, advisor))",
+            _cut_twice,
             ["certificate infeasible: [(6, (0, 1))]", "iteration 0: big-one-cut needs 1 cut(s)"],
         ),
     ],
     ids=["not-perfect", "cut-twice"],
 )
-def test_round_check_survives_python_O(breakage, findings):
-    # The round's fault surfaces in the run's one check, which is explicit
-    # code and so also runs under `python -O`.
-    script = textwrap.dedent("""
-        import dualcut.ssc as ssc
-        from dualcut import RunCheckError, approx_ssc, gen_random_ssc
-        assert False, "assert statements must be stripped here"
-        {breakage}
-        try:
-            approx_ssc(gen_random_ssc(8, 1.0, 2, seed=0).instance)
-        except RunCheckError as exc:
-            print(*exc.problems, sep="\\n")
-        else:
-            print("accepted")
-    """).format(breakage=breakage)
-    assert _run_optimized(script).splitlines() == findings
+def test_round_check_survives_python_O(monkeypatch, breakage, findings):
+    # The round's fault surfaces in the run's one check. That check is
+    # explicit code, never an `assert` (`test_no_check_depends_on_assert`),
+    # so it runs the same under `python -O`.
+    breakage(monkeypatch)
+    with pytest.raises(RunCheckError) as info:
+        approx_ssc(gen_random_ssc(8, 1.0, 2, seed=0).instance)
+    assert list(info.value.problems) == findings
 
 
 def test_no_star_solve_checks_a_set_for_perfection(monkeypatch):
@@ -323,30 +328,18 @@ def test_no_star_solve_checks_a_set_for_perfection(monkeypatch):
 
 def test_star_runs_start_only_from_proven_instances_under_python_O():
     # No run re-checks strong connectivity: `SSCInstance` proves it with
-    # explicit code, and both star solvers take nothing else.
-    script = textwrap.dedent("""
-        from dualcut import (
-            InfeasibleInstanceError, SSCInstance, Star, approx_dpa, approx_ssc,
-        )
-        assert False, "assert statements must be stripped here"
-        one_way = [Star(0, 1, {2}), Star(1, 2, {3}), Star(2, 3, {2})]
-        try:
-            SSCInstance(3, one_way)
-        except InfeasibleInstanceError as exc:
-            print(exc)
+    # explicit code, never an `assert` (`test_no_check_depends_on_assert`),
+    # and both star solvers take nothing else.
+    one_way = [Star(0, 1, {2}), Star(1, 2, {3}), Star(2, 3, {2})]
+    with pytest.raises(InfeasibleInstanceError, match="not strongly connected"):
+        SSCInstance(3, one_way)
 
-        class Unchecked:
-            vertex_count, stars = 3, one_way
+    class Unchecked:
+        vertex_count, stars = 3, one_way
 
-        for solve in (approx_ssc, approx_dpa):
-            try:
-                solve(Unchecked())
-            except TypeError:
-                print("TypeError")
-    """)
-    assert _run_optimized(script).splitlines() == [
-        "union of all stars is not strongly connected", "TypeError", "TypeError",
-    ]
+    for solve in (approx_ssc, approx_dpa):
+        with pytest.raises(TypeError):
+            solve(Unchecked())
 
 
 def test_each_dpa_round_finds_its_leaves_once(monkeypatch):

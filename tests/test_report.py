@@ -3,12 +3,7 @@
 import dataclasses
 import json
 import operator
-import os
-import subprocess
-import sys
-import textwrap
 from fractions import Fraction
-from pathlib import Path
 
 import random
 
@@ -16,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dualcut
 from dualcut import (
     RunCheckError,
     ScriptedAdvisor,
@@ -588,73 +582,3 @@ def test_build_report_rejects_broken_identities():
 def test_build_report_rejects_infeasible_certificate():
     with pytest.raises(RunCheckError, match="certificate infeasible"):
         build_report(**_three_cycle_report_args(_doubled_certificate))
-
-
-@pytest.mark.parametrize("breakage", ["_dropped_star", "_doubled_certificate"])
-def test_build_report_check_survives_python_O(breakage):
-    # `python -O` strips assert statements; the report check must not be one.
-    script = textwrap.dedent(f"""
-        import sys
-        sys.path.insert(0, {str(Path(__file__).parent)!r})
-        from test_report import _three_cycle_report_args, {breakage}
-        from dualcut.report import RunCheckError, build_report
-        assert False, "assert statements must be stripped here"
-        try:
-            build_report(**_three_cycle_report_args({breakage}))
-        except RunCheckError as exc:
-            print("rejected:", len(exc.problems))
-        else:
-            print("accepted")
-    """)
-    assert _run_optimized(script).startswith("rejected:")
-
-
-def test_instance_checks_survive_python_O():
-    # Instances and check_feasible decide connectivity with explicit checks,
-    # so `python -O` keeps every rejection.
-    script = textwrap.dedent(f"""
-        import sys
-        sys.path.insert(0, {str(Path(__file__).parent)!r})
-        from test_report import _three_cycle_report_args, _dropped_star
-        from dualcut import (
-            DPAInstance, InfeasibleInstanceError, RunCheckError,
-            SSCInstance, Star, check_feasible,
-        )
-        from dualcut.report import build_report
-        assert False, "assert statements must be stripped here"
-        for build in (
-            lambda: SSCInstance(3, [Star(0, 1, {{2}}), Star(1, 2, {{1}})]),
-            lambda: DPAInstance(3, [(1, 2, 1)]),
-        ):
-            try:
-                build()
-            except InfeasibleInstanceError:
-                print("infeasible")
-            else:
-                print("accepted")
-        cycle = SSCInstance(3, [Star(0, 1, {{2}}), Star(1, 2, {{3}}), Star(2, 3, {{1}})])
-        print(check_feasible(cycle, frozenset({{0, 1}})))
-        path = DPAInstance(3, [(1, 2, 1), (2, 3, 1)])
-        print(check_feasible(path, frozenset({{1, 3}})))
-        try:
-            build_report(**_three_cycle_report_args(_dropped_star))
-        except RunCheckError as exc:
-            print("selection is not feasible" in exc.problems)
-        else:
-            print("accepted")
-    """)
-    assert _run_optimized(script).split() == [
-        "infeasible", "infeasible", "False", "False", "True",
-    ]
-
-
-def _run_optimized(script: str) -> str:
-    """Stdout of `script` run by `python -O` against this package."""
-    src = Path(dualcut.__file__).parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert out.returncode == 0, out.stderr
-    return out.stdout
