@@ -48,6 +48,8 @@ def exact_ssc(instance: SSCInstance, limit: int = 22) -> ExactResult:
     Prunes subsets that miss a source (a cover needs every vertex as some
     chosen star's source), so the search starts at size n.
     """
+    if not isinstance(instance, SSCInstance):
+        raise TypeError("exact_ssc needs an SSCInstance")
     stars = instance.stars
     if len(stars) > limit:
         raise ValueError(f"{len(stars)} stars exceeds the search limit {limit}")
@@ -86,6 +88,8 @@ def exact_ssc(instance: SSCInstance, limit: int = 22) -> ExactResult:
 def exact_2ecs(instance: TwoECSInstance, limit: int = 22) -> ExactResult:
     """Optimal 2-edge-connected spanning subgraph by exhaustive search,
     pruning subsets leaving some vertex with degree below two."""
+    if not isinstance(instance, TwoECSInstance):
+        raise TypeError("exact_2ecs needs a TwoECSInstance")
     g = instance.graph
     if len(g.edges) > limit:
         raise ValueError(f"{len(g.edges)} edges exceeds the search limit {limit}")

@@ -19,7 +19,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
-from json.encoder import encode_basestring_ascii as _ascii
 from operator import lt
 
 from .certificates import (
@@ -343,39 +342,9 @@ def report_to_dict(report: RunReport) -> dict:
 
 
 def report_to_json(report: RunReport) -> str:
-    return _indented(report_to_dict(report), "") + "\n"
-
-
-def _indented(value, pad: str) -> str:
-    """`json.dumps(value, indent=2)` for JSON data with string keys, nested
-    `pad` deep, in one pass: with an indent, `json.dumps` never uses its C
-    encoder, and report lists of ints are long. Ints, strings and None are
-    written here; other scalars (bools, floats) go to `json.dumps`."""
-    kind = type(value)
-    if kind is int:
-        return str(value)
-    if kind is str:
-        return _ascii(value)
-    if value is None:
-        return "null"
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if kind is list:
-        if not value:
-            return "[]"
-        if set(map(type, value)) == {int}:
-            body = sep.join(map(str, value))
-        else:
-            body = sep.join([_indented(item, inner) for item in value])
-        return "[\n" + inner + body + "\n" + pad + "]"
-    if kind is dict:
-        if not value:
-            return "{}"
-        body = sep.join(
-            [_ascii(key) + ": " + _indented(item, inner) for key, item in value.items()]
-        )
-        return "{\n" + inner + body + "\n" + pad + "}"
-    return json.dumps(value)
+    """The report as one line of compact JSON; `report_from_json` reads it
+    in any layout, so indented reports still decode."""
+    return json.dumps(report_to_dict(report), separators=(",", ":")) + "\n"
 
 
 def _iteration_from(rec) -> IterationRecord:

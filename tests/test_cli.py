@@ -26,6 +26,7 @@ from dualcut.cli import main
 from dualcut.io import witness_comment, write_instance
 from test_report import (
     HOSTILE_CUT_LISTS,
+    HOSTILE_REPORTS,
     UNEMITTED_EDITS,
     UNSORTED_EDITS,
     _with_first_cut,
@@ -345,6 +346,24 @@ def test_verify_rejects_tampering(gk1, tmp_path, capsys):
     assert any(line.startswith("FAIL:") for line in out.splitlines())
 
 
+def test_verify_accepts_an_indented_report(gk1, tmp_path, capsys):
+    # Reports are written as one line; those written before, indented,
+    # still verify.
+    report_path = tmp_path / "r.json"
+    run(
+        capsys,
+        "solve", "--problem", "ssc", "--input", str(gk1),
+        "--advice", str(gk1) + ".advice", "--out", str(report_path),
+    )
+    text = report_path.read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    report_path.write_text(json.dumps(json.loads(text), indent=2) + "\n")
+    code, out, _ = run(
+        capsys, "verify", "--input", str(gk1), "--report", str(report_path)
+    )
+    assert code == 0 and "report verified" in out
+
+
 def test_verify_rejects_malformed_report(gk1, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"problem": "ssc"}')
@@ -623,6 +642,17 @@ def test_verify_fails_on_hostile_cut_lists(tmp_path, capsys, name):
     inst, report_path, data = _solved_random_ssc(capsys, tmp_path)
     _with_first_cut(data, HOSTILE_CUT_LISTS[name])
     assert "FAIL: certificate check failed" in _verify_fails(capsys, inst, report_path, data)
+
+
+@pytest.mark.parametrize("name", HOSTILE_REPORTS)
+def test_verify_fails_on_hostile_reports(tmp_path, capsys, name):
+    kind, make, findings = HOSTILE_REPORTS[name]
+    inst, report = make()
+    inst_path = tmp_path / "h.txt"
+    inst_path.write_text(write_instance(inst, kind))
+    data = report_module.report_to_dict(report)
+    out = _verify_fails(capsys, inst_path, tmp_path / "h.json", data)
+    assert out.splitlines() == [f"FAIL: {finding}" for finding in findings]
 
 
 def test_solve_exits_one_when_its_report_fails_verification(gk1, capsys, monkeypatch):

@@ -6,7 +6,6 @@ import pytest
 
 from dualcut import (
     Advisor,
-    DPAInstance,
     SSCInstance,
     ScriptedAdvisor,
     Star,

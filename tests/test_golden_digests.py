@@ -1,16 +1,21 @@
-"""Golden report digests: solving must keep producing byte-identical reports.
+"""Golden report digests: solving must keep producing the same reports.
 
 Each case runs the `dualcut solve --out` path in process (parse the instance
 text, run the approximation with an advice script, encode the report) and
-compares SHA-256 digests of the report text with two fixtures:
+compares SHA-256 digests with two fixtures. Both fixtures were frozen when
+reports were written as `json.dumps(report_to_dict(r), indent=2)`; the
+encoder now writes compact JSON, so each digest is taken over the indented
+view of what it writes, `json.dumps(json.loads(text), indent=2) + "\n"`,
+which is byte-identical to the old text exactly when the content, key order
+and values are unchanged. Neither fixture was rewritten for the layout.
 
 - `golden_digests.json`, frozen from the reference implementation, pins the
   report written with every cut as its full side (format 1, which had no
   complement form): each complemented cut is expanded before encoding. A
   speed change that alters any selection, cut or advisor choice shows up
   here as a digest mismatch.
-- `golden_digests_complement.json` pins the bytes `report_to_json` writes
-  today, each cut stored by its smaller half.
+- `golden_digests_complement.json` pins the reports `report_to_json`
+  writes today, each cut stored by its smaller half.
 
 To regenerate the second fixture (only for a deliberate report-format or
 algorithm change, to be recorded in CHANGES.md; the first is never
@@ -86,7 +91,14 @@ def _solve(problem: str, text: str, script):
     return SOLVERS[problem](instance, ScriptedAdvisor(script))
 
 
-def _sha(text: str) -> str:
+def _indented(report) -> str:
+    """The report's text in the indented layout the fixtures were frozen in."""
+    return json.dumps(report_to_dict(report), indent=2) + "\n"
+
+
+def _digest(report) -> str:
+    """SHA-256 of the indented view of what `report_to_json` writes."""
+    text = json.dumps(json.loads(report_to_json(report)), indent=2) + "\n"
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -104,7 +116,7 @@ def solved():
 
 
 def _complement_digests(solved) -> dict[str, str]:
-    return {name: _sha(report_to_json(report)) for name, _text, report in solved}
+    return {name: _digest(report) for name, _text, report in solved}
 
 
 def _assert_digests(actual: dict[str, str], fixture: Path) -> None:
@@ -117,7 +129,7 @@ def _assert_digests(actual: dict[str, str], fixture: Path) -> None:
 def test_reports_match_golden_digests(solved):
     _assert_digests(
         {
-            name: _sha(report_to_json(expanded_report(report)))
+            name: _digest(expanded_report(report))
             for name, _text, report in solved
         },
         FIXTURE,
@@ -133,22 +145,25 @@ def test_reports_match_complement_form_digests(solved):
 
 
 def test_format_1_reports_still_verify(solved):
-    # A report written before the complement form, every cut as its full
-    # side, decodes to the expanded report and passes the same check.
+    # Reports written before the compact layout are indented, and those
+    # written before the complement form list every cut as its full side.
+    # Each layout decodes to its report and passes the same check.
     for name, text, report in solved:
-        old = expanded_report(report)
-        decoded = report_from_json(report_to_json(old))
-        assert decoded == old, name
         kind, instance = parse_instance(text)
-        assert verify_run(kind, instance, decoded) == [], name
+        for old in (report, expanded_report(report)):
+            decoded = report_from_json(_indented(old))
+            assert decoded == old, name
+            assert verify_run(kind, instance, decoded) == [], name
 
 
 def test_reports_encode_as_json_dumps_would(solved):
-    # `report_to_json` writes its indented text itself; json.dumps is the
-    # reference it must match byte for byte.
+    # `report_to_json` writes one line of compact JSON holding exactly
+    # `report_to_dict`'s data.
     for name, _text, report in solved:
-        expected = json.dumps(report_to_dict(report), indent=2) + "\n"
-        assert report_to_json(report) == expected, name
+        text = report_to_json(report)
+        assert text == json.dumps(report_to_dict(report), separators=(",", ":")) + "\n", name
+        assert text.count("\n") == 1 and text.endswith("\n"), name
+        assert json.loads(text) == report_to_dict(report), name
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from dualcut import (
     approx_dpa,
     certify_exact_by_bound,
     check_feasible,
-    dpa_to_ssc,
     exact_2ecs,
     exact_dpa,
     exact_ssc,
@@ -131,12 +130,23 @@ def test_search_limits_raise():
         enumerate_internal_cuts(li, range(30))
 
 
+# Read as a power instance, this star instance's star ids would pass for
+# vertices.
+_STARS = SSCInstance(2, [Star(0, 1, {2}), Star(1, 2, {1}), Star(2, 1, {2})])
+_REJECTED = [
+    (exact_dpa, _STARS, "DPAInstance"),
+    (approx_2ecs, _STARS, "TwoECSInstance"),
+    (exact_ssc, DPAInstance(2, [(1, 2, 1)]), "SSCInstance"),
+    (exact_2ecs, _STARS, "TwoECSInstance"),
+]
+
+
 @pytest.mark.parametrize(
-    "solve, needed", [(exact_dpa, "DPAInstance"), (approx_2ecs, "TwoECSInstance")]
+    "solve, inst, needed",
+    _REJECTED,
+    ids=[f"{solve.__name__}-{needed}" for solve, _inst, needed in _REJECTED],
 )
-def test_solvers_reject_an_instance_of_another_problem(solve, needed):
-    # Read as a power instance, its star ids would pass for vertices.
-    inst = SSCInstance(2, [Star(0, 1, {2}), Star(1, 2, {1}), Star(2, 1, {2})])
+def test_solvers_reject_an_instance_of_another_problem(solve, inst, needed):
     with pytest.raises(TypeError, match=needed):
         solve(inst)
 

@@ -8,12 +8,11 @@ from fractions import Fraction
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dualcut import (
     RunCheckError,
     ScriptedAdvisor,
+    Star,
     approx_2ecs,
     approx_dpa,
     approx_ssc,
@@ -33,9 +32,12 @@ from dualcut.certificates import Cut, DualCertificate
 from dualcut.instances import DPAInstance, SSCInstance, TwoECSInstance
 from dualcut.io import instance_digest
 from dualcut.report import (
+    BIG_ONE_CUT,
     RUNS,
     SELECTION_KINDS,
-    _indented,
+    IterationRecord,
+    RunReport,
+    _derived,
     build_report,
     convex_bound_for,
     report_to_dict,
@@ -59,37 +61,12 @@ def test_json_roundtrip_is_lossless(runs):
         text = report_to_json(report)
         assert report_from_json(text) == report
         # Must be plain JSON all the way down.
-        json.loads(text)
-
-
-# JSON data as reports hold it, plus the other scalars json.dumps accepts;
-# lists of ints alone come often, as in reports.
-_json_data = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda inner: (
-        st.lists(st.integers())
-        | st.lists(inner, max_size=5)
-        | st.dictionaries(st.text(), inner, max_size=5)
-    ),
-    max_leaves=30,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_json_data)
-def test_report_encoder_matches_json_dumps(value):
-    assert _indented(value, "") == json.dumps(value, indent=2)
-
-
-def test_report_encoder_matches_json_dumps_on_edge_shapes():
-    for value in ([], {}, [[]], {"": {}}, [True, 1], ["é", "\u2603", None], {"é": [1, -2]}):
-        assert _indented(value, "") == json.dumps(value, indent=2)
+        assert json.loads(text) == report_to_dict(report)
 
 
 def test_report_encoding_does_not_rest_on_shared_cut_objects(runs):
-    # The encoder sorts each side once for the iteration and certificate
-    # entries; cuts that are equal but not the same objects, and a
-    # certificate that reorders or adds cuts, must encode the same way.
+    # Cuts that are equal but not the same objects, and a certificate that
+    # reorders or adds cuts, must encode as json.dumps writes their data.
     for _kind, _inst, report in runs:
         iterations = tuple(
             dataclasses.replace(rec, cuts=tuple(dataclasses.replace(c) for c in rec.cuts))
@@ -108,7 +85,7 @@ def test_report_encoding_does_not_rest_on_shared_cut_objects(runs):
             ),
         ]
         for r in variants:
-            assert report_to_json(r) == json.dumps(report_to_dict(r), indent=2) + "\n"
+            assert report_to_json(r) == json.dumps(report_to_dict(r), separators=(",", ":")) + "\n"
         assert report_to_json(variants[0]) == report_to_json(report)
 
 
@@ -475,6 +452,43 @@ def test_verify_finds_hostile_cut_lists(name):
     _with_first_cut(data, HOSTILE_CUT_LISTS[name])
     problems = verify_run("ssc", inst, report_from_json(json.dumps(data)))
     assert any(p.startswith("certificate check failed") for p in problems), problems
+
+
+def _unreached_ssc_guarantee():
+    """A 2-vertex ssc run of one big-one-cut iteration that selects both
+    stars, every other field derived. Nothing else checks that a
+    big-one-cut iteration selects four stars or more, so only the ssc
+    guarantee catches it."""
+    inst = SSCInstance(2, [Star(0, 1, {2}), Star(1, 2, {1})])
+    iterations = (IterationRecord(0, BIG_ONE_CUT, (0, 1), (Cut(frozenset({2})),)),)
+    report = RunReport(
+        problem="ssc",
+        iterations=iterations,
+        advisor_fallbacks=0,
+        instance_digest=instance_digest(inst),
+        **_derived("ssc", inst, iterations),
+    )
+    return inst, report
+
+
+# Whole hand-built reports, each with its file kind and the findings
+# `verify_run` must return, no more; test_cli runs them through
+# `dualcut verify`.
+HOSTILE_REPORTS = {
+    "unreached-ssc-guarantee": (
+        "ssc",
+        _unreached_ssc_guarantee,
+        ["guarantee 5*cost <= 6(n-1)+2D fails"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", HOSTILE_REPORTS)
+def test_verify_finds_exactly_what_is_wrong_with_hostile_reports(name):
+    kind, make, findings = HOSTILE_REPORTS[name]
+    inst, report = make()
+    assert verify_run(kind, inst, report) == findings
+    assert verify_run(kind, inst, report_from_json(report_to_json(report))) == findings
 
 
 def test_decoding_reuses_the_iteration_cuts(runs):
