@@ -21,17 +21,14 @@ class Cut:
     """A nonempty proper subset of the vertices: `side` itself, or, when
     `complement` is set, every vertex outside `side`. Runs store the half
     with fewer original vertices, so a side near the whole vertex set costs
-    what its complement does."""
+    what its complement does. Construction takes any side; the certificate
+    check rejects one that stands for no vertex or for every vertex."""
 
     side: frozenset[int]
     complement: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "side", frozenset(self.side))
-        # An empty complemented side (every vertex) decodes, so that a report
-        # carrying one fails the certificate check rather than the decoder.
-        if not self.side and not self.complement:
-            raise ValueError("cut side must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -40,8 +37,6 @@ class DualCertificate:
     cuts: tuple[Cut, ...]
 
     def __post_init__(self) -> None:
-        if self.problem not in (SSC, TWOECS):
-            raise ValueError(f"unknown problem kind {self.problem!r}")
         object.__setattr__(self, "cuts", tuple(self.cuts))
 
     @property

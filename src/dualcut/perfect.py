@@ -5,9 +5,9 @@ No round is checked as it is found. A run is checked once, when it is done,
 by `build_report` running `verify_run` on its report: the certificate's
 feasibility against the input instance, the contraction and cost identities
 and the guarantee catch every round fault that could spoil the result. What
-stays here are guards that stop a crash or an endless loop (a sink with no
-path back to the sources, candidate counts that do not add up to the
-sequence length) and `augment_to_perfect`'s precondition.
+stays here are guards that stop a crash or an endless loop: a sink with no
+path back to the sources, and candidate counts that do not add up to the
+sequence length.
 
 A LiveInstance is the current contracted view of an instance; its records
 are stars, or edges as one-sink records. Each current vertex is labelled by
@@ -377,8 +377,6 @@ def augment_to_perfect(li: LiveInstance, star_ids, advisor: Advisor) -> frozense
     set grows strictly and the loop terminates.
     """
     result = set(star_ids)
-    if not is_quasiperfect(li, result):
-        raise ValueError("augment_to_perfect requires a quasiperfect star set")
     # Sources and sinks outside them, kept up to date as stars are added.
     srcs = {li.source_of(sid) for sid in result}
     external = {t for sid in result for t in li.sinks_of(sid)} - srcs

@@ -12,9 +12,10 @@ Tests import them with `from reference import ...`.
 The round checks state the lemma-level properties of one round: a star
 round's set is perfect, its cuts are internal and star-disjoint, a one-cut
 round has at least four stars, a rotation cycle has the shape its branches
-rely on, and a 2ecs round's edges form one cycle that holds its one cut
-vertex and every neighbour of it. A solve does not run them; it checks
-only its finished report (`verify_run`).
+rely on, a 2ecs round's edges form one cycle that holds its one cut vertex
+and every neighbour of it, and every set a round augments to a perfect one
+is quasiperfect. A solve does not run them; it checks only its finished
+report (`verify_run`).
 `check_every_round` patches them into the solvers for a test's duration.
 
 `sorted_arcs` and `sorted_oriented_edges` list the `initial-arc` and
@@ -49,7 +50,14 @@ from dualcut.advisor import Advisor, ScriptedAdvisor
 from dualcut.certificates import Cut, DualCertificate
 from dualcut.graphs import Digraph, RecordError
 from dualcut.instances import DPAInstance, SSCInstance, Star
-from dualcut.perfect import Labels, LiveInstance, is_internal_cut, is_perfect, live_crossing_stars
+from dualcut.perfect import (
+    Labels,
+    LiveInstance,
+    is_internal_cut,
+    is_perfect,
+    is_quasiperfect,
+    live_crossing_stars,
+)
 from dualcut.report import BIG_ONE_CUT, TWO_CUTS, RunReport
 
 
@@ -292,7 +300,8 @@ def check_2ecs_round(li: LiveInstance, edge_ids, sides, kind: str) -> None:
 def check_every_round(monkeypatch) -> Counter:
     """Patch the reference round checks into every solver round for the
     rest of the test; the returned counter tells how many rounds of each
-    solver ("ssc", "dpa", "rotation-cycle", "2ecs") were checked."""
+    solver ("ssc", "dpa", "rotation-cycle", "2ecs") and how many
+    augmentations ("augment") were checked."""
     checked: Counter = Counter()
 
     def wrap(module, name, tag, check):
@@ -313,6 +322,17 @@ def check_every_round(monkeypatch) -> Counter:
         twoecs_module, "find_cycle_with_internal_cut", "2ecs",
         lambda li, found: check_2ecs_round(li, *found),
     )
+    for module in (ssc_module, dpa_module):
+        augment = module.augment_to_perfect
+
+        def checked_augment(li, star_ids, advisor, augment=augment):
+            star_ids = frozenset(star_ids)
+            if not is_quasiperfect(li, star_ids):
+                raise AssertionError(f"augmented star set {sorted(star_ids)} is not quasiperfect")
+            checked["augment"] += 1
+            return augment(li, star_ids, advisor)
+
+        monkeypatch.setattr(module, "augment_to_perfect", checked_augment)
     return checked
 
 

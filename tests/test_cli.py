@@ -30,6 +30,7 @@ from test_report import (
     UNEMITTED_EDITS,
     UNSORTED_EDITS,
     _with_first_cut,
+    json_text,
 )
 
 
@@ -646,13 +647,14 @@ def test_verify_fails_on_hostile_cut_lists(tmp_path, capsys, name):
 
 @pytest.mark.parametrize("name", HOSTILE_REPORTS)
 def test_verify_fails_on_hostile_reports(tmp_path, capsys, name):
-    kind, make, findings = HOSTILE_REPORTS[name]
-    inst, report = make()
-    inst_path = tmp_path / "h.txt"
-    inst_path.write_text(write_instance(inst, kind))
-    data = report_module.report_to_dict(report)
-    out = _verify_fails(capsys, inst_path, tmp_path / "h.json", data)
-    assert out.splitlines() == [f"FAIL: {finding}" for finding in findings]
+    entry = HOSTILE_REPORTS[name]
+    inst, report = entry.make()
+    inst_path, report_path = tmp_path / "h.txt", tmp_path / "h.json"
+    inst_path.write_text(write_instance(inst, entry.kind))
+    report_path.write_text(json_text(report))
+    code, out, _ = run(capsys, "verify", "--input", str(inst_path), "--report", str(report_path))
+    assert code == 1
+    assert out.splitlines() == [f"FAIL: {finding}" for finding in entry.decoded_findings]
 
 
 def test_solve_exits_one_when_its_report_fails_verification(gk1, capsys, monkeypatch):

@@ -228,14 +228,6 @@ def test_augment_pulls_every_external_sink_in():
     assert 0 in q and li.sources(q) == frozenset({1, 2, 3})
 
 
-def test_augment_requires_quasiperfect():
-    li = live_cycle(3)
-    with pytest.raises(ValueError):
-        augment_to_perfect(li, {0, 1}, Advisor())
-    with pytest.raises(ValueError):
-        augment_to_perfect(li, set(), Advisor())
-
-
 def test_augment_walks_long_detours():
     # External sink 4 can only reach a source via 4 -> 5 -> 1.
     li = LiveInstance.from_instance(SSCInstance(5, [

@@ -1,11 +1,15 @@
 """Tests for run reports: serialization and independent re-verification."""
 
+import ast
 import dataclasses
+import functools
+import inspect
 import json
 import operator
-from fractions import Fraction
-
 import random
+import re
+from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import pytest
 
@@ -28,7 +32,8 @@ from dualcut import (
     verify_run,
     write_instance,
 )
-from dualcut.certificates import Cut, DualCertificate
+import dualcut.report as report_module
+from dualcut.certificates import TWOECS, Cut, DualCertificate
 from dualcut.instances import DPAInstance, SSCInstance, TwoECSInstance
 from dualcut.io import instance_digest
 from dualcut.report import (
@@ -40,6 +45,7 @@ from dualcut.report import (
     _derived,
     build_report,
     convex_bound_for,
+    report_from_dict,
     report_to_dict,
 )
 
@@ -471,24 +477,383 @@ def _unreached_ssc_guarantee():
     return inst, report
 
 
-# Whole hand-built reports, each with its file kind and the findings
-# `verify_run` must return, no more; test_cli runs them through
-# `dualcut verify`.
+@functools.cache
+def _ssc_run():
+    """The honest ssc run most hostile reports edit: one big-one-cut
+    iteration, so its certificate is one cut."""
+    inst = gen_random_ssc(5, 1.0, 2, seed=3).instance
+    return inst, approx_ssc(inst)
+
+
+@functools.cache
+def _dpa_run():
+    """An honest power run: one iteration selecting four stars."""
+    inst = gen_random_dpa(8, 0.4, seed=5).instance
+    return inst, approx_dpa(inst)
+
+
+@functools.cache
+def _2ecs_run():
+    inst = gen_random_2ecs(5, 0.7, seed=3).instance
+    return inst, approx_2ecs(inst)
+
+
+def _changed(run, **changes):
+    """`run`'s report with `changes(report)` in place of its fields."""
+
+    def make():
+        inst, report = run()
+        return inst, dataclasses.replace(
+            report, **{field: change(report) for field, change in changes.items()}
+        )
+
+    return make
+
+
+def _rederived(run, edit):
+    """`run`'s report with its first iteration replaced by
+    `edit(iteration)`, and every field the iterations fix derived again."""
+
+    def make():
+        inst, report = run()
+        first, *rest = report.iterations
+        iterations = (edit(first), *rest)
+        return inst, dataclasses.replace(
+            report, iterations=iterations, **_derived(report.problem, inst, iterations)
+        )
+
+    return make
+
+
+def _edited(edit):
+    """The JSON data of the ssc run's report, changed in place by `edit`."""
+
+    def make():
+        inst, report = _ssc_run()
+        data = report_to_dict(report)
+        edit(data)
+        return inst, data
+
+    return make
+
+
+def _duplicated_cut():
+    # Duplicating a cut keeps iterations and certificate in sync but makes
+    # every crosser of that cut a star-disjointness violation.
+    inst, report = _ssc_run()
+    (first,) = report.iterations
+    cuts = first.cuts + report.certificate.cuts[:1]
+    return inst, dataclasses.replace(
+        report,
+        iterations=(dataclasses.replace(first, cuts=cuts),),
+        certificate=DualCertificate(report.certificate.problem, cuts),
+    )
+
+
+class Hostile(NamedTuple):
+    """A hostile report. `make()` gives (instance, report), the report being
+    a RunReport, its JSON data or its JSON text; `kind` is the instance's
+    file kind. `findings` is exactly what `verify_findings` returns for the
+    report, and `decoded` what it returns after a JSON round trip when that
+    differs: the decoder rejects labels the package does not emit."""
+
+    kind: str
+    make: Callable
+    findings: list
+    decoded: list | None = None
+
+    @property
+    def decoded_findings(self) -> list:
+        return self.findings if self.decoded is None else self.decoded
+
+
+def verify_findings(kind, inst, report) -> list[str]:
+    """What `dualcut verify` prints after each `FAIL: ` for `report`, a
+    RunReport, its JSON data or its JSON text: one `malformed report`
+    finding when it does not decode, `verify_run`'s findings otherwise."""
+    try:
+        if isinstance(report, str):
+            report = report_from_json(report)
+        elif isinstance(report, dict):
+            report = report_from_dict(report)
+    except (KeyError, TypeError, ValueError) as exc:
+        return [f"malformed report: {exc}"]
+    return verify_run(kind, inst, report)
+
+
+def json_text(report) -> str:
+    """`report`, in any of `Hostile.make`'s forms, as a report file holds it."""
+    if isinstance(report, RunReport):
+        return report_to_json(report)
+    return report if isinstance(report, str) else json.dumps(report)
+
+
+# Named hostile reports with exactly the findings each draws, in process
+# and after a JSON round trip; test_cli runs them through `dualcut verify`.
+# Together they make every finding `_check_run` and the decoder can return
+# fire, except the ones IMPLIED lists.
 HOSTILE_REPORTS = {
-    "unreached-ssc-guarantee": (
+    "unreached-ssc-guarantee": Hostile(
+        "ssc", _unreached_ssc_guarantee, ["guarantee 5*cost <= 6(n-1)+2D fails"]
+    ),
+    "duplicated-cut": Hostile(
         "ssc",
-        _unreached_ssc_guarantee,
-        ["guarantee 5*cost <= 6(n-1)+2D fails"],
+        _duplicated_cut,
+        [
+            "bounds differs from its derivation",
+            "certificate infeasible: [(1, (0, 1)), (2, (0, 1))]",
+            "iteration 0: big-one-cut needs 1 cut(s)",
+        ],
+    ),
+    # A star id the star form lacks selects no vertex of the power instance.
+    "unknown-star-added": Hostile(
+        "dpa",
+        _rederived(_dpa_run, lambda rec: dataclasses.replace(rec, selected=(*rec.selected, 999))),
+        ["contraction identity sum (i-1)*A_i = n-1 fails"],
+    ),
+    "star-replaced-by-an-unknown-one": Hostile(
+        "dpa",
+        _rederived(_dpa_run, lambda rec: dataclasses.replace(rec, selected=(*rec.selected[1:], 999))),
+        ["selection is not feasible", "cost identity n+k-1 fails"],
+    ),
+    "empty-cut": Hostile(
+        "ssc",
+        _edited(lambda d: _with_first_cut(d, [])),
+        ["certificate check failed: cut side must be a nonempty proper subset of the vertices"],
+    ),
+    "renumbered-iteration": Hostile(
+        "ssc",
+        _rederived(_ssc_run, lambda rec: dataclasses.replace(rec, index=7)),
+        ["iteration 0 is numbered 7"],
+    ),
+    "kind-of-another-problem": Hostile(
+        "ssc",
+        _rederived(_ssc_run, lambda rec: dataclasses.replace(rec, kind="cycle")),
+        ["iteration 0: no ssc run has kind 'cycle'"],
+    ),
+    "report-of-another-instance-type": Hostile(
+        "ssc",
+        lambda: (_ssc_run()[0], _2ecs_run()[1]),
+        [
+            "instance digest does not match the report",
+            "a 2ecs report cannot belong to a ssc instance",
+        ],
+    ),
+    "negative-fallbacks": Hostile(
+        "ssc",
+        _changed(_ssc_run, advisor_fallbacks=lambda r: -1),
+        ["advisor fallback count is negative"],
+    ),
+    "unknown-problem": Hostile(
+        "ssc",
+        _changed(_ssc_run, problem=lambda r: "mscs"),
+        ["problem 'mscs' is not one the package emits"],
+        ["malformed report: problem must be one of ['2ecs', 'dpa', 'ssc'], not 'mscs'"],
+    ),
+    # Each field the iterations fix, changed on its own.
+    "changed-n": Hostile(
+        "ssc", _changed(_ssc_run, n=lambda r: r.n + 1), ["n differs from its derivation"]
+    ),
+    "changed-k": Hostile(
+        "ssc", _changed(_ssc_run, k=lambda r: r.k + 1), ["k differs from its derivation"]
+    ),
+    "changed-cost": Hostile(
+        "ssc", _changed(_ssc_run, cost=lambda r: r.cost + 1), ["cost differs from its derivation"]
+    ),
+    "changed-selection-kind": Hostile(
+        "ssc",
+        _changed(_ssc_run, selection_kind=lambda r: "power"),
+        ["selection_kind differs from its derivation"],
+    ),
+    "changed-selection": Hostile(
+        "ssc",
+        _changed(_ssc_run, selected=lambda r: (*r.selected, 999)),
+        ["selected differs from its derivation", "selection invalid: unknown star id 999"],
+    ),
+    "changed-star-selection": Hostile(
+        "ssc",
+        _changed(_ssc_run, selected_stars=lambda r: (999,)),
+        ["selected_stars differs from its derivation"],
+    ),
+    "changed-histogram": Hostile(
+        "ssc",
+        _changed(_ssc_run, histogram=lambda r: {1: 99}),
+        ["histogram differs from its derivation"],
+    ),
+    "changed-certificate": Hostile(
+        "ssc",
+        _changed(_ssc_run, certificate=lambda r: DualCertificate(TWOECS, r.certificate.cuts)),
+        ["certificate differs from its derivation"],
+    ),
+    "changed-bounds": Hostile(
+        "ssc",
+        _changed(_ssc_run, bounds=lambda r: dataclasses.replace(r.bounds, best=r.bounds.best + 1)),
+        ["bounds differs from its derivation"],
+    ),
+    "changed-ratio": Hostile(
+        "ssc",
+        _changed(_ssc_run, ratio_vs_best=lambda r: Fraction(99)),
+        ["ratio_vs_best differs from its derivation"],
+    ),
+    # Report data the decoder rejects, one field each.
+    "ratio-not-a-string": Hostile(
+        "ssc",
+        _edited(lambda d: d.__setitem__("ratio_vs_best", 1)),
+        ["malformed report: a ratio must be a string 'p/q', not 1"],
+    ),
+    "ratio-over-zero": Hostile(
+        "ssc",
+        _edited(lambda d: d["bounds"].__setitem__("convex_bound", "1/0")),
+        ["malformed report: ratio '1/0' has a zero denominator"],
+    ),
+    "ratio-not-in-lowest-terms": Hostile(
+        "ssc",
+        _edited(lambda d: d.__setitem__("ratio_vs_best", "2/2")),
+        ["malformed report: ratio '2/2' is not written 'p/q' in lowest terms"],
+    ),
+    "padded-histogram-key": Hostile(
+        "ssc",
+        _edited(lambda d: d.__setitem__("histogram", {" 5": 1})),
+        ["malformed report: histogram key ' 5' is not an integer as str writes it"],
+    ),
+    "boolean-cost": Hostile(
+        "ssc",
+        _edited(lambda d: d.__setitem__("cost", True)),
+        ["malformed report: cost must be an integer, not True"],
+    ),
+    "string-in-selection": Hostile(
+        "ssc",
+        _edited(lambda d: d.__setitem__("selected", [0, "1"])),
+        ["malformed report: selected must hold integers only"],
+    ),
+    "selection-out-of-order": Hostile(
+        "ssc",
+        _edited(lambda d: d["selected"].reverse()),
+        ["malformed report: selected must be strictly ascending"],
+    ),
+    "iterations-not-a-list": Hostile(
+        "ssc",
+        _edited(lambda d: d.__setitem__("iterations", {})),
+        ["malformed report: iterations must be a list, not dict"],
+    ),
+    "bounds-not-an-object": Hostile(
+        "ssc",
+        _edited(lambda d: d.__setitem__("bounds", [])),
+        ["malformed report: bounds must be an object, not list"],
+    ),
+    "numeric-digest": Hostile(
+        "ssc",
+        _edited(lambda d: d.__setitem__("instance_digest", 5)),
+        ["malformed report: instance_digest must be a string, not 5"],
+    ),
+    "unknown-certificate-problem": Hostile(
+        "ssc",
+        _edited(lambda d: d["certificate"].__setitem__("problem", "nope")),
+        ["malformed report: certificate problem must be one of ['2ecs', 'ssc'], not 'nope'"],
+    ),
+    "cut-not-a-list": Hostile(
+        "ssc",
+        _edited(lambda d: d["iterations"][0].__setitem__("cuts", [2])),
+        ["malformed report: iteration cuts must be a list of lists"],
+    ),
+    "unhashable-cut-vertex": Hostile(
+        "ssc",
+        _edited(lambda d: _with_first_cut(d, [[2]])),
+        ["malformed report: iteration cuts holds an unhashable vertex"],
+    ),
+    "nested-too-deeply": Hostile(
+        "ssc",
+        lambda: (_ssc_run()[0], "[" * 100_000 + "]" * 100_000),
+        ["malformed report: report nests too deeply to decode"],
+    ),
+}
+
+# Findings no hostile report can draw, each with the checks that imply it.
+IMPLIED = {
+    "guarantee 2*cost < 3*max(n, D) fails": (
+        "the cost identity gives cost = n+k-1 and the per-kind cut counts D = 2k, "
+        "so 2*cost = 2n+2k-2 < 3*max(n, 2k); kept so that every run checks its guarantee"
     ),
 }
 
 
 @pytest.mark.parametrize("name", HOSTILE_REPORTS)
 def test_verify_finds_exactly_what_is_wrong_with_hostile_reports(name):
-    kind, make, findings = HOSTILE_REPORTS[name]
-    inst, report = make()
-    assert verify_run(kind, inst, report) == findings
-    assert verify_run(kind, inst, report_from_json(report_to_json(report))) == findings
+    entry = HOSTILE_REPORTS[name]
+    inst, report = entry.make()
+    assert verify_findings(entry.kind, inst, report) == entry.findings
+    assert verify_findings(entry.kind, inst, json_text(report)) == entry.decoded_findings
+
+
+def _template(node) -> str:
+    """A finding template as a regular expression: its literal text, with
+    each formatted value matching any nonempty text."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return re.escape(node.value)
+    if not isinstance(node, ast.JoinedStr):
+        raise AssertionError(f"finding {ast.unparse(node)} is not a string literal")
+    return "".join(
+        re.escape(part.value) if isinstance(part, ast.Constant) else ".+"
+        for part in node.values
+    )
+
+
+def finding_templates() -> set[str]:
+    """Every finding `verify_findings` can return, as regular expressions:
+    each message `_check_run` passes to `need`, appends to `problems` or
+    builds `problems` from, and each decoder `ValueError` in `report.py`
+    after `malformed report: `."""
+    tree = ast.parse(inspect.getsource(report_module))
+    check_run = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_check_run"
+    )
+    messages = []
+    # `need` itself appends the message it is given.
+    for statement in (s for s in check_run.body if not isinstance(s, ast.FunctionDef)):
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "need":
+                messages.append(node.args[1])
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "problems.append":
+                messages.append(node.args[0])
+            elif isinstance(node, ast.Assign | ast.AugAssign) and isinstance(node.value, ast.ListComp):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if [ast.unparse(t) for t in targets] == ["problems"]:
+                    messages.append(node.value.elt)
+    decoder = [
+        node.exc.args[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and ast.unparse(node.exc.func) == "ValueError"
+    ]
+    return {
+        *map(_template, messages),
+        *(re.escape("malformed report: ") + _template(m) for m in decoder),
+    }
+
+
+def test_every_finding_comes_from_a_hostile_report_or_is_implied():
+    # The findings stated in the table; the test above proves each is drawn.
+    templates = finding_templates()
+
+    def template_of(finding):
+        matching = [t for t in templates if re.fullmatch(t, finding)]
+        assert len(matching) == 1, (finding, matching)
+        return matching[0]
+
+    stated = [
+        finding
+        for entry in HOSTILE_REPORTS.values()
+        for finding in (*entry.findings, *entry.decoded_findings)
+    ]
+    fired = set(map(template_of, stated))
+    implied = set(map(template_of, IMPLIED))
+    assert not fired & implied
+    assert templates - fired == implied
+    inst, report = _ssc_run()
+    differ = {m[1] for f in stated if (m := re.fullmatch("(.+) differs from its derivation", f))}
+    assert set(_derived(report.problem, inst, report.iterations)) <= differ
 
 
 def test_decoding_reuses_the_iteration_cuts(runs):
@@ -520,25 +885,6 @@ def test_verify_catches_unexpressible_cut_side(runs):
         iterations=tuple(bad_iters),
     )
     assert any("certificate check failed" in p for p in verify_run(kind, inst, bad))
-
-
-def test_verify_catches_duplicated_cut(runs):
-    kind, inst, report = runs[0]
-    # Duplicating a cut keeps iterations and certificate in sync but makes
-    # every crosser of that cut a star-disjointness violation.
-    dup = report.certificate.cuts[0]
-    bad_iters = list(report.iterations)
-    first = bad_iters[0]
-    bad_iters[0] = dataclasses.replace(first, cuts=first.cuts + (dup,))
-    bad = dataclasses.replace(
-        report,
-        certificate=DualCertificate(
-            report.certificate.problem, report.certificate.cuts + (dup,)
-        ),
-        iterations=tuple(bad_iters),
-    )
-    problems = verify_run(kind, inst, bad)
-    assert any("certificate infeasible" in p or "dual objective" in p for p in problems)
 
 
 def test_build_report_digests_the_instance_once(monkeypatch):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualcut import (
+    Advisor,
     Multigraph,
     SSCInstance,
     ScriptedAdvisor,
@@ -32,6 +33,8 @@ from dualcut import (
     parse_instance,
     verify_run,
 )
+import dualcut.dpa as dpa_module
+import dualcut.ssc as ssc_module
 from dualcut.dpa import RotationCycle
 from dualcut.io import parse_advice
 from dualcut.perfect import LiveInstance
@@ -80,6 +83,20 @@ def test_every_round_passes_the_reference_checks(monkeypatch):
     assert checked["dpa"] == rounds["dpa"] > 0
     assert checked["2ecs"] == rounds["2ecs"] > 0
     assert checked["rotation-cycle"] > 0
+    assert checked["augment"] > 0
+
+
+def test_the_augmentation_reference_requires_a_quasiperfect_set(monkeypatch):
+    # Two stars making a directed 2-path do not close a cycle on their
+    # sources, and an empty set has no sources at all.
+    li = LiveInstance.from_instance(mscs_to_ssc(3, [(1, 2), (2, 3), (3, 1)]))
+    checked = check_every_round(monkeypatch)
+    for module in (ssc_module, dpa_module):
+        assert module.augment_to_perfect(li, {0}, Advisor()) == frozenset(range(3))
+        for stars in ({0, 1}, set()):
+            with pytest.raises(AssertionError, match="is not quasiperfect"):
+                module.augment_to_perfect(li, stars, Advisor())
+    assert checked["augment"] == 2
 
 
 def test_the_reference_checks_reject_broken_rounds():
