@@ -23,15 +23,29 @@ from dualcut.certificates import (
 from dualcut.report import TWO_CUTS, IterationRecord, build_report
 
 
-def test_an_empty_complemented_side_decodes_but_is_no_cut():
-    # `[0]` in a report stands for every vertex and `[]` for none. Both
-    # construct, so that the report decodes, and the certificate check
-    # rejects both.
+def test_cut_must_be_nonempty():
+    # `[]` in a report constructs, so that the report decodes, and the
+    # certificate check rejects it.
     s = mscs_to_ssc(2, [(1, 2), (2, 1)])
-    for complement in (True, False):
-        cut = Cut(frozenset(), complement)
-        with pytest.raises(ValueError, match="nonempty proper subset"):
-            crossing_stars(s, cut)
+    with pytest.raises(ValueError, match="nonempty proper subset"):
+        crossing_stars(s, Cut(frozenset()))
+
+
+def test_an_empty_complemented_side_decodes_but_is_no_cut():
+    # `[0]` in a report: every vertex. It constructs, so that the report
+    # decodes, and the certificate check rejects it.
+    cut = Cut(frozenset(), complement=True)
+    s = mscs_to_ssc(2, [(1, 2), (2, 1)])
+    with pytest.raises(ValueError, match="nonempty proper subset"):
+        crossing_stars(s, cut)
+
+
+def test_certificate_kind_checked():
+    # An unknown problem tag constructs, and the certificate check
+    # rejects it on any instance.
+    s = mscs_to_ssc(2, [(1, 2), (2, 1)])
+    with pytest.raises(ValueError, match="certificate kind 'nope' does not match"):
+        verify_certificate(s, DualCertificate("nope", ()))
 
 
 def test_crossing_stars():
@@ -87,8 +101,6 @@ def test_verify_certificate_kind_mismatch():
     s = mscs_to_ssc(2, [(1, 2), (2, 1)])
     with pytest.raises(ValueError):
         verify_certificate(s, DualCertificate(TWOECS, ()))
-    with pytest.raises(ValueError, match="certificate kind 'nope' does not match"):
-        verify_certificate(s, DualCertificate("nope", ()))
     with pytest.raises(TypeError):
         verify_certificate(42, DualCertificate(SSC, ()))
 
