@@ -1,7 +1,9 @@
 """Undirected multigraphs, reachability and graph search.
 
 `Digraph` and `Multigraph` number their vertices 1..vertex_count and their
-edges by 0-based position in the construction order. The searches run on a
+edges by 0-based position in the construction order. `Multigraph.subgraph`
+keeps the edges with given ids without checking them again; a 2ecs
+selection's feasibility is decided on it. The searches run on a
 `perfect.LiveInstance`, or on any view with the same queries; the
 algorithms contract in place through it, so the vertices a search meets are
 its current labels, which need not be dense.
@@ -14,7 +16,7 @@ so they stay until its revision (ROADMAP item 1) lands.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -112,6 +114,25 @@ class Multigraph:
     def incident(self, v: int) -> tuple[tuple[int, int], ...]:
         """(edge id, other endpoint) pairs at v, in edge-id order of insertion."""
         return self._adj.get(v, ())
+
+    def subgraph(self, ids: Iterable[int]) -> Multigraph:
+        """The multigraph of this graph's edges with the given ids,
+        renumbered 0, 1, ... in ascending id order: equal to
+        `Multigraph(vertex_count, [edges[i] for i in sorted(ids)])`, but
+        built without checking the edges again, which this graph did.
+        Every id must be an edge id of this graph; a repeated id adds a
+        parallel copy."""
+        edges = self.edges
+        picked = tuple(edges[i] for i in sorted(ids))
+        adj: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+        for eid, (u, v) in enumerate(picked):
+            adj[u].append((eid, v))
+            adj[v].append((eid, u))
+        sub = Multigraph.__new__(Multigraph)
+        sub.vertex_count = self.vertex_count
+        sub.edges = picked
+        sub._adj = {v: tuple(pairs) for v, pairs in adj.items()}
+        return sub
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Multigraph(n={self.vertex_count}, m={len(self.edges)})"
@@ -262,35 +283,37 @@ def _reached_without_bridge(g: Multigraph) -> int:
     edge turns out to be a bridge. Iterative lowpoint computation; parallel
     edges enter by edge id, so a doubled edge to the parent is correctly
     not a bridge."""
+    incident = g._adj.get
     disc = [0] * (g.vertex_count + 1)
     low = [0] * (g.vertex_count + 1)
     disc[1] = low[1] = timer = 1
     # stack holds (vertex, entering edge id, iterator over incident pairs)
     stack: list[tuple[int, int, Iterator[tuple[int, int]]]] = [
-        (1, -1, iter(g.incident(1)))
+        (1, -1, iter(incident(1, ())))
     ]
     while stack:
         v, in_eid, it = stack[-1]
-        advanced = False
         for eid, w in it:
             if eid == in_eid:
                 continue
             if disc[w]:
-                low[v] = min(low[v], disc[w])
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
                 continue
             timer += 1
             disc[w] = low[w] = timer
-            stack.append((w, eid, iter(g.incident(w))))
-            advanced = True
+            stack.append((w, eid, iter(incident(w, ()))))
             break
-        if advanced:
-            continue
-        stack.pop()
-        if stack:
-            parent = stack[-1][0]
-            low[parent] = min(low[parent], low[v])
-            if low[v] > disc[parent]:
-                return 0
+        else:
+            # v is finished: its lowpoint passes to its parent, and the
+            # tree edge between them is a bridge unless v reaches above it.
+            stack.pop()
+            if stack:
+                parent = stack[-1][0]
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+                if low[v] > disc[parent]:
+                    return 0
     return timer
 
 

@@ -339,11 +339,11 @@ def check_feasible(instance, selected: Iterable[int]) -> bool:
         return _stars_span(n, by_source, by_sink)
     if isinstance(instance, TwoECSInstance):
         g = instance.graph
-        for eid in ids:
-            if not (0 <= eid < len(g.edges)):
-                raise ValueError(f"unknown edge id {eid}")
-        sub = Multigraph(g.vertex_count, [g.edges[eid] for eid in sorted(ids)])
-        return is_two_edge_connected(sub)
+        m = len(g.edges)
+        if ids and not (0 <= min(ids) and max(ids) < m):
+            bad = next(eid for eid in ids if not 0 <= eid < m)
+            raise ValueError(f"unknown edge id {bad}")
+        return is_two_edge_connected(g.subgraph(ids))
     if isinstance(instance, DPAInstance):
         for v in ids:
             if not (1 <= v <= instance.vertex_count):

@@ -152,8 +152,12 @@ def write_instance(instance, kind: str | None = None) -> str:
             raise TypeError("ssc format needs a star instance")
         lines = [f"p ssc {instance.vertex_count} {len(instance.stars)}"]
         for st in instance.stars:
-            sinks = " ".join(map(str, sorted(st.sinks)))
-            lines.append(f"s {st.source} {len(st.sinks)} {sinks}")
+            if len(st.sinks) == 1:
+                (sink,) = st.sinks
+                lines.append(f"s {st.source} 1 {sink}")
+            else:
+                sinks = " ".join(map(str, sorted(st.sinks)))
+                lines.append(f"s {st.source} {len(st.sinks)} {sinks}")
     elif kind == "mscs":
         if not isinstance(instance, SSCInstance):
             raise TypeError("mscs format needs a star instance")

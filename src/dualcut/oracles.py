@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .certificates import lower_bounds, verify_certificate
-from .graphs import Multigraph, is_two_edge_connected
+from .graphs import is_two_edge_connected
 from .instances import DPAInstance, SSCInstance, TwoECSInstance, check_feasible
 
 SEARCH = "search"
@@ -107,8 +107,7 @@ def exact_2ecs(instance: TwoECSInstance, limit: int = 22) -> ExactResult:
                 degree[v] += 1
             if any(d < 2 for d in degree[1:]):
                 continue
-            sub = Multigraph(n, tuple(g.edges[eid] for eid in combo))
-            if is_two_edge_connected(sub):
+            if is_two_edge_connected(g.subgraph(combo)):
                 return ExactResult(size, frozenset(combo), SEARCH, explored)
     raise AssertionError("a valid instance admits the full edge set")
 

@@ -33,7 +33,9 @@ from .instances import DPAInstance, SSCInstance, TwoECSInstance, check_feasible
 from .io import instance_digest, natural_kind
 
 
-@dataclass(frozen=True)
+# The report records are slotted and not frozen, for the reason the comment
+# above `instances.Star` gives; no code changes a record once made.
+@dataclass(slots=True, unsafe_hash=True)
 class Bounds:
     """Lower bounds on the optimum plus their convex combination."""
 
@@ -43,7 +45,7 @@ class Bounds:
     convex_bound: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IterationRecord:
     """One contraction step: what was selected and which cuts it certified.
 
@@ -57,7 +59,7 @@ class IterationRecord:
     cuts: tuple[Cut, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RunReport:
     problem: str
     n: int
@@ -245,7 +247,8 @@ def _ints(values, field: str) -> tuple[int, ...]:
     values = _list(values, field)
     if not set(map(type, values)) <= {int}:
         raise ValueError(f"{field} must hold integers only")
-    if not _ascending(values):
+    # Integers always compare, so the order test needs no guard.
+    if len(values) > 1 and not all(map(lt, values, islice(values, 1, None))):
         raise ValueError(f"{field} must be strictly ascending")
     return tuple(values)
 
@@ -288,9 +291,10 @@ def _cuts(sides, field: str) -> tuple[Cut, ...]:
             complement = bool(side) and type(side[0]) is int and side[0] == 0
             if complement:
                 side = side[1:]
-            if not _ascending(side):
+            # A list of fewer than two vertices is in order.
+            if len(side) > 1 and not _ascending(side):
                 raise ValueError(f"{field} must be strictly ascending")
-            cuts.append(Cut(frozenset(side), complement))
+            cuts.append(Cut(side, complement))
     except TypeError:
         raise ValueError(f"{field} holds an unhashable vertex") from None
     return tuple(cuts)
@@ -350,10 +354,10 @@ def report_to_json(report: RunReport) -> str:
 def _iteration_from(rec) -> IterationRecord:
     rec = _dict(rec, "iteration")
     return IterationRecord(
-        index=_int(rec["index"], "iteration index"),
-        kind=_label(rec["kind"], "iteration kind", ITERATION_KINDS),
-        selected=_ints(rec["selected"], "iteration selection"),
-        cuts=_cuts(rec["cuts"], "iteration cuts"),
+        _int(rec["index"], "iteration index"),
+        _label(rec["kind"], "iteration kind", ITERATION_KINDS),
+        _ints(rec["selected"], "iteration selection"),
+        _cuts(rec["cuts"], "iteration cuts"),
     )
 
 

@@ -5,8 +5,9 @@ exhaustively, so a test can check the package's own code against it: the
 first bad star in a star list, cut-covering feasibility over every vertex
 subset, the digraph a power assignment induces, every internal cut of a
 star set, the reduction from bidirected SSC to DPA that builds power
-instances from star ones, and a report with every complemented cut written
-out as the side it stands for.
+instances from star ones, a report with every complemented cut written
+out as the side it stands for, and which certificate cuts each star or
+edge crosses.
 Tests import them with `from reference import ...`.
 
 The round checks state the lemma-level properties of one round: a star
@@ -165,6 +166,33 @@ def cut_vertices(cut: Cut, n: int) -> frozenset[int]:
     """The vertices of 1..n a cut stands for: its side, or every vertex
     outside it when the cut is complemented."""
     return frozenset(range(1, n + 1)) - cut.side if cut.complement else cut.side
+
+
+def certificate_by_definition(
+    instance, cert: DualCertificate
+) -> tuple[bool, int, list[tuple[int, tuple[int, ...]]]]:
+    """`verify_certificate` restated by the set definition. Each cut stands
+    for the vertices `cut_vertices` gives; a star crosses it when its source
+    is inside and a sink outside, an edge when one end is inside and the
+    other outside. Returns (feasible, objective, violations): the items
+    that cross two or more cuts, in id order, each with those cuts'
+    indices."""
+    n = instance.vertex_count
+    members = [cut_vertices(cut, n) for cut in cert.cuts]
+    if isinstance(instance, SSCInstance):
+        crossed = {
+            st.id: [i for i, s in enumerate(members) if st.source in s and not st.sinks <= s]
+            for st in instance.stars
+        }
+        objective = len(members)
+    else:
+        crossed = {
+            eid: [i for i, s in enumerate(members) if (u in s) != (v in s)]
+            for eid, (u, v) in enumerate(instance.graph.edges)
+        }
+        objective = 2 * len(members)
+    violations = [(item, tuple(cuts)) for item, cuts in crossed.items() if len(cuts) >= 2]
+    return (not violations, objective, violations)
 
 
 def expanded_report(report: RunReport) -> RunReport:

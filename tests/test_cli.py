@@ -550,42 +550,62 @@ def _decimal(text):
     return decimal
 
 
-@pytest.mark.parametrize(
-    "mutate",
-    [
+# Edits of a gk1 report's JSON that confuse a type or write a value as the
+# encoder never does, each with the one decoder finding it draws.
+TYPE_CONFUSED_EDITS = {
+    "string-star-id": (
         lambda d: d["selected"].__setitem__(0, str(d["selected"][0])),
-        lambda d: d.__setitem__("n", str(d["n"])),
+        "selected must hold integers only",
+    ),
+    "string-n": (lambda d: d.__setitem__("n", str(d["n"])), "n must be an integer, not '5'"),
+    "string-cost": (
         lambda d: d.__setitem__("cost", str(d["cost"])),
+        "cost must be an integer, not '6'",
+    ),
+    "string-dual-objective": (
         lambda d: d["bounds"].__setitem__("dual_objective", str(d["bounds"]["dual_objective"])),
+        "dual_objective must be an integer, not '3'",
+    ),
+    "zero-denominator": (
         lambda d: d.__setitem__("ratio_vs_best", "1/0"),
+        "ratio '1/0' has a zero denominator",
+    ),
+    "list-histogram": (
         lambda d: d.__setitem__("histogram", list(d["histogram"].values())),
+        "histogram must be an object, not list",
+    ),
+    "list-problem": (
         lambda d: d.__setitem__("problem", [d["problem"]]),
+        "problem must be one of ['2ecs', 'dpa', 'ssc'], not ['ssc']",
+    ),
+    "list-cut-vertex": (
         lambda d: d["certificate"]["cuts"][0].append([1]),
-        # Text that decodes to the right value, but that the encoder never
-        # writes: keys are `str(int)`, ratios are 'p/q' in lowest terms.
+        "certificate cuts must be strictly ascending",
+    ),
+    # Text that decodes to the right value, but that the encoder never
+    # writes: keys are `str(int)`, ratios are 'p/q' in lowest terms.
+    "underscored-histogram-key": (
         lambda d: _rekey_histogram(d, lambda k: "0_" + k),
-        lambda d: _rekey_histogram(d, lambda k: f" {k} "),
+        "histogram key '0_2' is not an integer as str writes it",
+    ),
+    "arabic-indic-histogram-key": (
         lambda d: _rekey_histogram(d, lambda k: k.translate(ARABIC_INDIC_DIGITS)),
+        "histogram key '\u0662' is not an integer as str writes it",
+    ),
+    "unreduced-ratio": (
         lambda d: d.__setitem__("ratio_vs_best", _scaled_ratio(d["ratio_vs_best"], 2)),
+        "ratio '12/10' is not written 'p/q' in lowest terms",
+    ),
+    "decimal-convex-bound": (
         lambda d: d["bounds"].__setitem__("convex_bound", _decimal(d["bounds"]["convex_bound"])),
-    ],
-    ids=[
-        "string-star-id",
-        "string-n",
-        "string-cost",
-        "string-dual-objective",
-        "zero-denominator",
-        "list-histogram",
-        "list-problem",
-        "list-cut-vertex",
-        "underscored-histogram-key",
-        "padded-histogram-key",
-        "arabic-indic-histogram-key",
-        "unreduced-ratio",
-        "decimal-convex-bound",
-    ],
-)
-def test_verify_fails_cleanly_on_type_confused_reports(gk1, tmp_path, capsys, mutate):
+        "ratio '3.75' is not written 'p/q' in lowest terms",
+    ),
+}
+
+
+@pytest.mark.parametrize("edit", TYPE_CONFUSED_EDITS)
+def test_verify_fails_cleanly_on_type_confused_reports(gk1, tmp_path, capsys, edit):
+    mutate, finding = TYPE_CONFUSED_EDITS[edit]
     report_path = tmp_path / "r.json"
     run(
         capsys,
@@ -594,7 +614,8 @@ def test_verify_fails_cleanly_on_type_confused_reports(gk1, tmp_path, capsys, mu
     )
     data = json.loads(report_path.read_text())
     mutate(data)
-    _verify_fails(capsys, gk1, report_path, data)
+    out = _verify_fails(capsys, gk1, report_path, data)
+    assert out == f"FAIL: malformed report: {finding}\n"
 
 
 def _solved_random_ssc(capsys, tmp_path):
@@ -612,9 +633,10 @@ def _solved_random_ssc(capsys, tmp_path):
 @pytest.mark.parametrize("edit", UNEMITTED_EDITS)
 def test_verify_fails_on_report_forms_the_encoder_never_writes(tmp_path, capsys, edit):
     inst, report_path, data = _solved_random_ssc(capsys, tmp_path)
-    mutate, finding = UNEMITTED_EDITS[edit]
+    mutate, findings = UNEMITTED_EDITS[edit]
     mutate(data)
-    assert f"FAIL: {finding}" in _verify_fails(capsys, inst, report_path, data)
+    out = _verify_fails(capsys, inst, report_path, data)
+    assert out.splitlines() == [f"FAIL: {finding}" for finding in findings]
 
 
 @pytest.mark.parametrize("edit", UNSORTED_EDITS)

@@ -229,6 +229,18 @@ def test_two_edge_connectivity_matches_edge_deletion():
         assert is_two_edge_connected(g) == _two_edge_connected_brute(g)
 
 
+def test_subgraph_is_the_multigraph_of_the_picked_edges():
+    rng = random.Random(4)
+    for _ in range(100):
+        n = rng.randint(2, 8)
+        edges = [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(rng.randint(1, 12))]
+        ids = [rng.randrange(len(edges)) for _ in range(rng.randint(0, len(edges)))]
+        g = Multigraph(n, edges)
+        sub, want = g.subgraph(ids), Multigraph(n, [edges[i] for i in sorted(ids)])
+        assert (sub.vertex_count, sub.edges) == (want.vertex_count, want.edges)
+        assert all(sub.incident(v) == want.incident(v) for v in range(1, n + 1))
+
+
 def test_reachable_avoiding_no_filter_is_plain_reachability():
     rng = random.Random(3)
     for _ in range(100):

@@ -289,8 +289,10 @@ def test_check_feasible_validates_ids():
     with pytest.raises(ValueError):
         check_feasible(s, frozenset({5}))
     t = TwoECSInstance(Multigraph(2, [(1, 2), (1, 2)]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown edge id 9$"):
         check_feasible(t, frozenset({9}))
+    with pytest.raises(ValueError, match="^unknown edge id -1$"):
+        check_feasible(t, [0, 1, -1])
     d = DPAInstance(2, [(1, 2, 1)])
     with pytest.raises(ValueError):
         check_feasible(d, frozenset({3}))

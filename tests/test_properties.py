@@ -1,23 +1,30 @@
 """Property-based tests tying the algorithms to their declared contracts."""
 
 import itertools
+from collections import Counter
 
+import networkx as nx
 from hypothesis import given, settings, strategies as st
 
 from dualcut import (
     Advisor,
+    Multigraph,
     SSCInstance,
     ScriptedAdvisor,
     Star,
+    TwoECSInstance,
     approx_dpa,
     approx_ssc,
     check_feasible,
+    gen_random_2ecs,
     mscs_to_ssc,
+    verify_certificate,
     verify_run,
 )
+from dualcut.certificates import SSC, TWOECS, Cut, DualCertificate
 from dualcut.graphs import Digraph
 from dualcut.perfect import LiveInstance, augment_to_perfect, is_perfect
-from reference import check_cut_feasible, ssc_to_dpa
+from reference import certificate_by_definition, check_cut_feasible, ssc_to_dpa
 
 
 @st.composite
@@ -71,6 +78,79 @@ def bidirected_instances(draw):
         a for e in edges for a in (tuple(sorted(e)), tuple(sorted(e, reverse=True)))
     )
     return mscs_to_ssc(n, arcs)
+
+
+@st.composite
+def edge_instances(draw):
+    """A random-2ecs instance, with parallel copies of a few of its edges
+    added at times."""
+    n = draw(st.integers(2, 12))
+    factor = draw(st.sampled_from((0.0, 0.4, 1.0)))
+    g = gen_random_2ecs(n, factor, seed=draw(st.integers(0, 999))).instance.graph
+    copies = draw(st.lists(st.sampled_from(g.edges), max_size=4))
+    return TwoECSInstance(Multigraph(n, g.edges + tuple(copies)))
+
+
+@st.composite
+def edge_selections(draw):
+    """An edge instance and a list of its edge ids: none, all, all but a
+    few (listed once or twice), or any, repeats allowed. A repeated id is
+    still one edge, so it never doubles a bridge."""
+    inst = draw(edge_instances())
+    m = len(inst.graph.edges)
+    few = st.lists(st.integers(0, m - 1), max_size=3)
+    ids = draw(
+        st.one_of(
+            st.just([]),
+            st.just(list(range(m))),
+            st.tuples(few, st.integers(1, 2)).map(
+                lambda d: [i for i in range(m) if i not in d[0]] * d[1]
+            ),
+            st.lists(st.integers(0, m - 1), max_size=2 * m),
+        )
+    )
+    return inst, ids
+
+
+def _nx_two_edge_connected(n: int, edges) -> bool:
+    """Connected on all n vertices, and every bridge of the simple graph
+    has a parallel copy among `edges`."""
+    simple = nx.Graph()
+    simple.add_nodes_from(range(1, n + 1))
+    simple.add_edges_from(edges)
+    copies = Counter(frozenset(e) for e in edges)
+    return nx.is_connected(simple) and all(copies[frozenset(e)] > 1 for e in nx.bridges(simple))
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_selections())
+def test_edge_selection_feasibility_matches_networkx(drawn):
+    inst, ids = drawn
+    g = inst.graph
+    picked = [g.edges[i] for i in set(ids)]
+    assert check_feasible(inst, ids) == _nx_two_edge_connected(g.vertex_count, picked)
+
+
+@st.composite
+def certified_instances(draw):
+    """A star or edge instance with a family of up to six random cuts, any
+    of them complemented; most families with two cuts or more are
+    infeasible."""
+    if draw(st.booleans()):
+        inst, problem = draw(star_instances()), SSC
+    else:
+        inst, problem = draw(edge_instances()), TWOECS
+    n = inst.vertex_count
+    side = st.frozensets(st.integers(1, n), min_size=1, max_size=n - 1)
+    cuts = draw(st.lists(st.builds(Cut, side, st.booleans()), max_size=6))
+    return inst, DualCertificate(problem, cuts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(certified_instances())
+def test_certificate_check_matches_the_crossings_by_definition(drawn):
+    inst, cert = drawn
+    assert verify_certificate(inst, cert) == certificate_by_definition(inst, cert)
 
 
 scripts = st.lists(st.integers(0, 8), max_size=20)
