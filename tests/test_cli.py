@@ -588,6 +588,10 @@ TYPE_CONFUSED_EDITS = {
         lambda d: _rekey_histogram(d, lambda k: "0_" + k),
         "histogram key '0_2' is not an integer as str writes it",
     ),
+    "padded-histogram-key": (
+        lambda d: _rekey_histogram(d, lambda k: f" {k} "),
+        "histogram key ' 2 ' is not an integer as str writes it",
+    ),
     "arabic-indic-histogram-key": (
         lambda d: _rekey_histogram(d, lambda k: k.translate(ARABIC_INDIC_DIGITS)),
         "histogram key '\u0662' is not an integer as str writes it",

@@ -374,6 +374,10 @@ UNEMITTED_EDITS = {
         lambda d: d.__setitem__("selected_stars", [999]),
         ["selected_stars differs from its derivation"],
     ),
+    "negative-fallbacks": (
+        lambda d: d.__setitem__("advisor_fallbacks", -5),
+        ["advisor fallback count is negative"],
+    ),
 }
 
 
@@ -412,6 +416,7 @@ def _with_first_cut(data, side):
 # rejects each as malformed, naming the list; test_cli runs the same edits
 # through `dualcut verify`.
 UNSORTED_EDITS = {
+    "reversed-selection": (lambda d: d["selected"].reverse(), "selected"),
     "reversed-iteration-selection": (
         lambda d: next(
             rec["selected"] for rec in d["iterations"] if len(rec["selected"]) > 1
